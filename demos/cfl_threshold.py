@@ -26,7 +26,7 @@ probe = lx.Sine(1) + lx.Sine(31)
 # --- one-step norms and amplification factors on both sides ------------
 print("r        ||C||      max|g(k)|")
 for r in (0.1, 0.3, 0.5, 0.55, 0.75):
-    s = ftcs_heat(r * dx**2, dx)
+    s = ftcs_heat(r * dx**2, dx, n)
     print(f"{r:<8} {operator_norm(s):<10.6f} {von_neumann_check(s, n).max_abs_g:.6f}")
 
 # --- iterated norms over a unit time horizon ---------------------------
@@ -35,7 +35,7 @@ for r in (0.1, 0.3, 0.5, 0.55, 0.75):
 print()
 print("r        bound L      first n with ||C^n|| > 10")
 for r in (0.3, 0.5, 0.55, 0.75):
-    report = stability_check(ftcs_heat(r * dx**2, dx), 1.0)
+    report = stability_check(ftcs_heat(r * dx**2, dx, n), 1.0)
     first = report.first_exceeding(10.0)
     print(f"{r:<8} {report.bound_l:<12.4e} {first}")
 
@@ -44,7 +44,7 @@ for r in (0.3, 0.5, 0.55, 0.75):
 # spectral evolution: the error is astronomically large even though the
 # scheme is consistent.
 r = 0.55
-s = ftcs_heat(r * dx**2, dx)
+s = ftcs_heat(r * dx**2, dx, n)
 u = lx.sample(probe, n)
 vals = u.values.copy()
 steps = round(1.0 / s.dt)

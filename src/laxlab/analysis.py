@@ -12,7 +12,10 @@ turned into finite, falsifiable checks:
 
 For circular-convolution stencils on sup-norm grids the operator norm is
 exactly the sum of absolute coefficients; every norm returned here is
-additionally validated by a witness vector that attains it.
+additionally validated by a witness vector that attains it.  For a stencil
+built for an N-point grid that is the norm of the N x N circulant, whose
+powers wrap mod N (see :mod:`laxlab.schemes`), and von Neumann factors
+are the DFT of the stencil wrapped onto the grid.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .grid import (
     sup_norm,
     wavenumbers,
 )
-from .schemes import StencilScheme, apply_values, compose, power
+from .schemes import OVERFLOW_LIMIT, StencilScheme, apply_values, compose, power
 from .semigroup import HeatSemigroup, evolve
 
 __all__ = [
@@ -58,11 +61,13 @@ DEFAULT_STABILITY_THRESHOLD = 10.0
 def operator_norm(s: StencilScheme) -> float:
     """Sup-norm operator norm of a periodic stencil: sum of |coefficients|.
 
-    Validated against the witness sign pattern, which attains the norm at
-    a grid point; a mismatch beyond 1e-12 relative raises RuntimeError.
+    For a stencil built for a grid this is the norm of the operator on
+    that N-point grid.  Validated against the witness sign pattern, which
+    attains the norm at a grid point; a mismatch beyond 1e-12 relative
+    raises RuntimeError.
     """
-    total = math.fsum(abs(float(c)) for c in s.coefficients)
-    n = max(s.width, 2)
+    total = math.fsum(np.abs(s.coefficients).tolist())
+    n = s.period or max(s.width, 2)
     witness = np.ones(n)
     witness[np.mod(s.offsets, n)] = np.where(s.coefficients < 0, -1.0, 1.0)
     attained = float(np.max(np.abs(apply_values(s, witness))))
@@ -139,10 +144,10 @@ def stability_check(
 
 
 def von_neumann_symbol(s: StencilScheme, k: int, grid_n: int) -> complex:
-    """Amplification factor g(k) = sum_m c_m exp(i k offsets[m] dx)."""
+    """Amplification factor g(k) = sum_m c_m exp(2 pi i k offsets[m] / N)."""
     if abs(k) > grid_n / 2:
         raise ValueError(f"|k|={abs(k)} exceeds grid_n/2={grid_n / 2}")
-    phases = np.exp(1j * k * s.offsets * s.dx)
+    phases = np.exp(2j * np.pi * k * s.offsets / grid_n)
     return complex(np.sum(s.coefficients * phases))
 
 
@@ -158,13 +163,14 @@ def von_neumann_check(
 ) -> VonNeumannReport:
     """Scan all representable modes; pass iff max |g(k)| <= 1 + growth_rate*dt.
 
-    A 1e-12 slack absorbs rounding in the symbol summation.
+    Every |g(k)| comes from one FFT of the stencil wrapped onto the grid.
+    A 1e-12 slack absorbs rounding in the transform.
     """
-    best_k, best = 0, 0.0
-    for k in wavenumbers(grid_n):
-        mag = abs(von_neumann_symbol(s, int(k), grid_n))
-        if mag > best:
-            best, best_k = mag, int(k)
+    kernel = np.bincount(np.mod(s.offsets, grid_n), weights=s.coefficients, minlength=grid_n)
+    ks = wavenumbers(grid_n)
+    mags = np.abs(np.fft.fft(kernel))[np.mod(ks, grid_n)]
+    i = int(np.argmax(mags))
+    best, best_k = float(mags[i]), int(ks[i])
     passed = best <= 1.0 + growth_rate * s.dt + 1e-12
     return VonNeumannReport(max_abs_g=best, wavenumber=best_k, passed=passed)
 
@@ -221,7 +227,7 @@ def scheme_builder(name: str):
     from .schemes import backward_euler_heat, ftcs_heat
 
     if name == "ftcs":
-        return lambda dt, dx, n: ftcs_heat(dt, dx)
+        return ftcs_heat
     if name == "backward_euler":
         return backward_euler_heat
     raise ValueError(f"unknown scheme: {name!r}")
@@ -232,7 +238,7 @@ def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
     vals = u.values.copy()
     for _ in range(n_steps):
         vals = apply_values(s, vals)
-        if not np.isfinite(vals).all() or np.max(np.abs(vals)) > 1e300:
+        if not np.isfinite(vals).all() or np.max(np.abs(vals)) > OVERFLOW_LIMIT:
             return vals, True
     return vals, False
 
@@ -253,9 +259,12 @@ def convergence_experiment(
     compared with the exact evolution at n*dt, so the final-time mismatch
     stays within dt/2.  Convergence means: all errors finite, decreasing
     monotonically up to 10% jitter, and the finest error below
-    ``tol_rel * ||u||``.  The compactness diameter is the max pairwise
-    sup-distance among trajectory endpoints and the exact solution,
-    measured after trigonometric resampling to the finest grid.
+    ``tol_rel * ||u||``.  The observed order is the log-log slope of
+    error against dx over at least three cells, and None unless the
+    errors are all finite and monotone in that sense.  The compactness
+    diameter is the max pairwise sup-distance among trajectory endpoints
+    and the exact solution, measured after trigonometric resampling to
+    the finest grid.
     """
     dts = sorted(dts, reverse=True)
     if not dts:
@@ -292,15 +301,14 @@ def convergence_experiment(
         finest = (grid_n, u)
 
     errors = [c.error for c in cells]
-    finite = [(c.dx, c.error) for c in cells if math.isfinite(c.error) and c.error > 0]
-    observed_order = None
-    if len(finite) >= 3:
-        log_dx = np.log([dx for dx, _ in finite])
-        log_err = np.log([e for _, e in finite])
-        observed_order = float(np.polyfit(log_dx, log_err, 1)[0])
-
     monotone = all(errors[i + 1] <= errors[i] * 1.1 for i in range(len(errors) - 1))
     all_finite = all(math.isfinite(e) for e in errors)
+    positive = [(c.dx, c.error) for c in cells if c.error > 0]
+    observed_order = None
+    if all_finite and monotone and len(positive) >= 3:
+        log_dx = np.log([dx for dx, _ in positive])
+        log_err = np.log([e for _, e in positive])
+        observed_order = float(np.polyfit(log_dx, log_err, 1)[0])
     probe_norm = sup_norm(finest[1])
     converged = all_finite and monotone and errors[-1] < tol_rel * probe_norm
 

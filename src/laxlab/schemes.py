@@ -6,6 +6,11 @@ here is linear and translation-invariant.  The flagship instance is the
 explicit forward-time centered-space (FTCS) heat scheme; backward Euler
 is included as the unconditionally stable contrast case, stored as a
 full-period stencil obtained from the inverse circulant.
+
+A stencil built for an N-point grid (``period=N``) is the N x N circulant:
+its offsets are read mod N, and its powers and compositions are folded
+mod N, so they never grow wider than the grid.  Stencils built without a
+grid compose on the infinite integer line.
 """
 from __future__ import annotations
 
@@ -45,9 +50,9 @@ class StencilScheme:
     dt: float
     dx: float
     name: str
-    # Full-period stencils (offsets spanning one grid period) set this to
-    # the period so that compositions wrap instead of widening without
-    # bound; narrow stencils leave it None and compose on the integer line.
+    # The grid this stencil acts on: offsets are read mod period, and
+    # compositions wrap instead of widening without bound.  Stencils built
+    # without a grid leave it None and compose on the integer line.
     period: int | None = None
 
     def __post_init__(self) -> None:
@@ -55,20 +60,18 @@ class StencilScheme:
         coef = np.array(self.coefficients, dtype=float)
         if offs.ndim != 1 or offs.shape != coef.shape:
             raise ValueError("offsets and coefficients must be 1-d and the same length")
-        if len(np.unique(offs)) != offs.size:
+        if not np.diff(np.sort(offs)).all():
             raise ValueError("offsets must be distinct")
         if not np.isfinite(coef).all():
             raise ValueError("coefficients must be finite")
         if not (self.dt > 0 and self.dx > 0):
             raise ValueError(f"dt, dx must be positive, got dt={self.dt}, dx={self.dx}")
-        if self.period is not None and (
-            offs.min() < 0 or offs.max() >= self.period
-        ):
-            raise ValueError("full-period offsets must lie in [0, period)")
         offs.setflags(write=False)
         coef.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "coefficients", coef)
+        if self.period is not None and self.width > self.period:
+            raise ValueError(f"stencil width {self.width} exceeds its period {self.period}")
 
     @property
     def width(self) -> int:
@@ -79,10 +82,12 @@ class StencilScheme:
         return self.dt / self.dx**2
 
 
-def ftcs_heat(dt: float, dx: float) -> StencilScheme:
+def ftcs_heat(dt: float, dx: float, grid_n: int | None = None) -> StencilScheme:
     """Explicit heat scheme u + (u(x+dx) - 2u + u(x-dx)) dt/dx^2.
 
     Coefficients (r, 1-2r, r) with r = dt/dx^2; stable iff 2 dt <= dx^2.
+    With ``grid_n`` the stencil acts on that grid, so its powers and
+    compositions wrap mod ``grid_n``.
     """
     r = dt / dx**2
     return StencilScheme(
@@ -91,6 +96,7 @@ def ftcs_heat(dt: float, dx: float) -> StencilScheme:
         dt=dt,
         dx=dx,
         name="ftcs",
+        period=grid_n,
     )
 
 
@@ -155,49 +161,36 @@ def _dense(s: StencilScheme) -> tuple:
     return lo, arr
 
 
-def _from_dense(lo: int, arr: np.ndarray, template: StencilScheme, name: str) -> StencilScheme:
+def _from_dense(
+    dense: tuple, period: int | None, template: StencilScheme, name: str
+) -> StencilScheme:
+    lo, arr = dense
     return StencilScheme(
         offsets=np.arange(lo, lo + arr.size),
         coefficients=arr,
         dt=template.dt,
         dx=template.dx,
         name=name,
-    )
-
-
-def _checked(out: np.ndarray) -> np.ndarray:
-    if not np.isfinite(out).all() or np.max(np.abs(out)) > OVERFLOW_LIMIT:
-        raise DivergedOperatorError("stencil coefficients overflowed during composition")
-    return out
-
-
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _checked(np.convolve(a, b))
-
-
-def _wrapped(s: StencilScheme, period: int) -> np.ndarray:
-    """Length-``period`` kernel indexed by offset mod period."""
-    kernel = np.zeros(period)
-    np.add.at(kernel, np.mod(s.offsets, period), s.coefficients)
-    return kernel
-
-
-def _conv_circular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.size
-    return _checked(np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=n))
-
-
-def _from_wrapped(
-    kernel: np.ndarray, period: int, template: StencilScheme, name: str
-) -> StencilScheme:
-    return StencilScheme(
-        offsets=np.arange(period),
-        coefficients=kernel,
-        dt=template.dt,
-        dx=template.dx,
-        name=name,
         period=period,
     )
+
+
+def _conv(a: tuple, b: tuple, period: int | None) -> tuple:
+    """Convolve two dense stencils; on a grid, fold the result mod period.
+
+    The convolution is direct, so each coefficient is a plain sum of
+    products with the sign of the exact value.  A transform product would
+    spread rounding over every entry and turn exact zeros into +-ulp
+    noise, which inflates the sum of |coefficients| as N grows.
+    """
+    lo = a[0] + b[0]
+    full = np.convolve(a[1], b[1])
+    if period is not None and full.size > period:
+        lo %= period
+        full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
+    if not np.isfinite(full).all() or np.max(np.abs(full)) > OVERFLOW_LIMIT:
+        raise DivergedOperatorError("stencil coefficients overflowed during composition")
+    return lo, full
 
 
 def _joint_period(first: StencilScheme, second: StencilScheme) -> int | None:
@@ -212,52 +205,32 @@ def _joint_period(first: StencilScheme, second: StencilScheme) -> int | None:
 def compose(first: StencilScheme, second: StencilScheme) -> StencilScheme:
     """Stencil of the composition second(first(u)): offset-wise convolution.
 
-    If either factor is a full-period stencil the convolution wraps modulo
-    that period, so the result never grows wider than one grid period.
+    If either factor acts on a grid the convolution wraps modulo that
+    grid, so the result never grows wider than one grid period.
     """
-    name = f"{first.name}*{second.name}"
     period = _joint_period(first, second)
-    if period is not None:
-        kernel = _conv_circular(_wrapped(first, period), _wrapped(second, period))
-        return _from_wrapped(kernel, period, first, name)
-    lo_a, arr_a = _dense(first)
-    lo_b, arr_b = _dense(second)
-    return _from_dense(lo_a + lo_b, _conv(arr_a, arr_b), first, name)
+    dense = _conv(_dense(first), _dense(second), period)
+    return _from_dense(dense, period, first, f"{first.name}*{second.name}")
 
 
 def power(s: StencilScheme, n: int) -> StencilScheme:
     """n-fold self-composition by repeated squaring of the coefficient array.
 
-    Raises :class:`DivergedOperatorError` if coefficients exceed the
-    overflow threshold, which signals gross instability.
+    On a grid every product wraps mod the period.  Raises
+    :class:`DivergedOperatorError` if coefficients exceed the overflow
+    threshold, which signals gross instability.
     """
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")
     if n == 1:
         return s
-    name = f"{s.name}^{n}"
-    if s.period is not None:
-        result = np.zeros(s.period)
-        result[0] = 1.0
-        sq = _wrapped(s, s.period)
-        m = n
-        while m:
-            if m & 1:
-                result = _conv_circular(result, sq)
-            m >>= 1
-            if m:
-                sq = _conv_circular(sq, sq)
-        return _from_wrapped(result, s.period, s, name)
-    lo, base = _dense(s)
-    result_lo, result = 0, np.array([1.0])
-    sq_lo, sq = lo, base
+    result = (0, np.array([1.0]))
+    sq = _dense(s)
     m = n
     while m:
         if m & 1:
-            result = _conv(result, sq)
-            result_lo += sq_lo
+            result = _conv(result, sq, s.period)
         m >>= 1
         if m:
-            sq = _conv(sq, sq)
-            sq_lo *= 2
-    return _from_dense(result_lo, result, s, name)
+            sq = _conv(sq, sq, s.period)
+    return _from_dense(result, s.period, s, f"{s.name}^{n}")

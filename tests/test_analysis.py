@@ -88,6 +88,24 @@ class TestStability:
         for n in (2, 3, 5, 8):
             assert operator_norm(power(s_pos, n)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2047, 2048])
+    def test_grid_norms_do_not_drift_at_the_cfl_boundary(self, n):
+        # Every power of (1/2, 0, 1/2) is a nonnegative kernel summing to 1;
+        # wrapping it mod N must not let rounding push a norm off 1.
+        dx = TWO_PI / n
+        report = stability_check(ftcs_heat(0.5 * dx**2, dx, n), 1.0)
+        assert report.stable
+        for _, norm in report.norms:
+            assert abs(norm - 1.0) <= 1e-12
+
+    def test_grid_overflow_reports_infinite_norm(self):
+        n = 256
+        dx = TWO_PI / n
+        report = stability_check(ftcs_heat(0.75 * dx**2, dx, n), 1.0)
+        assert not report.stable
+        assert report.norms[-1] == (1024, math.inf)
+        assert report.first_exceeding(10.0) == 4
+
     def test_dt_larger_than_horizon_rejected(self):
         with pytest.raises(ValueError):
             stability_check(ftcs_heat(0.5, 1.0), 0.1)
@@ -123,6 +141,31 @@ class TestVonNeumann:
         report = von_neumann_check(s, n)
         assert report.passed is expected_pass
         assert report.max_abs_g == pytest.approx(max(1.0, 4 * r - 1), rel=1e-12)
+
+    def test_unit_domain_symbol_uses_grid_phase(self):
+        # On L = 1 the mode k = N/2 still alternates in sign, so
+        # g = 1 - 4r = -2 at r = 0.75 whatever dx is.
+        n = 16
+        dx = 1.0 / n
+        s = ftcs_heat(0.75 * dx**2, dx, n)
+        assert von_neumann_check(s, n).max_abs_g == 2.0
+        assert von_neumann_symbol(s, n // 2, n) == pytest.approx(-2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [15, 16, 33])
+    def test_fft_scan_matches_mode_by_mode_symbols(self, n):
+        dx = 1.0 / n
+        for s in (
+            ftcs_heat(0.3 * dx**2, dx, n),
+            ftcs_heat(0.7 * dx**2, dx, n),
+            backward_euler_heat(2.0 * dx**2, dx, n),
+            StencilScheme(np.array([-2, 0, 3]), np.array([0.2, -0.5, 0.4]), 0.1, dx, "odd"),
+        ):
+            mags = [abs(von_neumann_symbol(s, int(k), n)) for k in lx.wavenumbers(n)]
+            report = von_neumann_check(s, n)
+            assert report.max_abs_g == pytest.approx(max(mags), abs=1e-12)
+            assert mags[list(lx.wavenumbers(n)).index(report.wavenumber)] == pytest.approx(
+                max(mags), abs=1e-12
+            )
 
     def test_identity_scheme_passes(self):
         s = StencilScheme(np.array([0]), np.array([1.0]), 0.1, 0.1, "id")
@@ -251,6 +294,32 @@ class TestConvergence:
         )
         assert math.isfinite(coarse.compactness_diameter)
         assert fine.compactness_diameter < coarse.compactness_diameter
+
+    def test_no_order_fitted_to_growing_errors(self):
+        # Finite but exploding errors (~1e15 .. 1e74) have a log-log slope,
+        # but it measures blow-up, not convergence.
+        report = convergence_experiment(
+            scheme_builder("ftcs"),
+            RefinementPath.fixed_ratio(0.55),
+            lx.RandomUniform(3),
+            1.0,
+            [4e-3, 2e-3, 1e-3],
+        )
+        assert all(math.isfinite(c.error) for c in report.cells)
+        assert report.observed_order is None
+
+    def test_unit_domain_cells_report_grid_symbol(self):
+        dt = 0.75 / 16**2
+        report = convergence_experiment(
+            scheme_builder("ftcs"),
+            RefinementPath.from_table([(dt, 1.0 / 16)]),
+            lx.Sine(1),
+            0.01,
+            [dt],
+            domain_length=1.0,
+        )
+        assert report.cells[0].grid_n == 16
+        assert report.cells[0].max_abs_g == 2.0
 
     def test_diverged_cell_reports_infinite_error(self):
         report = convergence_experiment(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
+from laxlab.analysis import operator_norm
 from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.schemes import (
     StencilScheme,
@@ -173,6 +174,68 @@ class TestPower:
         s = StencilScheme(np.array([0]), np.array([1e200]), 0.1, 0.1, "huge")
         with pytest.raises(DivergedOperatorError):
             power(s, 2)
+
+
+def _circulant(s: StencilScheme, n: int) -> np.ndarray:
+    """Dense N x N matrix of v_j = sum_m c_m u_{(j + o_m) mod N}."""
+    mat = np.zeros((n, n))
+    for off, coef in zip(s.offsets, s.coefficients):
+        for j in range(n):
+            mat[j, (j + off) % n] += coef
+    return mat
+
+
+def _kernel(s: StencilScheme, n: int) -> np.ndarray:
+    kernel = np.zeros(n)
+    np.add.at(kernel, np.mod(s.offsets, n), s.coefficients)
+    return kernel
+
+
+class TestGridWrap:
+    def test_grid_built_ftcs_keeps_three_offsets(self):
+        s = ftcs_heat(0.25, 1.0, 16)
+        assert s.period == 16
+        assert np.array_equal(s.offsets, [-1, 0, 1])
+        assert np.array_equal(s.coefficients, [0.25, 0.5, 0.25])
+
+    def test_powers_never_outgrow_the_grid(self):
+        s = ftcs_heat(0.3, 1.0, 12)
+        for n in (2, 5, 6, 7, 100):
+            p = power(s, n)
+            assert p.period == 12
+            assert p.width == min(2 * n + 1, 12)
+
+    def test_width_beyond_period_rejected(self):
+        with pytest.raises(ValueError):
+            StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, "wide", period=6)
+        with pytest.raises(ValueError):
+            ftcs_heat(0.25, 1.0, 2)
+
+    def test_compose_rejects_mismatched_grids(self):
+        with pytest.raises(InvalidGridError):
+            compose(ftcs_heat(0.25, 1.0, 16), ftcs_heat(0.25, 1.0, 17))
+
+    @given(
+        st.integers(4, 64),
+        st.one_of(st.floats(0.05, 0.5), st.floats(0.5, 0.95)),
+        st.integers(1, 200),
+        st.integers(0, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wrapped_power_and_compose_match_circulant_oracle(self, n, r, steps, split):
+        s = ftcs_heat(r, 1.0, n)
+        oracle = np.linalg.matrix_power(_circulant(s, n), steps)
+        # Both sides round each entry within about N * steps ulps of
+        # ||C||^steps, at most 64 * 200 * 2.2e-16 = 2.8e-12 relative.
+        tol = 1e-10 * math.fsum(np.abs(s.coefficients)) ** steps
+        products = [power(s, steps)]
+        first = split % steps
+        if first:
+            products.append(compose(power(s, first), power(s, steps - first)))
+        for p in products:
+            assert p.period == n and p.width <= n
+            assert np.max(np.abs(_kernel(p, n) - oracle[0])) <= tol
+            assert abs(operator_norm(p) - np.abs(oracle).sum(axis=1).max()) <= tol
 
 
 def test_offsets_must_be_distinct():
