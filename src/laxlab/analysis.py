@@ -30,6 +30,7 @@ from .grid import (
     Probe,
     RefinementPath,
     TWO_PI,
+    is_band_limited,
     resample,
     sample,
     sup_norm,
@@ -78,6 +79,11 @@ def operator_norm(s: StencilScheme) -> float:
             f"witness ratio {attained} disagrees with coefficient sum {total}"
         )
     return total
+
+
+def loglog_slope(pairs) -> float:
+    """Least-squares slope of log(y) against log(x) over (x, y) pairs."""
+    return float(np.polyfit(np.log([x for x, _ in pairs]), np.log([y for _, y in pairs]), 1)[0])
 
 
 def _sample_steps(n_max: int) -> list:
@@ -181,8 +187,6 @@ def consistency_check(s: StencilScheme, sg: HeatSemigroup, u: GridFunction, ts):
     The probe must be band-limited (|k| <= N/4) and live on the
     semigroup's grid with the stencil's spacing.
     """
-    from .grid import is_band_limited
-
     if u.n != sg.grid_n:
         raise InvalidGridError(f"probe grid {u.n} does not match semigroup {sg.grid_n}")
     if not math.isclose(s.dx, u.dx, rel_tol=1e-9):
@@ -238,7 +242,8 @@ def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
     vals = u.values.copy()
     for _ in range(n_steps):
         vals = apply_values(s, vals)
-        if not np.isfinite(vals).all() or np.max(np.abs(vals)) > OVERFLOW_LIMIT:
+        # One reduction per step; the comparison is False for NaN as well.
+        if not np.abs(vals).max() <= OVERFLOW_LIMIT:
             return vals, True
     return vals, False
 
@@ -304,11 +309,8 @@ def convergence_experiment(
     monotone = all(errors[i + 1] <= errors[i] * 1.1 for i in range(len(errors) - 1))
     all_finite = all(math.isfinite(e) for e in errors)
     positive = [(c.dx, c.error) for c in cells if c.error > 0]
-    observed_order = None
-    if all_finite and monotone and len(positive) >= 3:
-        log_dx = np.log([dx for dx, _ in positive])
-        log_err = np.log([e for _, e in positive])
-        observed_order = float(np.polyfit(log_dx, log_err, 1)[0])
+    fit = all_finite and monotone and len(positive) >= 3
+    observed_order = loglog_slope(positive) if fit else None
     probe_norm = sup_norm(finest[1])
     converged = all_finite and monotone and errors[-1] < tol_rel * probe_norm
 

@@ -27,8 +27,6 @@ from .semigroup import HeatSemigroup
 
 __all__ = ["run", "main"]
 
-_KINDS = {"stability", "consistency", "convergence", "roundoff", "ubp_demo"}
-
 _ALLOWED_KEYS = {
     "stability": {"scheme", "grid_n", "r", "t", "threshold"},
     "consistency": {"scheme", "probe", "r", "dts", "ts"},
@@ -91,7 +89,28 @@ def _parse_sequence_probe(text: str) -> ubp.FiniteSequence:
     raise ConfigError(f"unknown sequence probe: {text!r}")
 
 
-def _validate(kind: str, section: str, items: dict) -> None:
+def _positive(v) -> bool:
+    v = v if isinstance(v, list) else [v]
+    return bool(v) and all(0 < x < math.inf for x in v)
+
+
+# Parser and admitted values of each typed key (None admits any parsed
+# value); a (kind, key) entry overrides the key's entry for that kind.
+_VALUES = {
+    "scheme": (str, analysis.scheme_builder),  # raises ValueError for unknown names
+    "grid_n": (int, lambda v: v >= 4),
+    "bits": (int, lambda v: 4 <= v <= 52),
+    "probe": (parse_probe, None),
+    "path": (_parse_path, None),
+    "ts": (_floats, lambda v: bool(v) and all(0 <= x < math.inf for x in v)),
+    ("roundoff", "dts"): (_floats, lambda v: len(v) >= 4 and _positive(v)),
+    **dict.fromkeys(["r", "dts"], (_floats, _positive)),
+    **dict.fromkeys(["t", "threshold", "tol_rel", ("consistency", "r")], (float, _positive)),
+}
+
+
+def _validate(kind: str, section: str, items: dict) -> dict:
+    """Check a section's keys and values; returns the values parsed."""
     allowed = _ALLOWED_KEYS[kind]
     for key in items:
         if key not in allowed:
@@ -99,17 +118,28 @@ def _validate(kind: str, section: str, items: dict) -> None:
     for key in _REQUIRED_KEYS[kind]:
         if key not in items:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    typed = {}
+    for key, text in items.items():
+        parse, admits = _VALUES.get((kind, key)) or _VALUES.get(key, (str, None))
+        try:
+            typed[key] = parse(text)
+            ok = admits is None or admits(typed[key])
+        except (ValueError, IndexError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"bad value {text!r} for key {key!r} in section [{section}]")
+    return typed
 
 
 def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
     scheme = items["scheme"]
-    grid_n = int(items["grid_n"])
-    horizon = float(items["t"])
-    threshold = float(items.get("threshold", analysis.DEFAULT_STABILITY_THRESHOLD))
+    grid_n = items["grid_n"]
+    horizon = items["t"]
+    threshold = items.get("threshold", analysis.DEFAULT_STABILITY_THRESHOLD)
     builder = analysis.scheme_builder(scheme)
     dx = TWO_PI / grid_n
     csv_lines.append(_ANALYSIS_HEADER)
-    for r in _floats(items["r"]):
+    for r in items["r"]:
         dt = r * dx**2
         s = builder(dt, dx, grid_n)
         report = analysis.stability_check(s, horizon, threshold)
@@ -131,17 +161,15 @@ def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
 
 def _run_consistency(items: dict, csv_lines: list, summary: list) -> str:
     scheme = items["scheme"]
-    r = float(items["r"])
-    probe = parse_probe(items["probe"])
-    ts = _floats(items["ts"])
+    ts = items["ts"]
     builder = analysis.scheme_builder(scheme)
-    path = RefinementPath.fixed_ratio(r)
+    path = RefinementPath.fixed_ratio(items["r"])
     csv_lines.append(_ANALYSIS_HEADER)
-    for dt in sorted(_floats(items["dts"]), reverse=True):
+    for dt in sorted(items["dts"], reverse=True):
         grid_n, dx = path.grid_for(dt)
         s = builder(dt, dx, grid_n)
         sg = HeatSemigroup(horizon_t=max(ts + [dt]) + dt, grid_n=grid_n)
-        u = sample(probe, grid_n)
+        u = sample(items["probe"], grid_n)
         residuals = analysis.consistency_check(s, sg, u, ts)
         worst = max(res for _, res in residuals)
         symbol = analysis.von_neumann_check(s, grid_n)
@@ -158,16 +186,13 @@ def _run_consistency(items: dict, csv_lines: list, summary: list) -> str:
 
 def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
     scheme = items["scheme"]
-    probe = parse_probe(items["probe"])
-    path = _parse_path(items["path"])
-    tol_rel = float(items.get("tol_rel", 1e-3))
     report = analysis.convergence_experiment(
         analysis.scheme_builder(scheme),
-        path,
-        probe,
-        float(items["t"]),
-        _floats(items["dts"]),
-        tol_rel=tol_rel,
+        items["path"],
+        items["probe"],
+        items["t"],
+        items["dts"],
+        tol_rel=items.get("tol_rel", 1e-3),
     )
     csv_lines.append(_ANALYSIS_HEADER)
     for cell in report.cells:
@@ -197,16 +222,14 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
 
 def _run_roundoff(items: dict, csv_lines: list, summary: list) -> str:
     scheme = items["scheme"]
-    probe = parse_probe(items["probe"])
-    path = _parse_path(items["path"])
-    spec = roundoff.PrecisionSpec(significand_bits=int(items["bits"]))
+    spec = roundoff.PrecisionSpec(significand_bits=items["bits"])
     report = roundoff.halving_sweep(
         analysis.scheme_builder(scheme),
-        path,
-        probe,
-        float(items["t"]),
+        items["path"],
+        items["probe"],
+        items["t"],
         spec,
-        _floats(items["dts"]),
+        items["dts"],
     )
     csv_lines.append("n,t,gap,bits,dt,dx,scheme\n")
     for growth in report.growth_reports:
@@ -257,13 +280,11 @@ _RUNNERS = {
 }
 
 
-def run(config_path, out_dir, jobs: int = 1, seed=None) -> int:
-    """Execute every experiment section of a config file.
+def run(config_path, out_dir, seed=None) -> int:
+    """Execute every experiment section of a config file, in section order.
 
     Returns 0 on completion; raises :class:`ConfigError` on malformed
-    input (the :func:`main` wrapper converts that to a nonzero exit).
-    Sweep cells are cheap at desk scale, so execution is sequential
-    regardless of ``jobs``; results are merged in section order either way.
+    input (the :func:`main` wrapper converts that to exit code 2).
     """
     config_path = Path(config_path)
     if not config_path.is_file():
@@ -281,12 +302,12 @@ def run(config_path, out_dir, jobs: int = 1, seed=None) -> int:
 
     for index, section in enumerate(parser.sections()):
         kind = section.split()[0]
-        if kind not in _KINDS:
+        if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind in section [{section}]")
         items = dict(parser.items(section))
         if seed is not None and "seed" in _ALLOWED_KEYS[kind]:
             items["seed"] = str(seed)
-        _validate(kind, section, items)
+        items = _validate(kind, section, items)
         csv_lines: list = []
         scheme = _RUNNERS[kind](items, csv_lines, summary)
         name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
@@ -302,12 +323,11 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--config", required=True, help="experiment config file")
     ap.add_argument("--out", default="out", help="output directory for CSV reports")
-    ap.add_argument("--jobs", type=int, default=1, help="worker pool size hint")
     ap.add_argument("--seed", type=int, default=None, help="override config seeds")
     args = ap.parse_args(argv)
     out_dir = os.environ.get("LAXLAB_OUT", args.out)
     try:
-        return run(args.config, out_dir, jobs=args.jobs, seed=args.seed)
+        return run(args.config, out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"laxlab: config error: {exc}", file=sys.stderr)
         return 2

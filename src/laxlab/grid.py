@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import DivergedValueError, InvalidGridError
 
@@ -263,10 +262,17 @@ def from_spectral_coefficients(coeffs: np.ndarray, domain_length: float = TWO_PI
 
 
 def resample(u: GridFunction, n_new: int) -> GridFunction:
-    """Trigonometric resampling onto an ``n_new``-point grid of the same domain."""
+    """Trigonometric resampling onto an ``n_new``-point grid of the same domain.
+
+    Rounds exactly as ``scipy.signal.resample`` does on real input.
+    """
     if n_new < 2:
         raise InvalidGridError(f"grid needs N >= 2, got {n_new}")
-    return GridFunction(scipy.signal.resample(u.values, n_new), u.domain_length)
+    n, m = u.n, min(n_new, u.n)
+    spectrum = np.fft.rfft(u.values)[: m // 2 + 1]
+    if m % 2 == 0 and n_new != n:  # the unpaired Nyquist bin folds or splits
+        spectrum[m // 2] *= 2.0 if n_new < n else 0.5
+    return GridFunction(np.fft.irfft(spectrum / (n / n_new), n=n_new), u.domain_length)
 
 
 def is_band_limited(u: GridFunction, max_mode: int, rel_tol: float = 1e-12) -> bool:

@@ -15,7 +15,7 @@ grid compose on the infinite integer line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,14 @@ class StencilScheme:
     # compositions wrap instead of widening without bound.  Stencils built
     # without a grid leave it None and compose on the integer line.
     period: int | None = None
+    # max(offsets) - min(offsets) + 1, set once: the step loops read it every step.
+    width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         offs = np.array(self.offsets, dtype=int)
         coef = np.array(self.coefficients, dtype=float)
-        if offs.ndim != 1 or offs.shape != coef.shape:
-            raise ValueError("offsets and coefficients must be 1-d and the same length")
+        if offs.ndim != 1 or offs.shape != coef.shape or not offs.size:
+            raise ValueError("offsets and coefficients must be 1-d, nonempty and the same length")
         if not np.diff(np.sort(offs)).all():
             raise ValueError("offsets must be distinct")
         if not np.isfinite(coef).all():
@@ -70,12 +72,9 @@ class StencilScheme:
         coef.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "width", int(offs.max() - offs.min()) + 1)
         if self.period is not None and self.width > self.period:
             raise ValueError(f"stencil width {self.width} exceeds its period {self.period}")
-
-    @property
-    def width(self) -> int:
-        return int(self.offsets.max() - self.offsets.min()) + 1
 
     @property
     def courant_ratio(self) -> float:
@@ -134,17 +133,25 @@ def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
 
 
 def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
-    """Stencil action on a raw sample array (periodic wrap-around)."""
-    n = values.size
+    """Stencil action on samples of shape ``(..., N)``, one grid per last-axis row.
+
+    Rows are stepped independently, with periodic wrap-around.  Narrow
+    stencils add two slices per offset, in offset order, into a zeroed
+    output: the same roundings as ``sum_m c_m * roll(u, -o_m)``.
+    """
+    n = values.shape[-1]
     if s.width > n:
         raise InvalidGridError(f"stencil width {s.width} exceeds grid size {n}")
     if s.offsets.size > _FFT_APPLY_CUTOFF:
         kernel = np.zeros(n)
         np.add.at(kernel, np.mod(s.offsets, n), s.coefficients)
         return np.fft.ifft(np.fft.fft(values) * np.conj(np.fft.fft(kernel))).real
-    out = np.zeros(n)
-    for off, coef in zip(s.offsets, s.coefficients):
-        out += coef * np.roll(values, -int(off))
+    out = np.zeros(values.shape)
+    term = np.empty(values.shape)
+    for k, coef in zip(np.mod(s.offsets, n).tolist(), s.coefficients):
+        np.multiply(values, coef, out=term)
+        out[..., : n - k] += term[..., k:]
+        out[..., n - k :] += term[..., :k]
     return out
 
 

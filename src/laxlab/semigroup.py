@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGridError, InvalidProbeError
-from .grid import GridFunction, sup_norm
+from .grid import GridFunction, is_band_limited, sup_norm
 
 __all__ = [
     "HeatSemigroup",
@@ -142,8 +142,6 @@ def exact_solution_residual(sg: HeatSemigroup, u: GridFunction, t: float, dt_lis
     spectral second derivative.  Residuals shrink at first order in dt.
     The probe must be band-limited (|k| <= N/4) so that A u is resolved.
     """
-    from .grid import is_band_limited
-
     _check_grid(sg, u)
     if not is_band_limited(u, sg.grid_n // 4):
         raise InvalidGridError("probe must be band-limited to |k| <= N/4")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientScanError
 
 __all__ = [
@@ -27,8 +25,6 @@ __all__ = [
     "ubp_violation_demo",
     "cauchy_witness",
     "subtract",
-    "combine",
-    "random_unit_sequence",
 ]
 
 
@@ -165,18 +161,3 @@ def subtract(x: FiniteSequence, y: FiniteSequence) -> FiniteSequence:
         out[idx] = out.get(idx, 0.0) - val
     return FiniteSequence(out)
 
-
-def combine(a: float, x: FiniteSequence, b: float, y: FiniteSequence) -> FiniteSequence:
-    out = {idx: a * val for idx, val in x.entries.items()}
-    for idx, val in y.entries.items():
-        out[idx] = out.get(idx, 0.0) + b * val
-    return FiniteSequence(out)
-
-
-def random_unit_sequence(rng: np.random.Generator, max_support: int) -> FiniteSequence:
-    """Random finitely-supported sequence with sup-norm exactly 1."""
-    size = int(rng.integers(1, max_support + 1))
-    vals = rng.uniform(-1.0, 1.0, size=size)
-    peak = int(rng.integers(0, size))
-    vals[peak] = 1.0 if rng.uniform() < 0.5 else -1.0
-    return FiniteSequence({i: v for i, v in enumerate(vals)})

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import laxlab
 from laxlab.cli import main, run
 from laxlab.errors import ConfigError
 
@@ -107,6 +111,64 @@ bits = 12
         bodies_b = sorted(p.read_text() for p in out_b.glob("*.csv"))
         assert bodies_a == bodies_b
         assert (out_a / "summary.txt").read_text() == (out_b / "summary.txt").read_text()
+
+
+BAD_VALUES = [("scheme", "crank"), ("grid_n", "abc"), ("r", "-0.3"), ("t", "0")]
+
+
+def stability_cfg_with(key, value):
+    """STABILITY_CFG with one key's value replaced."""
+    return "".join(
+        f"{key} = {value}\n" if line.startswith(f"{key} = ") else line + "\n"
+        for line in STABILITY_CFG.splitlines()
+    )
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("key, bad", BAD_VALUES)
+    def test_stability_value_names_section_and_key(self, tmp_path, key, bad):
+        cfg = write_cfg(tmp_path, stability_cfg_with(key, bad))
+        with pytest.raises(ConfigError, match=rf"{bad!r} for key {key!r} in section \[stability\]"):
+            run(cfg, tmp_path / "out")
+
+    @pytest.mark.parametrize("key, bad", BAD_VALUES)
+    def test_main_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, key, bad):
+        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+        cfg = write_cfg(tmp_path, stability_cfg_with(key, bad))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "[stability]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2, 0\npath = cfl\n",
+            "[roundoff]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = cfl\nbits = 12\n",
+            "[roundoff]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2 5e-3 2e-3 1e-3\n"
+            "path = cfl\nbits = 60\n",
+            "[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = fixed_r x\n",
+            "[consistency]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = -1\n",
+        ],
+        ids=["zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts"],
+    )
+    def test_other_bad_values_raise_config_error(self, tmp_path, section):
+        with pytest.raises(ConfigError, match="bad value"):
+            run(write_cfg(tmp_path, section), tmp_path / "out")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle; importing the CLI must not pay for it.
+    src = Path(laxlab.__file__).resolve().parent.parent
+    code = "import sys, laxlab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestMain:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
@@ -181,6 +181,18 @@ class TestSerialization:
 def test_band_limit_detection():
     assert is_band_limited(lx.sample(lx.Sine(3), 64), 16)
     assert not is_band_limited(lx.sample(lx.Sine(31), 64), 16)
+
+
+@given(st.integers(2, 90), st.integers(2, 200), st.integers(0, 2**32 - 1))
+@example(444, 888, 0)
+@example(888, 444, 1)
+@example(313, 628, 2)
+@example(628, 313, 3)
+@settings(max_examples=80, deadline=None)
+def test_resample_bitwise_equals_scipy_oracle(n, n_new, seed):
+    signal = pytest.importorskip("scipy.signal")  # scipy is a test-only oracle
+    u = grid(np.random.default_rng(seed).uniform(-1, 1, n))
+    assert np.array_equal(lx.resample(u, n_new).values, signal.resample(u.values, n_new))
 
 
 def test_resample_preserves_band_limited_data():

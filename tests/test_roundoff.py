@@ -13,7 +13,7 @@ from laxlab.roundoff import (
     round_to_precision,
     roundoff_growth_experiment,
 )
-from laxlab.schemes import ftcs_heat
+from laxlab.schemes import apply_values, ftcs_heat
 
 TWO_PI = 2 * math.pi
 DTS = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
@@ -96,6 +96,32 @@ class TestGrowthExperiment:
         (n1, _, g1), (n2, _, g2) = report.samples[-2:]
         per_step = (g2 / g1) ** (1.0 / (n2 - n1))
         assert per_step == pytest.approx(4 * r - 1, rel=0.05)
+
+    @pytest.mark.parametrize("bits", [8, 12, 52])
+    def test_twin_rows_match_separate_trajectories(self, bits):
+        # Oracle: the two trajectories stepped one at a time, as 1-d arrays.
+        s, u = _cfl_cell(4e-3)
+        spec = PrecisionSpec(bits)
+        report = roundoff_growth_experiment(s, u, 1.0, spec)
+        reference, reduced = u.values.copy(), u.values.copy()
+        gaps = {}
+        for n in range(1, round(1.0 / s.dt) + 1):
+            reference = apply_values(s, reference)
+            reduced = round_to_precision(apply_values(s, reduced), spec)
+            gaps[n] = float(np.max(np.abs(reduced - reference)))
+        assert [(n, gap) for n, _, gap in report.samples] == [
+            (n, gaps[n]) for n, _, _ in report.samples
+        ]
+
+    def test_diverging_twins_stop_at_the_first_non_finite_step(self):
+        n = 16
+        dx = TWO_PI / n
+        s = ftcs_heat(4.0 * dx**2, dx)
+        u = lx.sample(lx.Sine(8) + lx.Cosine(8), n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = roundoff_growth_experiment(s, u, 1000.0, PrecisionSpec(12))
+        assert report.diverged
+        assert all(math.isfinite(gap) for _, _, gap in report.samples)
 
     def test_determinism(self):
         s, u = _cfl_cell(2e-3)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
@@ -104,6 +104,51 @@ class TestApply:
         for o, c in zip(offs, coefs):
             direct += c * np.roll(u, -int(o))
         assert np.max(np.abs(apply_values(s, u) - direct)) < 1e-12
+
+
+def _shifted_sum(s: StencilScheme, values: np.ndarray) -> np.ndarray:
+    """Oracle: sum_m c_m * roll(u, -o_m) along the last axis, in offset order."""
+    out = np.zeros(values.shape)
+    for off, coef in zip(s.offsets, s.coefficients):
+        out += coef * np.roll(values, -int(off), axis=-1)
+    return out
+
+
+@st.composite
+def _narrow_stencils(draw):
+    """(stencil, N): distinct offsets anywhere on the integer line, width <= N."""
+    n = draw(st.integers(1, 70))
+    width = draw(st.sampled_from([n, draw(st.integers(1, n))]))
+    lo = draw(st.integers(-3 * n, 3 * n))
+    inner = draw(st.sets(st.integers(lo, lo + width - 1), max_size=30))
+    offsets = sorted({lo, lo + width - 1} | inner)
+    seed = draw(st.integers(0, 2**32 - 1))
+    coefs = np.random.default_rng(seed).uniform(-1, 1, len(offsets))
+    return StencilScheme(np.array(offsets), coefs, 0.1, 0.1, "narrow"), n
+
+
+class TestApplyFastPaths:
+    @given(_narrow_stencils(), st.sampled_from([(), (2,)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_path_bitwise_equals_shifted_sum(self, stencil_n, lead, seed):
+        s, n = stencil_n
+        values = np.random.default_rng(seed).uniform(-1, 1, lead + (n,))
+        assert s.offsets.size <= 32  # the slice path, not the FFT path
+        assert np.array_equal(apply_values(s, values), _shifted_sum(s, values))
+
+    @given(st.integers(4, 200), st.floats(0.05, 8.0), st.integers(0, 2**32 - 1))
+    @example(33, 0.7, 0)
+    @example(127, 0.7, 1)
+    @example(444, 4.0, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_batched_rows_bitwise_equal_single_rows(self, n, r, seed):
+        # Backward Euler takes the FFT path once N exceeds the cutoff.
+        dx = TWO_PI / n
+        values = np.random.default_rng(seed).uniform(-1, 1, (2, n))
+        for s in (backward_euler_heat(r * dx**2, dx, n), ftcs_heat(r * dx**2, dx, n)):
+            batched = apply_values(s, values)
+            for row, out in zip(values, batched):
+                assert np.array_equal(out, apply_values(s, row))
 
 
 class TestLinearityProperties:

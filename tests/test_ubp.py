@@ -8,14 +8,29 @@ from laxlab.ubp import (
     FiniteSequence,
     apply_Tk,
     cauchy_witness,
-    combine,
     norm_Tk,
     pointwise_bound,
-    random_unit_sequence,
     seq_norm,
     subtract,
     ubp_violation_demo,
 )
+
+
+def combine(a: float, x: FiniteSequence, b: float, y: FiniteSequence) -> FiniteSequence:
+    """The linear combination a*x + b*y."""
+    out = {idx: a * val for idx, val in x.entries.items()}
+    for idx, val in y.entries.items():
+        out[idx] = out.get(idx, 0.0) + b * val
+    return FiniteSequence(out)
+
+
+def random_unit_sequence(rng: np.random.Generator, max_support: int) -> FiniteSequence:
+    """Random finitely-supported sequence with sup-norm exactly 1."""
+    size = int(rng.integers(1, max_support + 1))
+    vals = rng.uniform(-1.0, 1.0, size=size)
+    peak = int(rng.integers(0, size))
+    vals[peak] = 1.0 if rng.uniform() < 0.5 else -1.0
+    return FiniteSequence({i: v for i, v in enumerate(vals)})
 
 
 class TestFiniteSequence:
