@@ -27,7 +27,7 @@ probe = lx.Sine(1) + lx.Sine(31)
 print("r        ||C||      max|g(k)|")
 for r in (0.1, 0.3, 0.5, 0.55, 0.75):
     s = ftcs_heat(r * dx**2, dx, n)
-    print(f"{r:<8} {operator_norm(s):<10.6f} {von_neumann_check(s, n).max_abs_g:.6f}")
+    print(f"{r:<8} {operator_norm(s):<10.6f} {von_neumann_check(s).max_abs_g:.6f}")
 
 # --- iterated norms over a unit time horizon ---------------------------
 # Stable ratios keep ||C^n|| pinned at 1; unstable ones exceed any cap

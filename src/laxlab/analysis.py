@@ -12,10 +12,10 @@ turned into finite, falsifiable checks:
 
 For circular-convolution stencils on sup-norm grids the operator norm is
 exactly the sum of absolute coefficients; every norm returned here is
-additionally validated by a witness vector that attains it.  For a stencil
-built for an N-point grid that is the norm of the N x N circulant, whose
-powers wrap mod N (see :mod:`laxlab.schemes`), and von Neumann factors
-are the DFT of the stencil wrapped onto the grid.
+additionally validated by a witness vector that attains it.  Every
+stencil is built for an N-point grid, so that is the norm of the N x N
+circulant, whose powers wrap mod N (see :mod:`laxlab.schemes`), and von
+Neumann factors are the DFT of the stencil wrapped onto the grid.
 """
 from __future__ import annotations
 
@@ -62,13 +62,12 @@ DEFAULT_STABILITY_THRESHOLD = 10.0
 def operator_norm(s: StencilScheme) -> float:
     """Sup-norm operator norm of a periodic stencil: sum of |coefficients|.
 
-    For a stencil built for a grid this is the norm of the operator on
-    that N-point grid.  Validated against the witness sign pattern, which
-    attains the norm at a grid point; a mismatch beyond 1e-12 relative
-    raises RuntimeError.
+    This is the norm of the operator on the stencil's N-point grid.
+    Validated against the witness sign pattern, which attains the norm at
+    a grid point; a mismatch beyond 1e-12 relative raises RuntimeError.
     """
     total = math.fsum(np.abs(s.coefficients).tolist())
-    n = s.period or max(s.width, 2)
+    n = s.period
     witness = np.ones(n)
     witness[np.mod(s.offsets, n)] = np.where(s.coefficients < 0, -1.0, 1.0)
     attained = float(np.max(np.abs(apply_values(s, witness))))
@@ -86,10 +85,10 @@ def loglog_slope(pairs) -> float:
     return float(np.polyfit(np.log([x for x, _ in pairs]), np.log([y for _, y in pairs]), 1)[0])
 
 
-def _sample_steps(n_max: int) -> list:
-    """All n up to 64, then powers of two, always including the endpoint."""
-    steps = set(range(1, min(64, n_max) + 1))
-    p = 128
+def sample_steps(n_max: int, dense: int) -> list:
+    """All n up to ``dense`` (a power of two), then powers of two, always including n_max."""
+    steps = set(range(1, min(dense, n_max) + 1))
+    p = 2 * dense
     while p < n_max:
         steps.add(p)
         p *= 2
@@ -105,7 +104,6 @@ class StabilityReport:
     bound_l: float
     stable: bool
     threshold: float
-    subsampled: bool
 
     def first_exceeding(self, cap: float):
         """Smallest sampled n with ||C^n|| > cap, or None."""
@@ -122,7 +120,7 @@ def stability_check(
     if s.dt > horizon_t:
         raise ValueError(f"dt={s.dt} exceeds the horizon {horizon_t}")
     n_max = int(math.floor(horizon_t / s.dt + 1e-9))
-    steps = _sample_steps(n_max)
+    steps = sample_steps(n_max, 64)
     norms = []
     current = None
     prev_n = 0
@@ -145,15 +143,14 @@ def stability_check(
         bound_l=bound_l,
         stable=(not diverged) and bound_l <= threshold,
         threshold=threshold,
-        subsampled=len(steps) < n_max,
     )
 
 
-def von_neumann_symbol(s: StencilScheme, k: int, grid_n: int) -> complex:
-    """Amplification factor g(k) = sum_m c_m exp(2 pi i k offsets[m] / N)."""
-    if abs(k) > grid_n / 2:
-        raise ValueError(f"|k|={abs(k)} exceeds grid_n/2={grid_n / 2}")
-    phases = np.exp(2j * np.pi * k * s.offsets / grid_n)
+def von_neumann_symbol(s: StencilScheme, k: int) -> complex:
+    """Amplification factor g(k) = sum_m c_m exp(2 pi i k offsets[m] / N), N = s.period."""
+    if abs(k) > s.period / 2:
+        raise ValueError(f"|k|={abs(k)} exceeds N/2={s.period / 2}")
+    phases = np.exp(2j * np.pi * k * s.offsets / s.period)
     return complex(np.sum(s.coefficients * phases))
 
 
@@ -164,20 +161,19 @@ class VonNeumannReport:
     passed: bool
 
 
-def von_neumann_check(
-    s: StencilScheme, grid_n: int, growth_rate: float = 0.0
-) -> VonNeumannReport:
-    """Scan all representable modes; pass iff max |g(k)| <= 1 + growth_rate*dt.
+def von_neumann_check(s: StencilScheme) -> VonNeumannReport:
+    """Scan all modes of the stencil's grid; pass iff max |g(k)| <= 1.
 
     Every |g(k)| comes from one FFT of the stencil wrapped onto the grid.
     A 1e-12 slack absorbs rounding in the transform.
     """
-    kernel = np.bincount(np.mod(s.offsets, grid_n), weights=s.coefficients, minlength=grid_n)
-    ks = wavenumbers(grid_n)
-    mags = np.abs(np.fft.fft(kernel))[np.mod(ks, grid_n)]
+    n = s.period
+    kernel = np.bincount(np.mod(s.offsets, n), weights=s.coefficients, minlength=n)
+    ks = wavenumbers(n)
+    mags = np.abs(np.fft.fft(kernel))[np.mod(ks, n)]
     i = int(np.argmax(mags))
     best, best_k = float(mags[i]), int(ks[i])
-    passed = best <= 1.0 + growth_rate * s.dt + 1e-12
+    passed = best <= 1.0 + 1e-12
     return VonNeumannReport(max_abs_g=best, wavenumber=best_k, passed=passed)
 
 
@@ -283,7 +279,7 @@ def convergence_experiment(
         u = sample(probe, grid_n, domain_length)
         n_steps = max(1, round(horizon_t / dt))
         vals, diverged = _run_trajectory(s, u, n_steps)
-        symbol = von_neumann_check(s, grid_n)
+        symbol = von_neumann_check(s)
         if diverged:
             error = math.inf
             endpoints.append(None)

@@ -141,9 +141,11 @@ def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
     csv_lines.append(_ANALYSIS_HEADER)
     for r in items["r"]:
         dt = r * dx**2
+        if dt > horizon:
+            raise ConfigError(f"t = {horizon!r} is shorter than one step, r*dx^2 = {dt!r}")
         s = builder(dt, dx, grid_n)
         report = analysis.stability_check(s, horizon, threshold)
-        symbol = analysis.von_neumann_check(s, grid_n)
+        symbol = analysis.von_neumann_check(s)
         n_max = int(math.floor(horizon / dt + 1e-9))
         csv_lines.append(
             ",".join(
@@ -172,7 +174,7 @@ def _run_consistency(items: dict, csv_lines: list, summary: list) -> str:
         u = sample(items["probe"], grid_n)
         residuals = analysis.consistency_check(s, sg, u, ts)
         worst = max(res for _, res in residuals)
-        symbol = analysis.von_neumann_check(s, grid_n)
+        symbol = analysis.von_neumann_check(s)
         csv_lines.append(
             ",".join(
                 _fmt(v)
@@ -309,7 +311,10 @@ def run(config_path, out_dir, seed=None) -> int:
             items["seed"] = str(seed)
         items = _validate(kind, section, items)
         csv_lines: list = []
-        scheme = _RUNNERS[kind](items, csv_lines, summary)
+        try:
+            scheme = _RUNNERS[kind](items, csv_lines, summary)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} in section [{section}]") from exc
         name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
         (out / name).write_text("".join(csv_lines))
 

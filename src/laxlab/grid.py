@@ -38,7 +38,6 @@ __all__ = [
     "from_spectral_coefficients",
     "resample",
     "is_band_limited",
-    "write_grid_csv",
 ]
 
 
@@ -284,13 +283,6 @@ def is_band_limited(u: GridFunction, max_mode: int, rel_tol: float = 1e-12) -> b
         return True
     high = np.abs(coeffs[np.abs(ks) > max_mode])
     return bool(high.size == 0 or np.max(high) <= rel_tol * total)
-
-
-def write_grid_csv(u: GridFunction, stream) -> None:
-    """Serialize one row per sample: x_j, value with 17 significant digits."""
-    stream.write("x,value\n")
-    for x, v in zip(u.nodes, u.values):
-        stream.write(f"{x:.17g},{v:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import loglog_slope, von_neumann_check
+from .analysis import loglog_slope, sample_steps, von_neumann_check
 from .errors import DivergedValueError
 from .grid import GridFunction, Probe, RefinementPath, TWO_PI, sample
 from .schemes import apply_values
@@ -62,16 +62,6 @@ def round_to_precision(x, spec: PrecisionSpec):
     return rounded
 
 
-def _growth_samples(n_max: int) -> list:
-    steps = {n for n in range(1, min(8, n_max) + 1)}
-    p = 16
-    while p < n_max:
-        steps.add(p)
-        p *= 2
-    steps.add(n_max)
-    return sorted(steps)
-
-
 @dataclass(frozen=True)
 class RoundoffGrowthReport:
     samples: tuple  # (n, t, gap)
@@ -100,8 +90,8 @@ def roundoff_growth_experiment(
     Unstable schemes are allowed but flagged.
     """
     n_max = max(1, round(horizon_t / s.dt))
-    schedule = _growth_samples(n_max)
-    flagged = not von_neumann_check(s, u.n).passed
+    schedule = sample_steps(n_max, 8)
+    flagged = not von_neumann_check(s).passed
 
     # Row 0 is the full-precision twin, row 1 the rounded one; both take
     # the same step in one call, and only row 1 is rounded.

@@ -7,10 +7,9 @@ explicit forward-time centered-space (FTCS) heat scheme; backward Euler
 is included as the unconditionally stable contrast case, stored as a
 full-period stencil obtained from the inverse circulant.
 
-A stencil built for an N-point grid (``period=N``) is the N x N circulant:
-its offsets are read mod N, and its powers and compositions are folded
-mod N, so they never grow wider than the grid.  Stencils built without a
-grid compose on the infinite integer line.
+Every stencil is built for an N-point grid (``period=N``) and is the
+N x N circulant: its offsets are read mod N, and its powers and
+compositions are folded mod N, so they never grow wider than the grid.
 """
 from __future__ import annotations
 
@@ -51,10 +50,9 @@ class StencilScheme:
     dx: float
     name: str
     # The grid this stencil acts on: offsets are read mod period, and
-    # compositions wrap instead of widening without bound.  Stencils built
-    # without a grid leave it None and compose on the integer line.
-    period: int | None = None
-    # max(offsets) - min(offsets) + 1, set once: the step loops read it every step.
+    # compositions wrap instead of widening without bound.
+    period: int
+    # max(offsets) - min(offsets) + 1, set once.
     width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -73,7 +71,7 @@ class StencilScheme:
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "width", int(offs.max() - offs.min()) + 1)
-        if self.period is not None and self.width > self.period:
+        if self.width > self.period:
             raise ValueError(f"stencil width {self.width} exceeds its period {self.period}")
 
     @property
@@ -81,12 +79,10 @@ class StencilScheme:
         return self.dt / self.dx**2
 
 
-def ftcs_heat(dt: float, dx: float, grid_n: int | None = None) -> StencilScheme:
-    """Explicit heat scheme u + (u(x+dx) - 2u + u(x-dx)) dt/dx^2.
+def ftcs_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
+    """Explicit heat scheme u + (u(x+dx) - 2u + u(x-dx)) dt/dx^2 on ``grid_n`` points.
 
     Coefficients (r, 1-2r, r) with r = dt/dx^2; stable iff 2 dt <= dx^2.
-    With ``grid_n`` the stencil acts on that grid, so its powers and
-    compositions wrap mod ``grid_n``.
     """
     r = dt / dx**2
     return StencilScheme(
@@ -133,15 +129,15 @@ def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
 
 
 def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
-    """Stencil action on samples of shape ``(..., N)``, one grid per last-axis row.
+    """Stencil action on samples of shape ``(..., N)``, N = ``s.period``, one grid per row.
 
     Rows are stepped independently, with periodic wrap-around.  Narrow
     stencils add two slices per offset, in offset order, into a zeroed
     output: the same roundings as ``sum_m c_m * roll(u, -o_m)``.
     """
     n = values.shape[-1]
-    if s.width > n:
-        raise InvalidGridError(f"stencil width {s.width} exceeds grid size {n}")
+    if n != s.period:
+        raise InvalidGridError(f"stencil built for {s.period} points applied to {n}")
     if s.offsets.size > _FFT_APPLY_CUTOFF:
         kernel = np.zeros(n)
         np.add.at(kernel, np.mod(s.offsets, n), s.coefficients)
@@ -168,9 +164,7 @@ def _dense(s: StencilScheme) -> tuple:
     return lo, arr
 
 
-def _from_dense(
-    dense: tuple, period: int | None, template: StencilScheme, name: str
-) -> StencilScheme:
+def _from_dense(dense: tuple, template: StencilScheme, name: str) -> StencilScheme:
     lo, arr = dense
     return StencilScheme(
         offsets=np.arange(lo, lo + arr.size),
@@ -178,12 +172,12 @@ def _from_dense(
         dt=template.dt,
         dx=template.dx,
         name=name,
-        period=period,
+        period=template.period,
     )
 
 
-def _conv(a: tuple, b: tuple, period: int | None) -> tuple:
-    """Convolve two dense stencils; on a grid, fold the result mod period.
+def _conv(a: tuple, b: tuple, period: int) -> tuple:
+    """Convolve two dense stencils and fold the result mod period.
 
     The convolution is direct, so each coefficient is a plain sum of
     products with the sign of the exact value.  A transform product would
@@ -192,7 +186,7 @@ def _conv(a: tuple, b: tuple, period: int | None) -> tuple:
     """
     lo = a[0] + b[0]
     full = np.convolve(a[1], b[1])
-    if period is not None and full.size > period:
+    if full.size > period:
         lo %= period
         full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
     if not np.isfinite(full).all() or np.max(np.abs(full)) > OVERFLOW_LIMIT:
@@ -200,30 +194,22 @@ def _conv(a: tuple, b: tuple, period: int | None) -> tuple:
     return lo, full
 
 
-def _joint_period(first: StencilScheme, second: StencilScheme) -> int | None:
-    if first.period is not None and second.period is not None:
-        if first.period != second.period:
-            raise InvalidGridError(
-                f"cannot compose stencils of periods {first.period} and {second.period}"
-            )
-    return first.period or second.period
-
-
 def compose(first: StencilScheme, second: StencilScheme) -> StencilScheme:
     """Stencil of the composition second(first(u)): offset-wise convolution.
 
-    If either factor acts on a grid the convolution wraps modulo that
-    grid, so the result never grows wider than one grid period.
+    Both factors must act on the same grid; the convolution wraps modulo
+    it, so the result never grows wider than one grid period.
     """
-    period = _joint_period(first, second)
-    dense = _conv(_dense(first), _dense(second), period)
-    return _from_dense(dense, period, first, f"{first.name}*{second.name}")
+    if first.period != second.period:
+        raise InvalidGridError(f"cannot compose periods {first.period} and {second.period}")
+    dense = _conv(_dense(first), _dense(second), first.period)
+    return _from_dense(dense, first, f"{first.name}*{second.name}")
 
 
 def power(s: StencilScheme, n: int) -> StencilScheme:
     """n-fold self-composition by repeated squaring of the coefficient array.
 
-    On a grid every product wraps mod the period.  Raises
+    Every product wraps mod the period.  Raises
     :class:`DivergedOperatorError` if coefficients exceed the overflow
     threshold, which signals gross instability.
     """
@@ -240,4 +226,4 @@ def power(s: StencilScheme, n: int) -> StencilScheme:
         m >>= 1
         if m:
             sq = _conv(sq, sq, s.period)
-    return _from_dense(result, s.period, s, f"{s.name}^{n}")
+    return _from_dense(result, s, f"{s.name}^{n}")

@@ -110,11 +110,6 @@ class ProperlyPosedReport:
     passed: bool
     rows: tuple  # (t, probe_index, ratio)
 
-    def write_csv(self, stream) -> None:
-        stream.write("t,probe_id,ratio\n")
-        for t, pid, ratio in self.rows:
-            stream.write(f"{t:.17g},{pid},{ratio:.17g}\n")
-
 
 def properly_posed_check(sg: HeatSemigroup, ts, probes) -> ProperlyPosedReport:
     """Measure max ||E(t)u|| / ||u|| over a probe set against the bound K."""

@@ -53,7 +53,7 @@ def test_criterion_1_cfl_threshold():
     details = []
 
     for r in (0.3, 0.5):
-        s = ftcs_heat(r * dx**2, dx)
+        s = ftcs_heat(r * dx**2, dx, n)
         report = stability_check(s, 1.0)
         ok &= report.bound_l <= 1.0 + 1e-12
         details.append(f"r={r} bound={report.bound_l:.3e}")
@@ -68,7 +68,7 @@ def test_criterion_1_cfl_threshold():
         ok &= conv.converged
 
     for r in (0.55, 0.75):
-        s = ftcs_heat(r * dx**2, dx)
+        s = ftcs_heat(r * dx**2, dx, n)
         report = stability_check(s, 1.0)
         first = report.first_exceeding(10.0)
         ok &= first is not None and first <= 200
@@ -112,9 +112,9 @@ def test_criterion_2_refinement_path_law():
 def test_criterion_3_one_step_operator_norms():
     ok = True
     for r in (0.1, 0.3, 0.5):
-        ok &= operator_norm(ftcs_heat(r, 1.0)) == 1.0
+        ok &= operator_norm(ftcs_heat(r, 1.0, 16)) == 1.0
     for r in (0.55, 0.75, 1.0):
-        ok &= abs(operator_norm(ftcs_heat(r, 1.0)) - (4 * r - 1)) <= 1e-12
+        ok &= abs(operator_norm(ftcs_heat(r, 1.0, 16)) - (4 * r - 1)) <= 1e-12
     verdict("criterion 3: one-step operator norms", ok)
 
 
@@ -123,16 +123,16 @@ def test_criterion_4_von_neumann_consistency():
     dx = TWO_PI / n
     ok = True
     details = []
-    schemes = [ftcs_heat(r * dx**2, dx) for r in (0.1, 0.3, 0.5, 0.55, 0.75, 1.0)]
+    schemes = [ftcs_heat(r * dx**2, dx, n) for r in (0.1, 0.3, 0.5, 0.55, 0.75, 1.0)]
     schemes.append(backward_euler_heat(0.5 * dx**2, dx, n))
     for s in schemes:
-        max_g = von_neumann_check(s, n).max_abs_g
+        max_g = von_neumann_check(s).max_abs_g
         norm = operator_norm(s)
         ok &= max_g <= norm + 1e-12
     for r in (0.1, 0.3, 0.5, 0.55, 0.75, 1.0):
-        s = ftcs_heat(r * dx**2, dx)
+        s = ftcs_heat(r * dx**2, dx, n)
         expected = max(1.0, 4 * r - 1)
-        g_ok = abs(von_neumann_check(s, n).max_abs_g - expected) <= 1e-12
+        g_ok = abs(von_neumann_check(s).max_abs_g - expected) <= 1e-12
         n_ok = abs(operator_norm(s) - expected) <= 1e-12
         ok &= g_ok and n_ok
         if not (g_ok and n_ok):
@@ -168,7 +168,7 @@ def test_criterion_6_consistency_decay():
     residuals = []
     for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
         n, dx = path.grid_for(dt)
-        s = ftcs_heat(dt, dx)
+        s = ftcs_heat(dt, dx, n)
         sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
         residuals.append(consistency_check(s, sg, lx.sample(lx.Sine(1), n), [0.0])[0][1])
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]

@@ -8,6 +8,7 @@ from laxlab.analysis import (
     consistency_check,
     convergence_experiment,
     operator_norm,
+    sample_steps,
     scheme_builder,
     stability_check,
     von_neumann_check,
@@ -23,20 +24,20 @@ TWO_PI = 2 * math.pi
 
 class TestOperatorNorm:
     def test_ftcs_quarter(self):
-        assert operator_norm(ftcs_heat(0.25, 1.0)) == 1.0
+        assert operator_norm(ftcs_heat(0.25, 1.0, 16)) == 1.0
 
     def test_ftcs_unstable(self):
-        assert operator_norm(ftcs_heat(0.75, 1.0)) == pytest.approx(2.0, abs=1e-15)
+        assert operator_norm(ftcs_heat(0.75, 1.0, 16)) == pytest.approx(2.0, abs=1e-15)
 
     def test_identity_stencil(self):
-        s = StencilScheme(np.array([0]), np.array([1.0]), 0.1, 0.1, "id")
+        s = StencilScheme(np.array([0]), np.array([1.0]), 0.1, 0.1, "id", period=16)
         assert operator_norm(s) == 1.0
 
     def test_witness_vector_attains_norm(self):
         # independent oracle: the sign-pattern probe attains sum |c| at a node
         from laxlab.schemes import apply_values
 
-        s = ftcs_heat(0.75, 1.0)
+        s = ftcs_heat(0.75, 1.0, 8)
         n = 8
         witness = np.ones(n)
         witness[np.mod(s.offsets, n)] = np.sign(s.coefficients)
@@ -48,7 +49,7 @@ class TestStability:
     def test_cfl_boundary_all_norms_one(self):
         n = 128
         dx = TWO_PI / n
-        s = ftcs_heat(0.5 * dx**2, dx)
+        s = ftcs_heat(0.5 * dx**2, dx, n)
         report = stability_check(s, 1.0)
         assert report.stable
         for _, norm in report.norms:
@@ -57,7 +58,7 @@ class TestStability:
     def test_just_past_threshold_unstable(self):
         n = 128
         dx = TWO_PI / n
-        s = ftcs_heat(0.55 * dx**2, dx)
+        s = ftcs_heat(0.55 * dx**2, dx, n)
         report = stability_check(s, 1.0)
         assert not report.stable
         assert report.bound_l > report.threshold
@@ -73,14 +74,14 @@ class TestStability:
 
     def test_geometric_growth_visible_in_norms(self):
         # n-fold convolution oracle: norms grow like (4r-1)^n for r > 1/2
-        s = ftcs_heat(0.75, 1.0)
+        s = ftcs_heat(0.75, 1.0, 64)
         report = stability_check(s, 20.0 * 1.0 * 0.75 / 0.75)  # n_max about 20
         norms = dict(report.norms)
         assert norms[10] == pytest.approx((4 * 0.75 - 1) ** 10, rel=1e-8)
 
     def test_submultiplicativity_and_nonnegative_equality(self):
-        s_pos = ftcs_heat(0.3, 1.0)
-        s_neg = ftcs_heat(0.75, 1.0)
+        s_pos = ftcs_heat(0.3, 1.0, 64)
+        s_neg = ftcs_heat(0.75, 1.0, 64)
         for s in (s_pos, s_neg):
             base = operator_norm(s)
             for n in (2, 3, 5, 8):
@@ -106,30 +107,46 @@ class TestStability:
         assert report.norms[-1] == (1024, math.inf)
         assert report.first_exceeding(10.0) == 4
 
+    @pytest.mark.parametrize(
+        "n_max, dense, expected",
+        [
+            (1, 8, [1]),
+            (8, 8, list(range(1, 9))),
+            (9, 8, list(range(1, 10))),
+            (40, 8, list(range(1, 9)) + [16, 32, 40]),
+            (64, 8, list(range(1, 9)) + [16, 32, 64]),
+            (5, 64, [1, 2, 3, 4, 5]),
+            (128, 64, list(range(1, 65)) + [128]),
+            (1000, 64, list(range(1, 65)) + [128, 256, 512, 1000]),
+        ],
+    )
+    def test_sample_steps_schedule(self, n_max, dense, expected):
+        assert sample_steps(n_max, dense) == expected
+
     def test_dt_larger_than_horizon_rejected(self):
         with pytest.raises(ValueError):
-            stability_check(ftcs_heat(0.5, 1.0), 0.1)
+            stability_check(ftcs_heat(0.5, 1.0, 16), 0.1)
 
 
 class TestVonNeumann:
     def test_symbol_at_pi(self):
         n = 16
         dx = TWO_PI / n
-        s = ftcs_heat(0.5 * dx**2, dx)
-        g = von_neumann_symbol(s, n // 2, n)
+        s = ftcs_heat(0.5 * dx**2, dx, n)
+        g = von_neumann_symbol(s, n // 2)
         assert g.real == pytest.approx(-1.0, abs=1e-12)
         assert abs(g.imag) < 1e-12
 
     def test_zero_wavenumber_is_row_sum(self):
-        s = ftcs_heat(0.4, 1.0)
-        g = von_neumann_symbol(s, 0, 16)
+        s = ftcs_heat(0.4, 1.0, 16)
+        g = von_neumann_symbol(s, 0)
         assert g.real == pytest.approx(math.fsum(s.coefficients), abs=1e-15)
 
     def test_unstable_symbol_at_pi(self):
         n = 16
         dx = TWO_PI / n
-        s = ftcs_heat(0.75 * dx**2, dx)
-        g = von_neumann_symbol(s, n // 2, n)
+        s = ftcs_heat(0.75 * dx**2, dx, n)
+        g = von_neumann_symbol(s, n // 2)
         assert g.real == pytest.approx(-2.0, abs=1e-12)
 
     @pytest.mark.parametrize("r,expected_pass", [(0.1, True), (0.5, True), (0.75, False)])
@@ -137,8 +154,8 @@ class TestVonNeumann:
         # max of |1 - 4 r sin^2| over representable modes; max |1-4r| at sin^2=1
         n = 64
         dx = TWO_PI / n
-        s = ftcs_heat(r * dx**2, dx)
-        report = von_neumann_check(s, n)
+        s = ftcs_heat(r * dx**2, dx, n)
+        report = von_neumann_check(s)
         assert report.passed is expected_pass
         assert report.max_abs_g == pytest.approx(max(1.0, 4 * r - 1), rel=1e-12)
 
@@ -148,8 +165,8 @@ class TestVonNeumann:
         n = 16
         dx = 1.0 / n
         s = ftcs_heat(0.75 * dx**2, dx, n)
-        assert von_neumann_check(s, n).max_abs_g == 2.0
-        assert von_neumann_symbol(s, n // 2, n) == pytest.approx(-2.0, abs=1e-12)
+        assert von_neumann_check(s).max_abs_g == 2.0
+        assert von_neumann_symbol(s, n // 2) == pytest.approx(-2.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [15, 16, 33])
     def test_fft_scan_matches_mode_by_mode_symbols(self, n):
@@ -158,26 +175,28 @@ class TestVonNeumann:
             ftcs_heat(0.3 * dx**2, dx, n),
             ftcs_heat(0.7 * dx**2, dx, n),
             backward_euler_heat(2.0 * dx**2, dx, n),
-            StencilScheme(np.array([-2, 0, 3]), np.array([0.2, -0.5, 0.4]), 0.1, dx, "odd"),
+            StencilScheme(
+                np.array([-2, 0, 3]), np.array([0.2, -0.5, 0.4]), 0.1, dx, "odd", period=n
+            ),
         ):
-            mags = [abs(von_neumann_symbol(s, int(k), n)) for k in lx.wavenumbers(n)]
-            report = von_neumann_check(s, n)
+            mags = [abs(von_neumann_symbol(s, int(k))) for k in lx.wavenumbers(n)]
+            report = von_neumann_check(s)
             assert report.max_abs_g == pytest.approx(max(mags), abs=1e-12)
             assert mags[list(lx.wavenumbers(n)).index(report.wavenumber)] == pytest.approx(
                 max(mags), abs=1e-12
             )
 
     def test_identity_scheme_passes(self):
-        s = StencilScheme(np.array([0]), np.array([1.0]), 0.1, 0.1, "id")
-        report = von_neumann_check(s, 32)
+        s = StencilScheme(np.array([0]), np.array([1.0]), 0.1, 0.1, "id", period=32)
+        report = von_neumann_check(s)
         assert report.passed and report.max_abs_g == pytest.approx(1.0, abs=1e-15)
 
     def test_symbol_bounded_by_operator_norm(self):
         for r in (0.1, 0.3, 0.5, 0.55, 0.75, 1.0):
             n = 64
             dx = TWO_PI / n
-            s = ftcs_heat(r * dx**2, dx)
-            assert von_neumann_check(s, n).max_abs_g <= operator_norm(s) + 1e-12
+            s = ftcs_heat(r * dx**2, dx, n)
+            assert von_neumann_check(s).max_abs_g <= operator_norm(s) + 1e-12
 
 
 class TestConsistency:
@@ -185,7 +204,7 @@ class TestConsistency:
         dt = 1e-4
         path = RefinementPath.cfl_boundary()
         n, dx = path.grid_for(dt)
-        s = ftcs_heat(dt, dx)
+        s = ftcs_heat(dt, dx, n)
         sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
         u = lx.sample(lx.Sine(1), n)
         residuals = consistency_check(s, sg, u, [0.0])
@@ -198,7 +217,7 @@ class TestConsistency:
     def test_constant_residual_zero(self):
         n = 32
         dx = TWO_PI / n
-        s = ftcs_heat(0.4 * dx**2, dx)
+        s = ftcs_heat(0.4 * dx**2, dx, n)
         sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
         u = lx.sample(lx.Constant(1.0), n)
         residuals = consistency_check(s, sg, u, [0.0, 0.3, 0.7])
@@ -209,14 +228,14 @@ class TestConsistency:
         res = []
         for dt in (1e-3, 5e-4):
             n, dx = path.grid_for(dt)
-            s = ftcs_heat(dt, dx)
+            s = ftcs_heat(dt, dx, n)
             sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
             u = lx.sample(lx.Sine(1), n)
             res.append(consistency_check(s, sg, u, [0.0])[0][1])
         assert 3.5 <= res[0] / res[1] <= 4.5
 
     def test_grid_mismatch_rejected(self):
-        s = ftcs_heat(0.01, TWO_PI / 32)
+        s = ftcs_heat(0.01, TWO_PI / 32, 32)
         sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
         with pytest.raises(InvalidGridError):
             consistency_check(s, sg, lx.sample(lx.Sine(1), 32), [0.0])

@@ -155,6 +155,14 @@ class TestBadValues:
         with pytest.raises(ConfigError, match="bad value"):
             run(write_cfg(tmp_path, section), tmp_path / "out")
 
+    def test_stability_t_shorter_than_one_step_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Each value is in range; only together (r*dx^2 = 4.8e-3 > t) are they unusable.
+        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+        cfg = write_cfg(tmp_path, stability_cfg_with("t", "1e-6"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "t = 1e-06" in err and "[stability]" in err and "Traceback" not in err
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only oracle; importing the CLI must not pay for it.

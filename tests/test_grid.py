@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.errors import DivergedValueError, InvalidGridError
-from laxlab.grid import is_band_limited, write_grid_csv
+from laxlab.grid import is_band_limited
 
 
 def grid(values, length=2 * math.pi):
@@ -163,19 +163,6 @@ class TestRefinementPath:
             n, dx = path.grid_for(dt)
             assert dx >= path.dx_for(dt)
             assert dt / dx**2 <= 0.5
-
-
-class TestSerialization:
-    def test_csv_rows(self, tmp_path):
-        u = lx.sample(lx.Sine(1), 4)
-        out = tmp_path / "u.csv"
-        with out.open("w") as fh:
-            write_grid_csv(u, fh)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x,value"
-        assert len(lines) == 5
-        x0, v0 = lines[1].split(",")
-        assert float(x0) == 0.0 and float(v0) == 0.0
 
 
 def test_band_limit_detection():

@@ -65,7 +65,7 @@ class TestRoundToPrecision:
 def _cfl_cell(dt):
     path = RefinementPath.cfl_boundary()
     n, dx = path.grid_for(dt)
-    return ftcs_heat(dt, dx), lx.sample(lx.Sine(1), n)
+    return ftcs_heat(dt, dx, n), lx.sample(lx.Sine(1), n)
 
 
 class TestGrowthExperiment:
@@ -88,7 +88,7 @@ class TestGrowthExperiment:
         n = 64
         dx = TWO_PI / n
         r = 0.55
-        s = ftcs_heat(r * dx**2, dx)
+        s = ftcs_heat(r * dx**2, dx, n)
         u = lx.sample(lx.Sine(1), n)
         report = roundoff_growth_experiment(s, u, 0.5, PrecisionSpec(12))
         assert report.flagged_unstable
@@ -116,7 +116,7 @@ class TestGrowthExperiment:
     def test_diverging_twins_stop_at_the_first_non_finite_step(self):
         n = 16
         dx = TWO_PI / n
-        s = ftcs_heat(4.0 * dx**2, dx)
+        s = ftcs_heat(4.0 * dx**2, dx, n)
         u = lx.sample(lx.Sine(8) + lx.Cosine(8), n)
         with np.errstate(over="ignore", invalid="ignore"):
             report = roundoff_growth_experiment(s, u, 1000.0, PrecisionSpec(12))

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.analysis import operator_norm
 from laxlab.errors import DivergedOperatorError, InvalidGridError
+from laxlab.roundoff import PrecisionSpec, roundoff_growth_experiment
 from laxlab.schemes import (
     StencilScheme,
     apply_scheme,
@@ -23,21 +24,21 @@ TWO_PI = 2 * math.pi
 
 class TestFtcs:
     def test_cfl_boundary_coefficients(self):
-        s = ftcs_heat(0.5, 1.0)
+        s = ftcs_heat(0.5, 1.0, 16)
         assert np.array_equal(s.offsets, [-1, 0, 1])
         assert np.array_equal(s.coefficients, [0.5, 0.0, 0.5])
 
     def test_quarter_ratio(self):
-        s = ftcs_heat(0.25, 1.0)
+        s = ftcs_heat(0.25, 1.0, 16)
         assert np.array_equal(s.coefficients, [0.25, 0.5, 0.25])
 
     def test_unstable_ratio(self):
-        s = ftcs_heat(0.75, 1.0)
+        s = ftcs_heat(0.75, 1.0, 16)
         assert np.array_equal(s.coefficients, [0.75, -0.5, 0.75])
 
     def test_row_sum_is_one(self):
         for r in (0.1, 0.3, 0.5, 0.75, 1.0):
-            s = ftcs_heat(r, 1.0)
+            s = ftcs_heat(r, 1.0, 16)
             assert math.fsum(s.coefficients) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -69,27 +70,27 @@ class TestBackwardEuler:
 
 class TestApply:
     def test_point_mass_readout(self):
-        s = ftcs_heat(0.25, 1.0)
+        s = ftcs_heat(0.25, 1.0, 8)
         u = lx.sample(lx.PointMass(0), 8)
         out = apply_scheme(s, u)
         assert np.allclose(out.values, [0.5, 0.25, 0, 0, 0, 0, 0, 0.25], atol=0)
 
     def test_zero_function(self):
-        s = ftcs_heat(0.75, 1.0)
+        s = ftcs_heat(0.75, 1.0, 16)
         out = apply_values(s, np.zeros(16))
         assert np.array_equal(out, np.zeros(16))
 
     def test_sine_matches_symbol_oracle(self):
         n = 64
         dx = TWO_PI / n
-        s = ftcs_heat(0.5 * dx**2, dx)
+        s = ftcs_heat(0.5 * dx**2, dx, n)
         u = lx.sample(lx.Sine(1), n)
         g = 1.0 - 4.0 * 0.5 * math.sin(dx / 2.0) ** 2
         out = apply_values(s, u.values)
         assert np.max(np.abs(out - g * u.values)) < 1e-12
 
     def test_stencil_wider_than_grid(self):
-        wide = StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, "wide")
+        wide = StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, "wide", period=7)
         with pytest.raises(InvalidGridError):
             apply_values(wide, np.zeros(4))
 
@@ -98,7 +99,7 @@ class TestApply:
         rng = np.random.default_rng(4)
         offs = np.arange(-20, 20)
         coefs = rng.uniform(-1, 1, offs.size)
-        s = StencilScheme(offs, coefs, 0.1, 0.1, "dense")
+        s = StencilScheme(offs, coefs, 0.1, 0.1, "dense", period=64)
         u = rng.uniform(-1, 1, 64)
         direct = np.zeros(64)
         for o, c in zip(offs, coefs):
@@ -124,7 +125,7 @@ def _narrow_stencils(draw):
     offsets = sorted({lo, lo + width - 1} | inner)
     seed = draw(st.integers(0, 2**32 - 1))
     coefs = np.random.default_rng(seed).uniform(-1, 1, len(offsets))
-    return StencilScheme(np.array(offsets), coefs, 0.1, 0.1, "narrow"), n
+    return StencilScheme(np.array(offsets), coefs, 0.1, 0.1, "narrow", period=n), n
 
 
 class TestApplyFastPaths:
@@ -156,7 +157,7 @@ class TestLinearityProperties:
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, seed):
         rng = np.random.default_rng(seed)
-        s = ftcs_heat(float(rng.uniform(0.05, 0.9)), 1.0)
+        s = ftcs_heat(float(rng.uniform(0.05, 0.9)), 1.0, 16)
         u = rng.uniform(-1, 1, 16)
         v = rng.uniform(-1, 1, 16)
         a, b = rng.uniform(-2, 2, 2)
@@ -168,7 +169,7 @@ class TestLinearityProperties:
     @settings(max_examples=25, deadline=None)
     def test_translation_equivariance(self, seed, shift):
         rng = np.random.default_rng(seed)
-        s = ftcs_heat(0.4, 1.0)
+        s = ftcs_heat(0.4, 1.0, 16)
         u = rng.uniform(-1, 1, 16)
         assert np.max(
             np.abs(apply_values(s, np.roll(u, shift)) - np.roll(apply_values(s, u), shift))
@@ -177,14 +178,14 @@ class TestLinearityProperties:
 
 class TestPower:
     def test_identity_of_iteration(self):
-        s = ftcs_heat(0.3, 1.0)
+        s = ftcs_heat(0.3, 1.0, 16)
         p1 = power(s, 1)
         assert np.array_equal(p1.coefficients, s.coefficients)
         assert np.array_equal(p1.offsets, s.offsets)
 
     def test_square_matches_convolution_oracle(self):
         r = 0.75
-        s = ftcs_heat(r, 1.0)
+        s = ftcs_heat(r, 1.0, 16)
         p2 = power(s, 2)
         # direct convolution oracle
         oracle = np.convolve([r, 1 - 2 * r, r], [r, 1 - 2 * r, r])
@@ -197,7 +198,7 @@ class TestPower:
     def test_cube_matches_repeated_application_oracle(self):
         rng = np.random.default_rng(17)
         s = StencilScheme(
-            np.array([-1, 0, 2]), rng.uniform(-1, 1, 3), 0.1, 0.1, "random"
+            np.array([-1, 0, 2]), rng.uniform(-1, 1, 3), 0.1, 0.1, "random", period=32
         )
         u = rng.uniform(-1, 1, 32)
         p3 = power(s, 3)
@@ -209,14 +210,14 @@ class TestPower:
         )
 
     def test_power_addition_consistency(self):
-        s = ftcs_heat(0.45, 1.0)
+        s = ftcs_heat(0.45, 1.0, 16)
         p5 = power(s, 5)
         composed = compose(power(s, 2), power(s, 3))
         assert np.array_equal(p5.offsets, composed.offsets)
         assert np.max(np.abs(p5.coefficients - composed.coefficients)) <= 1e-12
 
     def test_overflow_raises_diverged_operator(self):
-        s = StencilScheme(np.array([0]), np.array([1e200]), 0.1, 0.1, "huge")
+        s = StencilScheme(np.array([0]), np.array([1e200]), 0.1, 0.1, "huge", period=16)
         with pytest.raises(DivergedOperatorError):
             power(s, 2)
 
@@ -260,6 +261,20 @@ class TestGridWrap:
         with pytest.raises(InvalidGridError):
             compose(ftcs_heat(0.25, 1.0, 16), ftcs_heat(0.25, 1.0, 17))
 
+    @given(st.integers(4, 64), st.integers(2, 128), st.integers(2, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_data_on_another_grid_rejected(self, n, m, steps):
+        # A stencil built for N points must not act on M-point data, where
+        # its powers (folded mod N) would silently compute the wrong operator.
+        assume(m != n)
+        dx = TWO_PI / n
+        s = ftcs_heat(0.3 * dx**2, dx, n)
+        for op in (s, power(s, steps), backward_euler_heat(0.3 * dx**2, dx, n)):
+            with pytest.raises(InvalidGridError):
+                apply_values(op, np.zeros(m))
+        with pytest.raises(InvalidGridError):
+            roundoff_growth_experiment(s, lx.sample(lx.Sine(1), m), 10 * s.dt, PrecisionSpec(12))
+
     @given(
         st.integers(4, 64),
         st.one_of(st.floats(0.05, 0.5), st.floats(0.5, 0.95)),
@@ -285,4 +300,4 @@ class TestGridWrap:
 
 def test_offsets_must_be_distinct():
     with pytest.raises(ValueError):
-        StencilScheme(np.array([0, 0]), np.array([1.0, 2.0]), 0.1, 0.1, "dup")
+        StencilScheme(np.array([0, 0]), np.array([1.0, 2.0]), 0.1, 0.1, "dup", period=16)

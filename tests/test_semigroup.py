@@ -145,16 +145,6 @@ class TestProperlyPosed:
         with pytest.raises(InvalidProbeError):
             properly_posed_check(sg, [0.1], [lx.GridFunction(np.zeros(16))])
 
-    def test_csv_rows(self, tmp_path):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
-        report = properly_posed_check(sg, [0.0, 0.5], [lx.sample(lx.Sine(1), 16)])
-        out = tmp_path / "pp.csv"
-        with out.open("w") as fh:
-            report.write_csv(fh)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,probe_id,ratio"
-        assert len(lines) == 3
-
 
 class TestExactSolutionResidual:
     def test_taylor_remainder_bound(self):
