@@ -8,7 +8,11 @@ turned into finite, falsifiable checks:
   finite experiment, so stable means "never exceeded the cap");
 * consistency: one-step residuals against the exact spectral evolution;
 * convergence: trajectory error at the final time along a refinement
-  path, with an observed order fitted in dx.
+  path, with an observed order fitted in dx.  A cell whose von Neumann
+  check passes takes its endpoint C^n u from one symbol power,
+  ``irfft(g^n * rfft(u))``; a cell that fails it is stepped n times,
+  because its blow-up grows from the round-off each step adds, which a
+  single spectral product does not reproduce.
 
 For circular-convolution stencils on sup-norm grids the operator norm is
 exactly the sum of absolute coefficients; every norm returned here is
@@ -36,7 +40,15 @@ from .grid import (
     sup_norm,
     wavenumbers,
 )
-from .schemes import OVERFLOW_LIMIT, StencilScheme, apply_values, compose, power
+from .schemes import (
+    OVERFLOW_LIMIT,
+    StencilScheme,
+    apply_power,
+    apply_values,
+    compose,
+    kernel,
+    power,
+)
 from .semigroup import HeatSemigroup, evolve
 
 __all__ = [
@@ -168,9 +180,8 @@ def von_neumann_check(s: StencilScheme) -> VonNeumannReport:
     A 1e-12 slack absorbs rounding in the transform.
     """
     n = s.period
-    kernel = np.bincount(np.mod(s.offsets, n), weights=s.coefficients, minlength=n)
     ks = wavenumbers(n)
-    mags = np.abs(np.fft.fft(kernel))[np.mod(ks, n)]
+    mags = np.abs(np.fft.fft(kernel(s)))[np.mod(ks, n)]
     i = int(np.argmax(mags))
     best, best_k = float(mags[i]), int(ks[i])
     passed = best <= 1.0 + 1e-12
@@ -258,14 +269,20 @@ def convergence_experiment(
     ``builder`` is a (dt, dx, grid_n) -> StencilScheme factory (see
     :func:`scheme_builder`).  Each cell takes n = round(T/dt) steps and is
     compared with the exact evolution at n*dt, so the final-time mismatch
-    stays within dt/2.  Convergence means: all errors finite, decreasing
-    monotonically up to 10% jitter, and the finest error below
-    ``tol_rel * ||u||``.  The observed order is the log-log slope of
-    error against dx over at least three cells, and None unless the
-    errors are all finite and monotone in that sense.  The compactness
-    diameter is the max pairwise sup-distance among trajectory endpoints
-    and the exact solution, measured after trigonometric resampling to
-    the finest grid.
+    stays within dt/2.  A cell whose von Neumann check passes gets C^n u
+    from :func:`~laxlab.schemes.apply_power` (one transform pair); a cell
+    that fails it is stepped one step at a time, so that the round-off
+    each step feeds in grows as it does in a real run.  A cell diverges
+    when its values pass ``OVERFLOW_LIMIT``; a stable circulant keeps
+    ``||C^n u|| <= sqrt(N) ||u||``, so checking only the endpoint of a
+    stable cell misses no overflow of the steps in between.  Convergence
+    means: all errors finite, decreasing monotonically up to 10% jitter,
+    and the finest error below ``tol_rel * ||u||``.  The observed order is
+    the log-log slope of error against dx over at least three cells, and
+    None unless the errors are all finite and monotone in that sense.  The
+    compactness diameter is the max pairwise sup-distance among trajectory
+    endpoints and the exact solution, measured after trigonometric
+    resampling to the finest grid.
     """
     dts = sorted(dts, reverse=True)
     if not dts:
@@ -278,8 +295,12 @@ def convergence_experiment(
         s = builder(dt, dx, grid_n)
         u = sample(probe, grid_n, domain_length)
         n_steps = max(1, round(horizon_t / dt))
-        vals, diverged = _run_trajectory(s, u, n_steps)
         symbol = von_neumann_check(s)
+        if symbol.passed:
+            vals = apply_power(s, u.values, n_steps)
+            diverged = not np.abs(vals).max() <= OVERFLOW_LIMIT
+        else:
+            vals, diverged = _run_trajectory(s, u, n_steps)
         if diverged:
             error = math.inf
             endpoints.append(None)

@@ -31,7 +31,7 @@ _ALLOWED_KEYS = {
     "stability": {"scheme", "grid_n", "r", "t", "threshold"},
     "consistency": {"scheme", "probe", "r", "dts", "ts"},
     "convergence": {"scheme", "probe", "t", "dts", "path", "tol_rel"},
-    "roundoff": {"scheme", "probe", "t", "dts", "path", "bits", "seed"},
+    "roundoff": {"scheme", "probe", "t", "dts", "path", "bits"},
     "ubp_demo": {"k_range", "probes", "k_max"},
 }
 
@@ -100,7 +100,7 @@ _VALUES = {
     "scheme": (str, analysis.scheme_builder),  # raises ValueError for unknown names
     "grid_n": (int, lambda v: v >= 4),
     "bits": (int, lambda v: 4 <= v <= 52),
-    "probe": (parse_probe, None),
+    "probe": (parse_probe, None),  # called with the base seed as well
     "path": (_parse_path, None),
     "ts": (_floats, lambda v: bool(v) and all(0 <= x < math.inf for x in v)),
     ("roundoff", "dts"): (_floats, lambda v: len(v) >= 4 and _positive(v)),
@@ -109,8 +109,11 @@ _VALUES = {
 }
 
 
-def _validate(kind: str, section: str, items: dict) -> dict:
-    """Check a section's keys and values; returns the values parsed."""
+def _validate(kind: str, section: str, items: dict, seed: int) -> dict:
+    """Check a section's keys and values; returns the values parsed.
+
+    ``seed`` is the base added to the seed of every ``random_uniform`` probe.
+    """
     allowed = _ALLOWED_KEYS[kind]
     for key in items:
         if key not in allowed:
@@ -122,7 +125,7 @@ def _validate(kind: str, section: str, items: dict) -> dict:
     for key, text in items.items():
         parse, admits = _VALUES.get((kind, key)) or _VALUES.get(key, (str, None))
         try:
-            typed[key] = parse(text)
+            typed[key] = parse_probe(text, seed) if key == "probe" else parse(text)
             ok = admits is None or admits(typed[key])
         except (ValueError, IndexError):
             ok = False
@@ -282,11 +285,15 @@ _RUNNERS = {
 }
 
 
-def run(config_path, out_dir, seed=None) -> int:
+def run(config_path, out_dir, seed=0) -> int:
     """Execute every experiment section of a config file, in section order.
 
-    Returns 0 on completion; raises :class:`ConfigError` on malformed
-    input (the :func:`main` wrapper converts that to exit code 2).
+    ``seed`` is the base seed of random probes:
+    ``random_uniform(k)`` samples with seed ``k + seed``.  ``summary.txt``
+    is rewritten as each section finishes, so a section that fails leaves
+    the summary of the sections before it.  Returns 0 on completion;
+    raises :class:`ConfigError` on malformed input (the :func:`main`
+    wrapper converts that to exit code 2).
     """
     config_path = Path(config_path)
     if not config_path.is_file():
@@ -306,10 +313,7 @@ def run(config_path, out_dir, seed=None) -> int:
         kind = section.split()[0]
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind in section [{section}]")
-        items = dict(parser.items(section))
-        if seed is not None and "seed" in _ALLOWED_KEYS[kind]:
-            items["seed"] = str(seed)
-        items = _validate(kind, section, items)
+        items = _validate(kind, section, dict(parser.items(section)), seed)
         csv_lines: list = []
         try:
             scheme = _RUNNERS[kind](items, csv_lines, summary)
@@ -317,8 +321,7 @@ def run(config_path, out_dir, seed=None) -> int:
             raise ConfigError(f"{exc} in section [{section}]") from exc
         name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
         (out / name).write_text("".join(csv_lines))
-
-    (out / "summary.txt").write_text("".join(line + "\n" for line in summary))
+        (out / "summary.txt").write_text("".join(line + "\n" for line in summary))
     return 0
 
 
@@ -328,7 +331,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--config", required=True, help="experiment config file")
     ap.add_argument("--out", default="out", help="output directory for CSV reports")
-    ap.add_argument("--seed", type=int, default=None, help="override config seeds")
+    ap.add_argument("--seed", type=int, default=0, help="base seed for random probes")
     args = ap.parse_args(argv)
     out_dir = os.environ.get("LAXLAB_OUT", args.out)
     try:

@@ -167,6 +167,10 @@ class RandomUniform(Probe):
 
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"random_uniform seed must be >= 0, got {self.seed}")
+
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         return rng.uniform(-1.0, 1.0, size=x.size)
@@ -204,8 +208,11 @@ _PROBE_TERM = re.compile(
 )
 
 
-def parse_probe(text: str) -> Probe:
-    """Parse descriptors like ``sine(1)``, ``sine(1)+sine(31)``, ``0.5*cosine(2)``."""
+def parse_probe(text: str, seed: int = 0) -> Probe:
+    """Parse descriptors like ``sine(1)``, ``sine(1)+sine(31)``, ``0.5*cosine(2)``.
+
+    ``random_uniform(k)`` samples with seed ``k + seed``.
+    """
     terms = []
     for chunk in text.split("+"):
         m = _PROBE_TERM.match(chunk)
@@ -222,7 +229,7 @@ def parse_probe(text: str) -> Probe:
         elif name == "point_mass":
             term = PointMass(int(arg))
         elif name == "random_uniform":
-            term = RandomUniform(int(arg))
+            term = RandomUniform(int(arg) + seed)
         else:
             raise InvalidGridError(f"unknown probe kind: {name!r}")
         terms.append(term)

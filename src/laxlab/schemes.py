@@ -27,6 +27,8 @@ __all__ = [
     "backward_euler_heat",
     "apply_scheme",
     "apply_values",
+    "apply_power",
+    "kernel",
     "compose",
     "power",
     "OVERFLOW_LIMIT",
@@ -128,6 +130,20 @@ def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
     return scheme
 
 
+def kernel(s: StencilScheme) -> np.ndarray:
+    """The stencil wrapped onto its grid: length N, entry ``o mod N`` holds c_o.
+
+    Offsets are distinct mod N (the width is at most N), so every entry
+    holds one coefficient and the values are the coefficients unrounded.
+    """
+    return np.bincount(np.mod(s.offsets, s.period), weights=s.coefficients, minlength=s.period)
+
+
+def _check_grid(s: StencilScheme, values: np.ndarray) -> None:
+    if values.shape[-1] != s.period:
+        raise InvalidGridError(f"stencil built for {s.period} points applied to {values.shape[-1]}")
+
+
 def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
     """Stencil action on samples of shape ``(..., N)``, N = ``s.period``, one grid per row.
 
@@ -135,13 +151,10 @@ def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
     stencils add two slices per offset, in offset order, into a zeroed
     output: the same roundings as ``sum_m c_m * roll(u, -o_m)``.
     """
-    n = values.shape[-1]
-    if n != s.period:
-        raise InvalidGridError(f"stencil built for {s.period} points applied to {n}")
+    _check_grid(s, values)
+    n = s.period
     if s.offsets.size > _FFT_APPLY_CUTOFF:
-        kernel = np.zeros(n)
-        np.add.at(kernel, np.mod(s.offsets, n), s.coefficients)
-        return np.fft.ifft(np.fft.fft(values) * np.conj(np.fft.fft(kernel))).real
+        return np.fft.ifft(np.fft.fft(values) * np.conj(np.fft.fft(kernel(s)))).real
     out = np.zeros(values.shape)
     term = np.empty(values.shape)
     for k, coef in zip(np.mod(s.offsets, n).tolist(), s.coefficients):
@@ -149,6 +162,25 @@ def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
         out[..., : n - k] += term[..., k:]
         out[..., n - k :] += term[..., :k]
     return out
+
+
+def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
+    """C^n applied to samples of shape ``(..., N)``: ``irfft(g^n * rfft(u))``.
+
+    The DFT diagonalises the circulant, with symbol g = conj(rfft(kernel)).
+    g and g^n are formed in ``np.longdouble``: raising g to the n-th power
+    multiplies its relative error by n, and a double-precision g (several
+    ulps off where N has a large prime factor) drifted ~3n ulps from the
+    exact C^n.  In extended precision g^n rounds to double within a few
+    ulps for n in the thousands, so the result is C^n up to the rounding of
+    one transform pair.  The n-step loop of :func:`apply_values` rounds
+    after every step instead; callers that need that per-step round-off
+    (the round-off experiments, and unstable trajectories, whose blow-up
+    grows from it) keep the loop.
+    """
+    _check_grid(s, values)
+    g = np.conj(np.fft.rfft(kernel(s).astype(np.longdouble)))
+    return np.fft.irfft(np.fft.rfft(values) * (g**n).astype(complex), n=s.period)
 
 
 def apply_scheme(s: StencilScheme, u: GridFunction) -> GridFunction:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import laxlab as lx
+from laxlab import analysis
 from laxlab.analysis import (
     consistency_check,
     convergence_experiment,
@@ -16,8 +17,15 @@ from laxlab.analysis import (
 )
 from laxlab.errors import InvalidGridError
 from laxlab.grid import RefinementPath
-from laxlab.schemes import StencilScheme, backward_euler_heat, ftcs_heat, power
-from laxlab.semigroup import HeatSemigroup
+from laxlab.schemes import (
+    OVERFLOW_LIMIT,
+    StencilScheme,
+    apply_values,
+    backward_euler_heat,
+    ftcs_heat,
+    power,
+)
+from laxlab.semigroup import HeatSemigroup, evolve
 
 TWO_PI = 2 * math.pi
 
@@ -351,3 +359,35 @@ class TestConvergence:
         assert not report.converged
         assert report.cells[0].error == math.inf
         assert report.compactness_diameter == math.inf
+
+    def test_only_cells_failing_von_neumann_are_stepped(self, monkeypatch):
+        # r = 0.55 fails the check, so each cell must equal a plain step
+        # loop bit for bit: its blow-up grows from per-step round-off.
+        probe = lx.RandomUniform(3)
+        report = convergence_experiment(
+            scheme_builder("ftcs"), RefinementPath.fixed_ratio(0.55), probe, 1.0, [4e-3, 2e-3, 1e-3]
+        )
+        for cell in report.cells:
+            s = ftcs_heat(cell.dt, cell.dx, cell.grid_n)
+            u = lx.sample(probe, cell.grid_n)
+            vals, expected = u.values, None
+            for _ in range(cell.n_steps):
+                vals = apply_values(s, vals)
+                if not np.abs(vals).max() <= OVERFLOW_LIMIT:
+                    expected = math.inf
+                    break
+            if expected is None:
+                sg = HeatSemigroup(horizon_t=1.0, grid_n=cell.grid_n)
+                expected = float(np.max(np.abs(vals - evolve(sg, u, cell.n_steps * cell.dt).values)))
+            assert not von_neumann_check(s).passed
+            assert cell.error == expected
+
+        # Cells that pass the check take the symbol power and never step.
+        def no_stepping(*args):
+            raise AssertionError("a stable cell was stepped")
+
+        monkeypatch.setattr(analysis, "_run_trajectory", no_stepping)
+        report = convergence_experiment(
+            scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, [1e-2, 2.5e-3]
+        )
+        assert report.converged

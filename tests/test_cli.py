@@ -112,6 +112,32 @@ bits = 12
         assert bodies_a == bodies_b
         assert (out_a / "summary.txt").read_text() == (out_b / "summary.txt").read_text()
 
+    def test_failing_section_keeps_earlier_summary(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+        short = stability_cfg_with("t", "1e-6").replace("[stability]", "[stability short]")
+        cfg = write_cfg(tmp_path, UBP_CFG + "\n" + short)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        run(write_cfg(tmp_path, UBP_CFG, "first.cfg"), tmp_path / "first")
+        assert (out / "summary.txt").read_text() == (tmp_path / "first" / "summary.txt").read_text()
+
+    def test_seed_is_the_base_of_random_probes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+        cfg = write_cfg(
+            tmp_path,
+            "[roundoff]\nscheme = ftcs\nprobe = random_uniform(1)\nt = 0.05\n"
+            "dts = 2e-2, 1e-2, 5e-3, 2.5e-3\npath = cfl\nbits = 12\n",
+        )
+
+        def body(seed, out):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / out), "--seed", seed]) == 0
+            (csv,) = csv_files(tmp_path / out, "roundoff")
+            return csv.read_text()
+
+        first = body("1", "a")
+        assert body("1", "b") == first
+        assert body("2", "c") != first
+
 
 BAD_VALUES = [("scheme", "crank"), ("grid_n", "abc"), ("r", "-0.3"), ("t", "0")]
 
@@ -148,8 +174,9 @@ class TestBadValues:
             "path = cfl\nbits = 60\n",
             "[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = fixed_r x\n",
             "[consistency]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = -1\n",
+            "[convergence]\nscheme = ftcs\nprobe = random_uniform(-1)\nt = 1\ndts = 1e-2\npath = cfl\n",
         ],
-        ids=["zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts"],
+        ids=["zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed"],
     )
     def test_other_bad_values_raise_config_error(self, tmp_path, section):
         with pytest.raises(ConfigError, match="bad value"):

@@ -11,6 +11,7 @@ from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.roundoff import PrecisionSpec, roundoff_growth_experiment
 from laxlab.schemes import (
     StencilScheme,
+    apply_power,
     apply_scheme,
     apply_values,
     backward_euler_heat,
@@ -20,6 +21,36 @@ from laxlab.schemes import (
 )
 
 TWO_PI = 2 * math.pi
+
+# np.fft keeps long double only from numpy 2, and long double is wider
+# than double only on some platforms.
+EXTENDED_FFT = (
+    np.finfo(np.fft.rfft(np.ones(4, np.longdouble)).real.dtype).eps < np.finfo(float).eps
+)
+
+
+def _circulant_power_ld(s, steps):
+    """C^steps as a dense long double matrix: the wrapped kernel raised by
+    repeated squaring with direct circular convolutions, no transform."""
+    n = s.period
+
+    def conv(a, b):
+        full = np.convolve(a, b)
+        full[: n - 1] += full[n:]
+        return full[:n]
+
+    k = np.zeros(n, np.longdouble)
+    k[np.mod(s.offsets, n)] = s.coefficients
+    result = np.zeros(n, np.longdouble)
+    result[0] = 1
+    while steps:
+        if steps & 1:
+            result = conv(result, k)
+        steps >>= 1
+        if steps:
+            k = conv(k, k)
+    # (C u)[j] = sum_i kernel[i] u[j + i]
+    return result[np.mod(np.arange(n) - np.arange(n)[:, None], n)]
 
 
 class TestFtcs:
@@ -152,6 +183,64 @@ class TestApplyFastPaths:
                 assert np.array_equal(out, apply_values(s, row))
 
 
+class TestApplyPower:
+    @given(
+        st.one_of(
+            st.tuples(st.just(ftcs_heat), st.floats(0.0, 0.5, exclude_min=True)),
+            st.tuples(st.just(backward_euler_heat), st.floats(0.01, 20.0)),
+        ),
+        st.integers(4, 300),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((ftcs_heat, 0.5), 2047, 3, 0)
+    @example((ftcs_heat, 0.5), 2048, 2, 1)
+    @example((backward_euler_heat, 4.0), 2047, 2, 2)
+    @example((backward_euler_heat, 4.0), 2048, 3, 3)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_step_loop_within_rounding(self, build_r, n, steps, seed):
+        # The FTCS loop rounds about once per step; backward Euler's
+        # full-width stencil costs a sum of N terms or a transform pair per
+        # step, charged log2 N (at N = 149, r = 0.01 its loop alone drifted
+        # 2.5 ulps per step).  The transform pair of apply_power is charged
+        # 8 log2 N once.
+        build, r = build_r
+        s = build(r, 1.0, n)
+        u = np.random.default_rng(seed).uniform(-1, 1, n)
+        stepped = u
+        for _ in range(steps):
+            stepped = apply_values(s, stepped)
+        per_step = 1 if build is ftcs_heat else math.log2(n)
+        bound = (steps * per_step + 8 * math.log2(n)) * np.finfo(float).eps * np.max(np.abs(u))
+        assert np.max(np.abs(apply_power(s, u, steps) - stepped)) <= bound
+
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(
+        st.one_of(
+            st.tuples(st.just(ftcs_heat), st.floats(0.0, 0.5, exclude_min=True)),
+            st.tuples(st.just(backward_euler_heat), st.floats(0.01, 20.0)),
+        ),
+        st.integers(4, 300),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((ftcs_heat, 2.0**-8), 293, 38, 0)
+    @example((ftcs_heat, 2.0**-8), 293, 3000, 1)
+    @example((backward_euler_heat, 0.01), 149, 3000, 2)
+    @settings(max_examples=12, deadline=None)
+    def test_no_drift_with_step_count(self, build_r, n, steps, seed):
+        # Against C^n formed by direct circular convolutions in long double,
+        # the error stays within one transform pair's rounding for any n.
+        # A double-precision symbol power was 105 ulps off at the first
+        # example and 2,000 at the second.
+        build, r = build_r
+        s = build(r, 1.0, n)
+        u = np.random.default_rng(seed).uniform(-1, 1, n)
+        exact = _circulant_power_ld(s, steps) @ u.astype(np.longdouble)
+        bound = 8 * math.log2(n) * np.finfo(float).eps * np.max(np.abs(u))
+        assert np.max(np.abs(apply_power(s, u, steps) - exact)) <= bound
+
+
 class TestLinearityProperties:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -272,6 +361,8 @@ class TestGridWrap:
         for op in (s, power(s, steps), backward_euler_heat(0.3 * dx**2, dx, n)):
             with pytest.raises(InvalidGridError):
                 apply_values(op, np.zeros(m))
+            with pytest.raises(InvalidGridError):
+                apply_power(op, np.zeros(m), steps)
         with pytest.raises(InvalidGridError):
             roundoff_growth_experiment(s, lx.sample(lx.Sine(1), m), 10 * s.dt, PrecisionSpec(12))
 
