@@ -10,9 +10,10 @@ turned into finite, falsifiable checks:
 * convergence: trajectory error at the final time along a refinement
   path, with an observed order fitted in dx.  A cell whose von Neumann
   check passes takes its endpoint C^n u from one symbol power,
-  ``irfft(g^n * rfft(u))``; a cell that fails it is stepped n times,
-  because its blow-up grows from the round-off each step adds, which a
-  single spectral product does not reproduce.
+  ``irfft(g^n * rfft(u))``; a cell that fails it is stepped n times
+  through :func:`laxlab.schemes.trajectory`, because its blow-up grows
+  from the round-off each step adds, which a single spectral product
+  does not reproduce.
 
 For circular-convolution stencils on sup-norm grids the operator norm is
 exactly the sum of absolute coefficients; every norm returned here is
@@ -48,6 +49,7 @@ from .schemes import (
     compose,
     kernel,
     power,
+    trajectory,
 )
 from .semigroup import HeatSemigroup, evolve
 
@@ -245,10 +247,8 @@ def scheme_builder(name: str):
 
 
 def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
-    """Iterate the scheme; returns (values, diverged)."""
-    vals = u.values.copy()
-    for _ in range(n_steps):
-        vals = apply_values(s, vals)
+    """Step the scheme n_steps times; returns (values, diverged)."""
+    for _, vals in zip(range(n_steps), trajectory(s, u.values)):
         # One reduction per step; the comparison is False for NaN as well.
         if not np.abs(vals).max() <= OVERFLOW_LIMIT:
             return vals, True

@@ -290,8 +290,8 @@ def run(config_path, out_dir, seed=0) -> int:
 
     ``seed`` is the base seed of random probes:
     ``random_uniform(k)`` samples with seed ``k + seed``.  ``summary.txt``
-    is rewritten as each section finishes, so a section that fails leaves
-    the summary of the sections before it.  Returns 0 on completion;
+    is written once, when the run ends; a section that fails leaves the
+    summary of the sections before it.  Returns 0 on completion;
     raises :class:`ConfigError` on malformed input (the :func:`main`
     wrapper converts that to exit code 2).
     """
@@ -308,20 +308,24 @@ def run(config_path, out_dir, seed=0) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     summary: list = []
+    finished = 0  # summary lines of the sections that finished
 
-    for index, section in enumerate(parser.sections()):
-        kind = section.split()[0]
-        if kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind in section [{section}]")
-        items = _validate(kind, section, dict(parser.items(section)), seed)
-        csv_lines: list = []
-        try:
-            scheme = _RUNNERS[kind](items, csv_lines, summary)
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} in section [{section}]") from exc
-        name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
-        (out / name).write_text("".join(csv_lines))
-        (out / "summary.txt").write_text("".join(line + "\n" for line in summary))
+    try:
+        for index, section in enumerate(parser.sections()):
+            kind = section.split()[0]
+            if kind not in _RUNNERS:
+                raise ConfigError(f"unknown experiment kind in section [{section}]")
+            items = _validate(kind, section, dict(parser.items(section)), seed)
+            csv_lines: list = []
+            try:
+                scheme = _RUNNERS[kind](items, csv_lines, summary)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} in section [{section}]") from exc
+            name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
+            (out / name).write_text("".join(csv_lines))
+            finished = len(summary)
+    finally:
+        (out / "summary.txt").write_text("".join(line + "\n" for line in summary[:finished]))
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import loglog_slope, sample_steps, von_neumann_check
 from .errors import DivergedValueError
 from .grid import GridFunction, Probe, RefinementPath, TWO_PI, sample
-from .schemes import apply_values
+from .schemes import trajectory
 
 __all__ = [
     "PrecisionSpec",
@@ -84,23 +84,26 @@ def roundoff_growth_experiment(
     """Gap between a per-step-rounded trajectory and the full-precision one.
 
     Both runs start from the identical initial state and use the identical
-    discretization, so the gap is pure round-off propagation.  The gap is
-    recorded at geometrically sampled step counts and fitted to
-    gap(n) ~ C * n^q on log-log axes (fit skipped below 8 usable points).
-    Unstable schemes are allowed but flagged.
+    discretization, so the gap is pure round-off propagation.  Rounding
+    after every step is the experiment, so no single symbol power can
+    replace the loop: the twins step as one ``(2, N)`` array through
+    :func:`~laxlab.schemes.trajectory`, and row 1 is rounded in place
+    between steps.  The gap is recorded at geometrically sampled step
+    counts and fitted to gap(n) ~ C * n^q on log-log axes (fit skipped
+    below 8 usable points).  Unstable schemes are allowed but flagged.
     """
     n_max = max(1, round(horizon_t / s.dt))
     schedule = sample_steps(n_max, 8)
     flagged = not von_neumann_check(s).passed
 
     # Row 0 is the full-precision twin, row 1 the rounded one; both take
-    # the same step in one call, and only row 1 is rounded.
-    twins = np.array([u.values, u.values])
+    # the same step together, and only row 1 is rounded, in place, before
+    # the stepper reads it again.
     samples = []
     diverged = False
     target = 0
-    for n in range(1, n_max + 1):
-        twins = apply_values(s, twins)
+    steps = trajectory(s, np.array([u.values, u.values]))
+    for n, twins in zip(range(1, n_max + 1), steps):
         if not np.isfinite(twins).all():
             diverged = True
             break

@@ -28,6 +28,7 @@ __all__ = [
     "apply_scheme",
     "apply_values",
     "apply_power",
+    "trajectory",
     "kernel",
     "compose",
     "power",
@@ -144,24 +145,48 @@ def _check_grid(s: StencilScheme, values: np.ndarray) -> None:
         raise InvalidGridError(f"stencil built for {s.period} points applied to {values.shape[-1]}")
 
 
-def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
-    """Stencil action on samples of shape ``(..., N)``, N = ``s.period``, one grid per row.
+def trajectory(s: StencilScheme, values: np.ndarray):
+    """Yield C u, C^2 u, ... for samples of shape ``(..., N)``, N = ``s.period``.
 
-    Rows are stepped independently, with periodic wrap-around.  Narrow
-    stencils add two slices per offset, in offset order, into a zeroed
-    output: the same roundings as ``sum_m c_m * roll(u, -o_m)``.
+    The loops that must step use this one stepper: the round-off twins,
+    which round the state after every step, and unstable trajectories,
+    whose blow-up grows from the round-off each step adds.  Everything a
+    step needs is set up once.  A narrow stencil gathers its shifted
+    copies through a ``(width, N)`` index table, scales them and sums
+    over the offset axis in offset order: three numpy calls a step, with
+    the roundings of ``sum_m c_m * roll(u, -o_m)`` (only a sum that is
+    exactly zero may come out as -0.0 instead of +0.0).  A full-period
+    stencil is a product with the kernel FFT, taken once.  Each step
+    reads the array yielded before it, so a caller may change that array
+    in place (the twins round it) before resuming; the generator never
+    writes to ``values`` or to an array it has yielded.  Data on another
+    grid raises :class:`InvalidGridError` when the first step is taken.
     """
+    values = np.asarray(values, dtype=float)
     _check_grid(s, values)
     n = s.period
     if s.offsets.size > _FFT_APPLY_CUTOFF:
-        return np.fft.ifft(np.fft.fft(values) * np.conj(np.fft.fft(kernel(s)))).real
-    out = np.zeros(values.shape)
-    term = np.empty(values.shape)
-    for k, coef in zip(np.mod(s.offsets, n).tolist(), s.coefficients):
-        np.multiply(values, coef, out=term)
-        out[..., : n - k] += term[..., k:]
-        out[..., n - k :] += term[..., :k]
-    return out
+        symbol = np.conj(np.fft.fft(kernel(s)))
+        while True:
+            values = np.fft.ifft(np.fft.fft(values) * symbol).real
+            yield values
+    index = np.mod(np.arange(n) + s.offsets[:, None], n)
+    coef = s.coefficients[:, None]
+    terms = np.empty(values.shape[:-1] + index.shape)
+    while True:
+        np.take(values, index, axis=-1, out=terms, mode="clip")
+        np.multiply(terms, coef, out=terms)
+        values = np.add.reduce(terms, axis=-2)
+        yield values
+
+
+def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
+    """One step of :func:`trajectory`: C u for samples of shape ``(..., N)``.
+
+    Rows are stepped independently, with periodic wrap-around.  Loops of
+    many steps iterate :func:`trajectory` instead, which sets up once.
+    """
+    return next(trajectory(s, values))
 
 
 def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
@@ -173,10 +198,10 @@ def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
     ulps off where N has a large prime factor) drifted ~3n ulps from the
     exact C^n.  In extended precision g^n rounds to double within a few
     ulps for n in the thousands, so the result is C^n up to the rounding of
-    one transform pair.  The n-step loop of :func:`apply_values` rounds
-    after every step instead; callers that need that per-step round-off
-    (the round-off experiments, and unstable trajectories, whose blow-up
-    grows from it) keep the loop.
+    one transform pair.  :func:`trajectory` rounds after every step
+    instead; callers that need that per-step round-off (the round-off
+    experiments, and unstable trajectories, whose blow-up grows from it)
+    step through it.
     """
     _check_grid(s, values)
     g = np.conj(np.fft.rfft(kernel(s).astype(np.longdouble)))

@@ -121,6 +121,22 @@ bits = 12
         run(write_cfg(tmp_path, UBP_CFG, "first.cfg"), tmp_path / "first")
         assert (out / "summary.txt").read_text() == (tmp_path / "first" / "summary.txt").read_text()
 
+    def test_successful_run_writes_summary_once(self, tmp_path, monkeypatch):
+        written = []
+        write_text = Path.write_text
+
+        def counting(path, *args, **kwargs):
+            written.append(path.name)
+            return write_text(path, *args, **kwargs)
+
+        cfg = write_cfg(tmp_path, STABILITY_CFG + "\n" + UBP_CFG + "\n" + STABILITY_CFG.replace(
+            "[stability]", "[stability again]"))
+        monkeypatch.setattr(Path, "write_text", counting)
+        assert run(cfg, tmp_path / "out") == 0
+        assert written.count("summary.txt") == 1
+        assert len(written) == 4  # three CSVs and the summary
+        assert len((tmp_path / "out" / "summary.txt").read_text().splitlines()) == 3
+
     def test_seed_is_the_base_of_random_probes(self, tmp_path, monkeypatch):
         monkeypatch.delenv("LAXLAB_OUT", raising=False)
         cfg = write_cfg(

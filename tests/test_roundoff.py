@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.analysis import scheme_builder
@@ -60,6 +63,43 @@ class TestRoundToPrecision:
             PrecisionSpec(3)
         with pytest.raises(ValueError):
             PrecisionSpec(53)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), st.integers(4, 52))
+    @example(1 + 2.0**-13, 12)  # a tie, rounded down to the even neighbour
+    @example(1 + 3 * 2.0**-13, 12)  # a tie, rounded up to the even neighbour
+    @example(-(1 + 2.0**-5), 4)
+    @example(33 * 2.0**-1074, 4)  # a tie among subnormals
+    @example(5e-324, 4)
+    @example(0.0, 12)
+    @example(-0.0, 52)
+    @example(float(np.finfo(float).max), 4)  # rounds up past the largest double
+    @example(-float(np.finfo(float).max), 23)
+    @example(float(np.finfo(float).max), 52)
+    @settings(max_examples=400)
+    def test_matches_exact_rational_oracle(self, x, bits):
+        want = _round_exact(x, bits)
+        with np.errstate(over="ignore"):
+            got = round_to_precision(x, PrecisionSpec(bits))
+            got_array = round_to_precision(np.array([x]), PrecisionSpec(bits))
+        for value in (got, float(got_array[0])):
+            assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+
+
+def _round_exact(x: float, bits: int) -> float:
+    """Oracle: x rounded to bits + 1 significant bits, half to even, with an
+    unbounded exponent, in exact rational arithmetic; past the largest
+    double the result is +-inf."""
+    q = abs(Fraction(x))
+    if q == 0:
+        return x
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if q < Fraction(2) ** e:
+        e -= 1  # now 2**e <= q < 2**(e + 1)
+    rounded = round(q * Fraction(2) ** (bits - e)) * Fraction(2) ** (e - bits)
+    try:
+        return math.copysign(float(rounded), x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _cfl_cell(dt):

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import laxlab as lx
 from laxlab.analysis import operator_norm
 from laxlab.errors import DivergedOperatorError, InvalidGridError
-from laxlab.roundoff import PrecisionSpec, roundoff_growth_experiment
+from laxlab.roundoff import PrecisionSpec, round_to_precision, roundoff_growth_experiment
 from laxlab.schemes import (
     StencilScheme,
     apply_power,
@@ -17,7 +18,9 @@ from laxlab.schemes import (
     backward_euler_heat,
     compose,
     ftcs_heat,
+    kernel,
     power,
+    trajectory,
 )
 
 TWO_PI = 2 * math.pi
@@ -160,13 +163,43 @@ def _narrow_stencils(draw):
 
 
 class TestApplyFastPaths:
-    @given(_narrow_stencils(), st.sampled_from([(), (2,)]), st.integers(0, 2**32 - 1))
+    @given(
+        _narrow_stencils(),
+        st.sampled_from([(), (2,)]),
+        st.integers(1, 5),
+        st.sampled_from([None, 4, 12]),
+        st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_narrow_path_bitwise_equals_shifted_sum(self, stencil_n, lead, seed):
+    def test_narrow_path_bitwise_equals_shifted_sum(self, stencil_n, lead, steps, bits, seed):
+        # k steps of the stepper against the oracle iterated k times; with
+        # bits set, the test rounds each yielded array in place before the
+        # stepper resumes, as the round-off twins do.
         s, n = stencil_n
         values = np.random.default_rng(seed).uniform(-1, 1, lead + (n,))
-        assert s.offsets.size <= 32  # the slice path, not the FFT path
+        start = values.copy()
+        assert s.offsets.size <= 32  # the gather path, not the FFT path
         assert np.array_equal(apply_values(s, values), _shifted_sum(s, values))
+        expected = values
+        for got in islice(trajectory(s, values), steps):
+            expected = _shifted_sum(s, expected)
+            assert np.array_equal(got, expected)
+            if bits is not None:
+                got[...] = round_to_precision(got, PrecisionSpec(bits))
+                expected = round_to_precision(expected, PrecisionSpec(bits))
+        assert np.array_equal(values, start)
+
+    @pytest.mark.parametrize("n, r", [(33, 0.7), (127, 4.0), (444, 4.0)])
+    def test_full_period_steps_bitwise_equal_per_step_kernel_fft(self, n, r):
+        # The formula that took the kernel FFT on every step, written out.
+        dx = TWO_PI / n
+        s = backward_euler_heat(r * dx**2, dx, n)
+        assert s.offsets.size > 32  # the FFT path
+        values = np.random.default_rng(n).uniform(-1, 1, (2, n))
+        expected = values
+        for got in islice(trajectory(s, values), 6):
+            expected = np.fft.ifft(np.fft.fft(expected) * np.conj(np.fft.fft(kernel(s)))).real
+            assert np.array_equal(got, expected)
 
     @given(st.integers(4, 200), st.floats(0.05, 8.0), st.integers(0, 2**32 - 1))
     @example(33, 0.7, 0)
