@@ -21,27 +21,11 @@ import time
 from pathlib import Path
 
 from . import analysis, roundoff, ubp
-from .errors import ConfigError, LaxlabError
+from .errors import ConfigError, InvalidGridError, LaxlabError
 from .grid import RefinementPath, TWO_PI, parse_probe, sample
 from .semigroup import HeatSemigroup
 
 __all__ = ["run", "main"]
-
-_ALLOWED_KEYS = {
-    "stability": {"scheme", "grid_n", "r", "t", "threshold"},
-    "consistency": {"scheme", "probe", "r", "dts", "ts"},
-    "convergence": {"scheme", "probe", "t", "dts", "path", "tol_rel"},
-    "roundoff": {"scheme", "probe", "t", "dts", "path", "bits"},
-    "ubp_demo": {"k_range", "probes", "k_max"},
-}
-
-_REQUIRED_KEYS = {
-    "stability": {"scheme", "grid_n", "r", "t"},
-    "consistency": {"scheme", "probe", "r", "dts", "ts"},
-    "convergence": {"scheme", "probe", "t", "dts", "path"},
-    "roundoff": {"scheme", "probe", "t", "dts", "path", "bits"},
-    "ubp_demo": {"k_range"},
-}
 
 _ANALYSIS_HEADER = "dt,dx,r,n_steps,bound_L,max_abs_g,error_final,converged\n"
 
@@ -54,6 +38,10 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def _row(*values) -> str:
+    return ",".join(_fmt(v) for v in values) + "\n"
 
 
 def _floats(text: str):
@@ -69,24 +57,31 @@ def _parse_path(text: str) -> RefinementPath:
     if toks[0] == "power" and len(toks) == 3:
         return RefinementPath.from_power(float(toks[1]), float(toks[2]))
     if toks[0] == "table" and len(toks) > 1:
-        pairs = []
-        for tok in toks[1:]:
-            dt, _, dx = tok.partition("=")
-            pairs.append((float(dt), float(dx)))
-        return RefinementPath.from_table(pairs)
-    raise ConfigError(f"unparseable refinement path: {text!r}")
+        return RefinementPath.from_table(tok.split("=") for tok in toks[1:])
+    raise ValueError(f"unparseable refinement path: {text!r}")
 
 
-def _parse_sequence_probe(text: str) -> ubp.FiniteSequence:
-    name, _, arg = text.strip().partition("(")
-    arg = arg.rstrip(")")
-    if name == "ones":
-        return ubp.FiniteSequence({i: 1.0 for i in range(int(arg))})
-    if name == "unit":
-        return ubp.FiniteSequence.unit(int(arg))
-    if name == "harmonic":
-        return ubp.cauchy_witness(int(arg))
-    raise ConfigError(f"unknown sequence probe: {text!r}")
+def _parse_k_range(text: str) -> range:
+    """``a:b`` is k = a..b inclusive; a lone ``k`` is that one k."""
+    lo, colon, hi = text.partition(":")
+    return range(int(lo), int(hi if colon else lo) + 1)
+
+
+def _parse_sequence_probes(text: str) -> list:
+    """A ``;``-separated list of ``ones(n)``, ``unit(k)`` and ``harmonic(m)``."""
+    probes = []
+    for tok in filter(str.strip, text.split(";")):
+        name, _, arg = tok.strip().partition("(")
+        arg = int(arg.rstrip(")"))
+        if name == "ones":
+            probes.append(ubp.FiniteSequence({i: 1.0 for i in range(arg)}))
+        elif name == "unit":
+            probes.append(ubp.FiniteSequence.unit(arg))
+        elif name == "harmonic":
+            probes.append(ubp.cauchy_witness(arg))
+        else:
+            raise ValueError(f"unknown sequence probe: {tok!r}")
+    return probes
 
 
 def _positive(v) -> bool:
@@ -94,38 +89,73 @@ def _positive(v) -> bool:
     return bool(v) and all(0 < x < math.inf for x in v)
 
 
-# Parser and admitted values of each typed key (None admits any parsed
-# value); a (kind, key) entry overrides the key's entry for that kind.
-_VALUES = {
-    "scheme": (str, analysis.scheme_builder),  # raises ValueError for unknown names
-    "grid_n": (int, lambda v: v >= 4),
-    "bits": (int, lambda v: 4 <= v <= 52),
-    "probe": (parse_probe, None),  # called with the base seed as well
-    "path": (_parse_path, None),
-    "ts": (_floats, lambda v: bool(v) and all(0 <= x < math.inf for x in v)),
-    ("roundoff", "dts"): (_floats, lambda v: len(v) >= 4 and _positive(v)),
-    **dict.fromkeys(["r", "dts"], (_floats, _positive)),
-    **dict.fromkeys(["t", "threshold", "tol_rel", ("consistency", "r")], (float, _positive)),
+_SCHEME = (str, analysis.scheme_builder)  # raises ValueError for unknown names
+_PROBE = (parse_probe, None)  # called with the base seed as well
+_PATH = (_parse_path, None)
+_POSITIVE = (float, _positive)
+_POSITIVES = (_floats, _positive)
+
+# The keys of each section kind: key -> (parse, admits[, default]).  parse
+# turns the text into the value the runner reads; admits (None admits any
+# parsed value) range-checks it.  A key with a default is optional.
+_SCHEMA = {
+    "stability": {
+        "scheme": _SCHEME,
+        "grid_n": (int, lambda v: v >= 4),
+        "r": _POSITIVES,
+        "t": _POSITIVE,
+        "threshold": (*_POSITIVE, analysis.DEFAULT_STABILITY_THRESHOLD),
+    },
+    "consistency": {
+        "scheme": _SCHEME,
+        "probe": _PROBE,
+        "r": _POSITIVE,
+        "dts": _POSITIVES,
+        "ts": (_floats, lambda v: bool(v) and all(0 <= x < math.inf for x in v)),
+    },
+    "convergence": {
+        "scheme": _SCHEME,
+        "probe": _PROBE,
+        "t": _POSITIVE,
+        "dts": _POSITIVES,
+        "path": _PATH,
+        "tol_rel": (*_POSITIVE, 1e-3),
+    },
+    "roundoff": {
+        "scheme": _SCHEME,
+        "probe": _PROBE,
+        "t": _POSITIVE,
+        "dts": (_floats, lambda v: len(v) >= 4 and _positive(v)),
+        "path": _PATH,
+        "bits": (int, lambda v: 4 <= v <= 52),
+    },
+    "ubp_demo": {
+        "k_range": (_parse_k_range, lambda v: len(v) > 0 and v[0] >= 0),
+        "probes": (_parse_sequence_probes, lambda v: all(p.entries for p in v), []),
+    },
 }
 
 
 def _validate(kind: str, section: str, items: dict, seed: int) -> dict:
-    """Check a section's keys and values; returns the values parsed.
+    """Check a section's keys and values against ``_SCHEMA``; returns the
+    values parsed, with the defaults of absent optional keys.
 
     ``seed`` is the base added to the seed of every ``random_uniform`` probe.
     """
-    allowed = _ALLOWED_KEYS[kind]
+    schema = _SCHEMA[kind]
     for key in items:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for key in _REQUIRED_KEYS[kind]:
-        if key not in items:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
     typed = {}
-    for key, text in items.items():
-        parse, admits = _VALUES.get((kind, key)) or _VALUES.get(key, (str, None))
+    for key, (parse, admits, *default) in schema.items():
+        if key not in items:
+            if not default:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            typed[key] = default[0]
+            continue
+        text = items[key]
         try:
-            typed[key] = parse_probe(text, seed) if key == "probe" else parse(text)
+            typed[key] = parse(text, seed) if parse is parse_probe else parse(text)
             ok = admits is None or admits(typed[key])
         except (ValueError, IndexError):
             ok = False
@@ -135,10 +165,7 @@ def _validate(kind: str, section: str, items: dict, seed: int) -> dict:
 
 
 def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
-    scheme = items["scheme"]
-    grid_n = items["grid_n"]
-    horizon = items["t"]
-    threshold = items.get("threshold", analysis.DEFAULT_STABILITY_THRESHOLD)
+    scheme, grid_n, horizon = items["scheme"], items["grid_n"], items["t"]
     builder = analysis.scheme_builder(scheme)
     dx = TWO_PI / grid_n
     csv_lines.append(_ANALYSIS_HEADER)
@@ -147,16 +174,10 @@ def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
         if dt > horizon:
             raise ConfigError(f"t = {horizon!r} is shorter than one step, r*dx^2 = {dt!r}")
         s = builder(dt, dx, grid_n)
-        report = analysis.stability_check(s, horizon, threshold)
+        report = analysis.stability_check(s, horizon, items["threshold"])
         symbol = analysis.von_neumann_check(s)
         n_max = int(math.floor(horizon / dt + 1e-9))
-        csv_lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (dt, dx, r, n_max, report.bound_l, symbol.max_abs_g, None, None)
-            )
-            + "\n"
-        )
+        csv_lines.append(_row(dt, dx, r, n_max, report.bound_l, symbol.max_abs_g, None, None))
         summary.append(
             f"stability {scheme} r={r:g}: bound_L={report.bound_l:.6g} "
             f"stable={report.stable} max|g|={symbol.max_abs_g:.6g}"
@@ -178,13 +199,7 @@ def _run_consistency(items: dict, csv_lines: list, summary: list) -> str:
         residuals = analysis.consistency_check(s, sg, u, ts)
         worst = max(res for _, res in residuals)
         symbol = analysis.von_neumann_check(s)
-        csv_lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (dt, dx, s.courant_ratio, 1, None, symbol.max_abs_g, worst, None)
-            )
-            + "\n"
-        )
+        csv_lines.append(_row(dt, dx, s.courant_ratio, 1, None, symbol.max_abs_g, worst, None))
         summary.append(f"consistency {scheme} dt={dt:g}: max residual {worst:.6g}")
     return scheme
 
@@ -197,25 +212,13 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
         items["probe"],
         items["t"],
         items["dts"],
-        tol_rel=items.get("tol_rel", 1e-3),
+        tol_rel=items["tol_rel"],
     )
     csv_lines.append(_ANALYSIS_HEADER)
     for cell in report.cells:
+        r = cell.dt / cell.dx**2
         csv_lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    cell.dt,
-                    cell.dx,
-                    cell.dt / cell.dx**2,
-                    cell.n_steps,
-                    None,
-                    cell.max_abs_g,
-                    cell.error,
-                    report.converged,
-                )
-            )
-            + "\n"
+            _row(cell.dt, cell.dx, r, cell.n_steps, None, cell.max_abs_g, cell.error, report.converged)
         )
     order = "n/a" if report.observed_order is None else f"{report.observed_order:.3g}"
     summary.append(
@@ -227,48 +230,29 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
 
 def _run_roundoff(items: dict, csv_lines: list, summary: list) -> str:
     scheme = items["scheme"]
-    spec = roundoff.PrecisionSpec(significand_bits=items["bits"])
     report = roundoff.halving_sweep(
         analysis.scheme_builder(scheme),
         items["path"],
         items["probe"],
         items["t"],
-        spec,
+        roundoff.PrecisionSpec(significand_bits=items["bits"]),
         items["dts"],
     )
     csv_lines.append("n,t,gap,bits,dt,dx,scheme\n")
     for growth in report.growth_reports:
         for n, t, gap in growth.samples:
-            csv_lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (n, t, gap, growth.bits, growth.dt, growth.dx, scheme)
-                )
-                + "\n"
-            )
+            csv_lines.append(_row(n, t, gap, growth.bits, growth.dt, growth.dx, scheme))
     s_txt = "fit skipped" if report.fit_skipped else f"s={report.exponent_s:.3g}"
-    summary.append(f"roundoff {scheme} bits={spec.significand_bits}: {s_txt}")
+    summary.append(f"roundoff {scheme} bits={items['bits']}: {s_txt}")
     return scheme
 
 
 def _run_ubp_demo(items: dict, csv_lines: list, summary: list) -> str:
-    lo, _, hi = items["k_range"].partition(":")
-    k_range = range(int(lo), int(hi) + 1) if hi else [int(lo)]
-    probes = [
-        _parse_sequence_probe(tok)
-        for tok in items.get("probes", "").split(";")
-        if tok.strip()
-    ]
-    rows = ubp.ubp_violation_demo(k_range, probes)
+    k_range, probes = items["k_range"], items["probes"]
     csv_lines.append("k,op_norm,probe_id,probe_bound\n")
-    for row in rows:
-        if row.probe_bounds:
-            for pid, bound in row.probe_bounds:
-                csv_lines.append(
-                    ",".join(_fmt(v) for v in (row.k, row.op_norm, pid, bound)) + "\n"
-                )
-        else:
-            csv_lines.append(",".join(_fmt(v) for v in (row.k, row.op_norm, None, None)) + "\n")
+    for row in ubp.ubp_violation_demo(k_range, probes):
+        for pid, bound in row.probe_bounds or [(None, None)]:
+            csv_lines.append(_row(row.k, row.op_norm, pid, bound))
     summary.append(
         f"ubp_demo: k up to {max(k_range)}, op norm unbounded, "
         f"{len(probes)} probe(s) with fixed pointwise bounds"
@@ -292,8 +276,9 @@ def run(config_path, out_dir, seed=0) -> int:
     ``random_uniform(k)`` samples with seed ``k + seed``.  ``summary.txt``
     is written once, when the run ends; a section that fails leaves the
     summary of the sections before it.  Returns 0 on completion;
-    raises :class:`ConfigError` on malformed input (the :func:`main`
-    wrapper converts that to exit code 2).
+    raises :class:`ConfigError` on malformed input, and on values that
+    together choose an unusable grid (the :func:`main` wrapper converts
+    that to exit code 2).
     """
     config_path = Path(config_path)
     if not config_path.is_file():
@@ -319,7 +304,7 @@ def run(config_path, out_dir, seed=0) -> int:
             csv_lines: list = []
             try:
                 scheme = _RUNNERS[kind](items, csv_lines, summary)
-            except ConfigError as exc:
+            except (ConfigError, InvalidGridError) as exc:
                 raise ConfigError(f"{exc} in section [{section}]") from exc
             name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
             (out / name).write_text("".join(csv_lines))

@@ -5,7 +5,7 @@ interval ``[0, domain_length)``.  It is the concrete, finite-dimensional
 stand-in for elements of the normed space in which both exact evolutions
 and finite-difference trajectories live.  All objects here are immutable
 value types: operations return fresh grid functions and never mutate
-their inputs, so refinement sweeps can share them freely across workers.
+their inputs.
 """
 from __future__ import annotations
 
@@ -43,15 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real samples ``values[j] = u(j * dx)`` on a periodic uniform grid.
-
-    ``diverged`` marks a trajectory that blew up; only then may samples be
-    non-finite.
-    """
+    """Real, finite samples ``values[j] = u(j * dx)`` on a periodic uniform grid."""
 
     values: np.ndarray
     domain_length: float = TWO_PI
-    diverged: bool = False
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
@@ -59,8 +54,8 @@ class GridFunction:
             raise InvalidGridError(f"need at least 2 samples, got shape {vals.shape}")
         if not (self.domain_length > 0):
             raise InvalidGridError(f"domain_length must be positive, got {self.domain_length}")
-        if not self.diverged and not np.isfinite(vals).all():
-            raise DivergedValueError("non-finite sample in grid function not flagged as diverged")
+        if not np.isfinite(vals).all():
+            raise DivergedValueError("non-finite sample in grid function")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -79,7 +74,7 @@ class GridFunction:
 
 def sup_norm(u: GridFunction) -> float:
     """Max over samples of ``|u_j|``; raises on non-finite samples."""
-    if u.diverged or not np.isfinite(u.values).all():
+    if not np.isfinite(u.values).all():
         raise DivergedValueError("sup_norm of a diverged grid function")
     return float(np.max(np.abs(u.values)))
 

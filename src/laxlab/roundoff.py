@@ -49,13 +49,18 @@ def round_to_precision(x, spec: PrecisionSpec):
 
     Accepts scalars or arrays; scalars come back as floats.  np.rint
     implements round-half-to-even, and scaling by the bit count makes the
-    integer grid coincide with the reduced significand lattice.
+    integer grid coincide with the reduced significand lattice.  Raises
+    :class:`DivergedValueError` for non-finite values and for values that
+    would round past the largest double.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DivergedValueError("cannot round non-finite values")
-    mantissa, exponent = np.frexp(arr)
     scale = spec.significand_bits + 1  # stored bits plus the implicit leading bit
+    # From (2 - 2**-scale) * 2**1023 up, values round to 2**1024 (the tie
+    # goes to it, the even neighbour); at 52 bits the bound is inf.  NaN
+    # fails the comparison as well.
+    if not np.abs(arr).max(initial=0.0) < (2.0 - 2.0**-scale) * 2.0**1023:
+        raise DivergedValueError("cannot round non-finite values or values past the largest double")
+    mantissa, exponent = np.frexp(arr)
     rounded = np.ldexp(np.rint(np.ldexp(mantissa, scale)), exponent - scale)
     if np.isscalar(x) or arr.ndim == 0:
         return float(rounded)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import laxlab
-from laxlab.cli import main, run
+from laxlab.cli import _SCHEMA, main, run
 from laxlab.errors import ConfigError
 
 STABILITY_CFG = """\
@@ -182,20 +182,36 @@ class TestBadValues:
         assert repr(key) in err and "[stability]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "section",
+        "section, message",
         [
-            "[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2, 0\npath = cfl\n",
-            "[roundoff]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = cfl\nbits = 12\n",
-            "[roundoff]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2 5e-3 2e-3 1e-3\n"
-            "path = cfl\nbits = 60\n",
-            "[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = fixed_r x\n",
-            "[consistency]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = -1\n",
-            "[convergence]\nscheme = ftcs\nprobe = random_uniform(-1)\nt = 1\ndts = 1e-2\npath = cfl\n",
+            ("[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2, 0\npath = cfl\n",
+             "bad value"),
+            ("[roundoff]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = cfl\nbits = 12\n",
+             "bad value"),
+            ("[roundoff]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2 5e-3 2e-3 1e-3\n"
+             "path = cfl\nbits = 60\n", "bad value"),
+            ("[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = fixed_r x\n",
+             "bad value"),
+            ("[consistency]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = -1\n",
+             "bad value"),
+            ("[convergence]\nscheme = ftcs\nprobe = random_uniform(-1)\nt = 1\ndts = 1e-2\npath = cfl\n",
+             "bad value"),
+            ("[ubp_demo]\nk_range = 0:abc\n", "bad value '0:abc' for key 'k_range'"),
+            ("[ubp_demo]\nk_range = 5:2\n", "bad value '5:2' for key 'k_range'"),
+            ("[ubp_demo]\nk_range = -3\n", "bad value '-3' for key 'k_range'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = ones(x)\n", "bad value 'ones\\(x\\)' for key 'probes'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = unit(-1)\n", "bad value 'unit\\(-1\\)' for key 'probes'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = ones(-1)\n", "bad value 'ones\\(-1\\)' for key 'probes'"),
+            ("[ubp_demo]\nk_range = 0:5\nk_max = 5\n", "unknown key 'k_max'"),
         ],
-        ids=["zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed"],
+        ids=[
+            "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed",
+            "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
+            "probes-ones-negative", "k-max",
+        ],
     )
-    def test_other_bad_values_raise_config_error(self, tmp_path, section):
-        with pytest.raises(ConfigError, match="bad value"):
+    def test_other_bad_values_raise_config_error(self, tmp_path, section, message):
+        with pytest.raises(ConfigError, match=message):
             run(write_cfg(tmp_path, section), tmp_path / "out")
 
     def test_stability_t_shorter_than_one_step_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -205,6 +221,56 @@ class TestBadValues:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "t = 1e-06" in err and "[stability]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, cause",
+        [
+            ("[convergence coarse]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\n"
+             "path = power 100 0.5\n", "too coarse"),
+            ("[convergence short-table]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2, 5e-3\n"
+             "path = table 1e-2=0.5\n", "not in refinement table"),
+            ("[consistency broadband]\nscheme = ftcs\nprobe = random_uniform(1)\nr = 0.5\n"
+             "dts = 1e-3\nts = 0.0\n", "band-limited"),
+        ],
+        ids=["path-too-coarse", "table-lacks-dt", "probe-not-band-limited"],
+    )
+    def test_unusable_grid_exits_2(self, tmp_path, capsys, monkeypatch, section, cause):
+        # Each value is in range; only together do they choose an unusable grid.
+        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+        cfg = write_cfg(tmp_path, section)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert cause in err and section.split("\n")[0] in err and "Traceback" not in err
+
+
+MINIMAL_SECTIONS = {
+    "stability": {"scheme": "ftcs", "grid_n": "64", "r": "0.5", "t": "1.0"},
+    "consistency": {"scheme": "ftcs", "probe": "sine(1)", "r": "0.5", "dts": "1e-3", "ts": "0.0"},
+    "convergence": {"scheme": "ftcs", "probe": "sine(1)", "t": "1.0", "dts": "1e-2", "path": "cfl"},
+    "roundoff": {"scheme": "ftcs", "probe": "sine(1)", "t": "0.1", "dts": "2e-2 1e-2 5e-3 2.5e-3",
+                 "path": "cfl", "bits": "12"},
+    "ubp_demo": {"k_range": "0:5"},
+}
+
+
+def section_cfg(kind, items):
+    return f"[{kind}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+
+
+@pytest.mark.parametrize("kind", _SCHEMA)
+def test_minimal_sections_run(tmp_path, kind):
+    assert run(write_cfg(tmp_path, section_cfg(kind, MINIMAL_SECTIONS[kind])), tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind in _SCHEMA for key in _SCHEMA[kind]])
+def test_every_schema_key_rejects_garbage(tmp_path, capsys, monkeypatch, kind, key):
+    monkeypatch.delenv("LAXLAB_OUT", raising=False)
+    cfg = write_cfg(tmp_path, section_cfg(kind, {**MINIMAL_SECTIONS[kind], key: "@@"}))
+    with pytest.raises(ConfigError, match=rf"'@@' for key {key!r} in section \[{kind}\]"):
+        run(cfg, tmp_path / "out")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and f"[{kind}]" in err and "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -73,14 +73,21 @@ class TestRoundToPrecision:
     @example(0.0, 12)
     @example(-0.0, 52)
     @example(float(np.finfo(float).max), 4)  # rounds up past the largest double
+    @example((2 - 2.0**-5) * 2.0**1023, 4)  # a tie at the overflow bound, rounded up
+    @example(float(np.nextafter((2 - 2.0**-5) * 2.0**1023, 0)), 4)
     @example(-float(np.finfo(float).max), 23)
     @example(float(np.finfo(float).max), 52)
     @settings(max_examples=400)
+    @pytest.mark.filterwarnings("error")
     def test_matches_exact_rational_oracle(self, x, bits):
         want = _round_exact(x, bits)
-        with np.errstate(over="ignore"):
-            got = round_to_precision(x, PrecisionSpec(bits))
-            got_array = round_to_precision(np.array([x]), PrecisionSpec(bits))
+        if math.isinf(want):  # rounds past the largest double
+            for arg in (x, np.array([x])):
+                with pytest.raises(DivergedValueError):
+                    round_to_precision(arg, PrecisionSpec(bits))
+            return
+        got = round_to_precision(x, PrecisionSpec(bits))
+        got_array = round_to_precision(np.array([x]), PrecisionSpec(bits))
         for value in (got, float(got_array[0])):
             assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
 

@@ -93,6 +93,18 @@ class TestBackwardEuler:
         out = apply_values(s, u.values)
         assert np.max(np.abs(out - predicted * u.values)) < 1e-12
 
+    @given(st.integers(4, 300), st.floats(1e-3, 1e3))
+    @example(4, 1e3)
+    @example(299, 1e-3)
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_match_dense_inverse_oracle(self, n, r):
+        dx = TWO_PI / n
+        s = backward_euler_heat(r * dx**2, dx, n)
+        eye = np.eye(n)
+        d2 = np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)
+        row = np.linalg.inv(eye - s.courant_ratio * d2)[0]
+        assert np.max(np.abs(s.coefficients - row)) <= 1e-12 * np.max(np.abs(row))
+
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_one_step_sup_norm_at_most_one(self, r):
         n = 32
