@@ -5,11 +5,16 @@ side by side: one at full working precision, one whose state is rounded
 to a reduced significand after every time step.  Their sup-norm gap
 isolates round-off propagation from truncation error.  ``significand_bits``
 counts stored fraction bits (IEEE convention), so 52 bits reproduces
-double precision and the rounding becomes a no-op.
+double precision and the rounding becomes a no-op.  The rounding is
+Veltkamp's three-operation split, with a ``frexp`` fallback near the top of
+the double range; the rounded twin's finiteness is checked by the
+rounding's own guard every step, the full-precision twin's only at sample
+points.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,22 +52,34 @@ class PrecisionSpec:
 def round_to_precision(x, spec: PrecisionSpec):
     """Round to ``significand_bits`` fraction bits, nearest-even, exponent kept.
 
-    Accepts scalars or arrays; scalars come back as floats.  np.rint
-    implements round-half-to-even, and scaling by the bit count makes the
-    integer grid coincide with the reduced significand lattice.  Raises
+    Accepts scalars or arrays; 0-d input comes back as a float, arrays as a
+    new array (the argument is never written).  The rounding is Veltkamp's
+    split (Dekker 1971): with ``C = 2**(52 - bits) + 1``, ``big = x * C``
+    and ``big - (big - x)`` is x rounded to ``bits + 1`` significant bits,
+    to nearest with ties to even (Boldo 2006), in three float operations.
+    ``x * C`` overflows once ``max|x|`` reaches ``max_double / C``; from
+    there up (only diverging runs get there) the value is split by
+    ``frexp``, its significand scaled and rounded by ``np.rint`` and put
+    back by ``ldexp``.  At 52 bits C = 2 and both paths are exact.  Raises
     :class:`DivergedValueError` for non-finite values and for values that
     would round past the largest double.
     """
     arr = np.asarray(x, dtype=float)
     scale = spec.significand_bits + 1  # stored bits plus the implicit leading bit
+    peak = np.abs(arr).max(initial=0.0)
     # From (2 - 2**-scale) * 2**1023 up, values round to 2**1024 (the tie
     # goes to it, the even neighbour); at 52 bits the bound is inf.  NaN
     # fails the comparison as well.
-    if not np.abs(arr).max(initial=0.0) < (2.0 - 2.0**-scale) * 2.0**1023:
+    if not peak < (2.0 - 2.0**-scale) * 2.0**1023:
         raise DivergedValueError("cannot round non-finite values or values past the largest double")
-    mantissa, exponent = np.frexp(arr)
-    rounded = np.ldexp(np.rint(np.ldexp(mantissa, scale)), exponent - scale)
-    if np.isscalar(x) or arr.ndim == 0:
+    split = 2.0 ** (52 - spec.significand_bits) + 1  # Veltkamp's C
+    if peak < sys.float_info.max / split:
+        big = arr * split
+        rounded = big - (big - arr)
+    else:
+        mantissa, exponent = np.frexp(arr)
+        rounded = np.ldexp(np.rint(np.ldexp(mantissa, scale)), exponent - scale)
+    if arr.ndim == 0:
         return float(rounded)
     return rounded
 
@@ -92,10 +109,13 @@ def roundoff_growth_experiment(
     discretization, so the gap is pure round-off propagation.  Rounding
     after every step is the experiment, so no single symbol power can
     replace the loop: the twins step as one ``(2, N)`` array through
-    :func:`~laxlab.schemes.trajectory`, and row 1 is rounded in place
-    between steps.  The gap is recorded at geometrically sampled step
-    counts and fitted to gap(n) ~ C * n^q on log-log axes (fit skipped
-    below 8 usable points).  Unstable schemes are allowed but flagged.
+    :func:`~laxlab.schemes.trajectory`, and row 1 is rounded (by
+    :func:`round_to_precision`) and written back between steps.  The run
+    is marked diverged when that rounding raises, or when row 0 is not
+    finite at a sample point (it is checked only there).  The gap is
+    recorded at geometrically sampled step counts and fitted to
+    gap(n) ~ C * n^q on log-log axes (fit skipped below 8 usable points).
+    Unstable schemes are allowed but flagged.
     """
     n_max = max(1, round(horizon_t / s.dt))
     schedule = sample_steps(n_max, 8)
@@ -103,17 +123,25 @@ def roundoff_growth_experiment(
 
     # Row 0 is the full-precision twin, row 1 the rounded one; both take
     # the same step together, and only row 1 is rounded, in place, before
-    # the stepper reads it again.
+    # the stepper reads it again.  The rounding's own guard stops row 1 at
+    # its first non-finite (or unroundable) step.  Row 0 is checked only
+    # where a gap is recorded: a linear step keeps a non-finite value
+    # non-finite, so no gap is recorded after row 0 breaks, and n_max is
+    # always in the schedule, so the last step is checked.
     samples = []
     diverged = False
     target = 0
     steps = trajectory(s, np.array([u.values, u.values]))
     for n, twins in zip(range(1, n_max + 1), steps):
-        if not np.isfinite(twins).all():
+        try:
+            twins[1] = round_to_precision(twins[1], spec)
+        except DivergedValueError:
             diverged = True
             break
-        twins[1] = round_to_precision(twins[1], spec)
         if n == schedule[target]:
+            if not np.isfinite(twins[0]).all():
+                diverged = True
+                break
             gap = float(np.max(np.abs(twins[1] - twins[0])))
             samples.append((n, n * s.dt, gap))
             target += 1

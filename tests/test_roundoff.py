@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
-from laxlab.analysis import scheme_builder
+from laxlab.analysis import sample_steps, scheme_builder
 from laxlab.errors import DivergedValueError
 from laxlab.grid import RefinementPath
 from laxlab.roundoff import (
@@ -16,10 +16,15 @@ from laxlab.roundoff import (
     round_to_precision,
     roundoff_growth_experiment,
 )
-from laxlab.schemes import apply_values, ftcs_heat
+from laxlab.schemes import apply_values, backward_euler_heat, ftcs_heat
 
 TWO_PI = 2 * math.pi
 DTS = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+
+
+def _split_limit(bits: int) -> float:
+    """Smallest max|x| that round_to_precision rounds by its frexp fallback."""
+    return float(np.finfo(float).max) / (2.0 ** (52 - bits) + 1)
 
 
 class TestRoundToPrecision:
@@ -77,6 +82,17 @@ class TestRoundToPrecision:
     @example(float(np.nextafter((2 - 2.0**-5) * 2.0**1023, 0)), 4)
     @example(-float(np.finfo(float).max), 23)
     @example(float(np.finfo(float).max), 52)
+    # Around the top of the three-operation split, where x * (2**(52 - bits) + 1)
+    # would overflow and rounding falls back to frexp/rint/ldexp.
+    @example(float(np.nextafter(_split_limit(4), 0)), 4)
+    @example(_split_limit(4), 4)
+    @example(float(np.nextafter(_split_limit(4), math.inf)), 4)
+    @example(float(np.nextafter(_split_limit(23), 0)), 23)
+    @example(_split_limit(23), 23)
+    @example(float(np.nextafter(_split_limit(23), math.inf)), 23)
+    @example(float(np.nextafter(_split_limit(52), 0)), 52)
+    @example(_split_limit(52), 52)
+    @example(float(np.nextafter(_split_limit(52), math.inf)), 52)
     @settings(max_examples=400)
     @pytest.mark.filterwarnings("error")
     def test_matches_exact_rational_oracle(self, x, bits):
@@ -107,6 +123,22 @@ def _round_exact(x: float, bits: int) -> float:
         return math.copysign(float(rounded), x)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def _twin_loop_checking_every_step(s, values, n_max, spec):
+    """Reference twin loop: (samples, diverged), both rows checked for
+    finiteness after every step, before row 1 is rounded."""
+    schedule = set(sample_steps(n_max, 8))
+    twins = np.array([values, values])
+    samples = []
+    for n in range(1, n_max + 1):
+        twins = apply_values(s, twins)
+        if not np.isfinite(twins).all():
+            return tuple(samples), True
+        twins[1] = round_to_precision(twins[1], spec)
+        if n in schedule:
+            samples.append((n, n * s.dt, float(np.max(np.abs(twins[1] - twins[0])))))
+    return tuple(samples), False
 
 
 def _cfl_cell(dt):
@@ -169,6 +201,71 @@ class TestGrowthExperiment:
             report = roundoff_growth_experiment(s, u, 1000.0, PrecisionSpec(12))
         assert report.diverged
         assert all(math.isfinite(gap) for _, _, gap in report.samples)
+
+    def test_row_rounded_past_the_largest_double_diverges(self):
+        # Row 1 stays finite but climbs above the 6-bit overflow bound while
+        # row 0 is still finite: the run is diverged, not an error.
+        n = 24
+        dx = TWO_PI / n
+        s = ftcs_heat(0.75 * dx**2, dx, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = roundoff_growth_experiment(
+                s, lx.sample(lx.Sine(1), n), 6000 * s.dt, PrecisionSpec(6)
+            )
+        assert report.diverged
+        assert len(report.samples) == 15 and report.samples[-1][0] == 1024
+        assert all(math.isfinite(gap) for _, _, gap in report.samples)
+
+    @given(
+        r=st.floats(0.3, 1.0, exclude_min=True),
+        n=st.integers(8, 64),
+        bits=st.integers(4, 52),
+        magnitude=st.integers(0, 300),
+        past_overflow=st.integers(-32, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Row 0 overflows at the last step while row 1 is still below its bound.
+    @example(r=1.0, n=8, bits=4, magnitude=0, past_overflow=0, seed=1)
+    @settings(max_examples=40)
+    def test_matches_a_loop_checking_both_rows_every_step(
+        self, r, n, bits, magnitude, past_overflow, seed
+    ):
+        # An unstable run goes on until about past_overflow steps after the
+        # highest mode, growing by |1 - 4r| a step from 10**magnitude, would
+        # pass the largest double; a stable one takes 200 steps.
+        rate = abs(1 - 4 * r)
+        n_steps = 200
+        if rate > 1:
+            to_overflow = math.ceil((309 - magnitude) / math.log10(rate))
+            n_steps = max(1, min(1500, to_overflow + past_overflow))
+        dx = TWO_PI / n
+        s = ftcs_heat(r * dx**2, dx, n)
+        values = 10.0**magnitude * np.random.default_rng(seed).uniform(-1, 1, n)
+        spec = PrecisionSpec(bits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = _twin_loop_checking_every_step(s, values, n_steps, spec)
+            except DivergedValueError:  # row 1 finite but past the rounding bound
+                reject()
+            report = roundoff_growth_experiment(s, lx.GridFunction(values), n_steps * s.dt, spec)
+        assert (report.samples, report.diverged) == want
+
+    @given(
+        n=st.integers(33, 96),  # backward Euler is wider than the narrow path takes
+        where=st.integers(0, 95),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+        builder=st.sampled_from([ftcs_heat, backward_euler_heat]),
+    )
+    def test_a_step_keeps_a_non_finite_row_non_finite(self, n, where, bad, builder):
+        # What checking row 0 only at sample points rests on, on the narrow
+        # and on the full-period (FFT) path of the stepper.
+        dx = TWO_PI / n
+        values = np.ones((2, n))
+        values[0, where % n] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = apply_values(builder(0.6 * dx**2, dx, n), values)
+        assert not np.isfinite(stepped[0]).all()
+        assert np.isfinite(stepped[1]).all()
 
     def test_determinism(self):
         s, u = _cfl_cell(2e-3)
