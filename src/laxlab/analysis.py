@@ -5,7 +5,12 @@ turned into finite, falsifiable checks:
 
 * stability: iterated operator norms ||C^n|| over n*dt <= T, against a
   configurable cap (existence of a uniform bound cannot be observed in a
-  finite experiment, so stable means "never exceeded the cap");
+  finite experiment, so stable means "never exceeded the cap").  A row
+  whose von Neumann check passes takes each norm from one symbol power,
+  ``sum |irfft(g^n)|`` with g^n in long double; a row that fails it walks
+  the powers through :func:`laxlab.schemes.power` and
+  :func:`laxlab.schemes.compose`, whose coefficient overflow marks the
+  divergence;
 * consistency: one-step residuals against the exact spectral evolution;
 * convergence: trajectory error at the final time along a refinement
   path, with an observed order fitted in dx.  A cell whose von Neumann
@@ -17,7 +22,8 @@ turned into finite, falsifiable checks:
 
 For circular-convolution stencils on sup-norm grids the operator norm is
 exactly the sum of absolute coefficients; every norm returned here is
-additionally validated by a witness vector that attains it.  Every
+additionally validated by a witness vector that attains it (for a symbol
+norm, the sign pattern of the coefficients of C^n).  Every
 stencil is built for an N-point grid, so that is the norm of the N x N
 circulant, whose powers wrap mod N (see :mod:`laxlab.schemes`), and von
 Neumann factors are the DFT of the stencil wrapped onto the grid.
@@ -118,6 +124,7 @@ class StabilityReport:
     bound_l: float
     stable: bool
     threshold: float
+    max_abs_g: float  # from the von Neumann check that chose the norm path
 
     def first_exceeding(self, cap: float):
         """Smallest sampled n with ||C^n|| > cap, or None."""
@@ -127,36 +134,111 @@ class StabilityReport:
         return None
 
 
-def stability_check(
-    s: StencilScheme, horizon_t: float, threshold: float = DEFAULT_STABILITY_THRESHOLD
-) -> StabilityReport:
-    """Norms of the iterates C^n for n*dt <= T, geometrically subsampled."""
-    if s.dt > horizon_t:
-        raise ValueError(f"dt={s.dt} exceeds the horizon {horizon_t}")
-    n_max = int(math.floor(horizon_t / s.dt + 1e-9))
-    steps = sample_steps(n_max, 64)
+# Grid points transformed per irfft call, over several sampled powers: the
+# rows share the call's overhead, and each long double temporary of the
+# batch (up to 32 bytes an entry) stays near 128 kB, so peak memory does not
+# grow with N.
+_NORM_BATCH = 4096
+
+
+def _symbol_norms(s: StencilScheme, steps: list) -> list:
+    """||C^n|| = sum |irfft(g^n)| for each n in ``steps``, g = rfft(kernel).
+
+    Everything up to the coefficients of C^n is in ``np.longdouble``, as
+    in :func:`~laxlab.schemes.apply_power`.  A run of consecutive n (the
+    dense head of :func:`sample_steps`, n <= 65) is a running product of
+    g, off by about n ulps of long double.  Every other g^n is
+    ``exp(n log g)``, with log g taken from h = g - 1, the transform of
+    the kernel minus the identity: where g is 1 - 1e-18 (a small r), g
+    itself keeps only a few bits of h, and the 1e18 steps such a row
+    samples would multiply that error into every mode.  Each norm is
+    validated like :func:`operator_norm`: the sign pattern w of the
+    coefficients must give ``max |C^n w|`` equal to the norm, here
+    ``irfft(rfft(w) * conj(g^n))`` in double precision.
+    """
+    n = s.period
+    minus_identity = kernel(s).astype(np.longdouble)
+    minus_identity[0] -= 1
+    h = np.fft.rfft(minus_identity)
+    g = 1 + h
+    # log g = log|1 + h| + i arg(1 + h), from h itself rather than from the
+    # rounded g; a mode with g = 0 gets log|g| = -inf and g^n = 0.
+    with np.errstate(divide="ignore"):
+        log_abs = np.log1p(h.real * (2 + h.real) + h.imag**2) / 2
+    arg = np.arctan2(h.imag, 1 + h.real)
+    norms = []
+    last_n, last = 0, np.ones_like(g)
+    rows = max(1, _NORM_BATCH // n)
+    for i in range(0, len(steps), rows):
+        chunk = steps[i : i + rows]
+        if chunk[-1] - last_n == len(chunk):
+            powers = last * np.cumprod(np.broadcast_to(g, (len(chunk), g.size)), axis=0)
+        else:
+            ns = np.array(chunk, dtype=np.longdouble)[:, None]
+            powers = np.exp(ns * log_abs) * (np.cos(ns * arg) + 1j * np.sin(ns * arg))
+        last_n, last = chunk[-1], powers[-1]
+        coeffs = np.fft.irfft(powers, n=n)
+        totals = np.abs(coeffs).sum(axis=1).astype(float)
+        witness = np.where(coeffs < 0, -1.0, 1.0)
+        applied = np.fft.irfft(np.fft.rfft(witness) * np.conj(powers.astype(complex)), n=n)
+        attained = np.abs(applied).max(axis=1)
+        tol = max(1e-12, 64 * n * np.finfo(float).eps) * np.maximum(1.0, totals)
+        if not (np.abs(attained - totals) <= tol).all():
+            raise RuntimeError(f"witness ratios {attained} disagree with norms {totals}")
+        norms.extend(totals.tolist())
+    return norms
+
+
+def _walked_norms(s: StencilScheme, steps: list) -> tuple:
+    """(norms, diverged): C^n built by :func:`power` and :func:`compose`.
+
+    The norm list stops at the first power whose coefficients overflow,
+    with an inf entry for it.
+    """
     norms = []
     current = None
     prev_n = 0
-    diverged = False
     for n in steps:
         try:
             jump = power(s, n - prev_n)
             current = jump if current is None else compose(current, jump)
         except DivergedOperatorError:
-            norms.append((n, math.inf))
-            diverged = True
-            break
-        norms.append((n, operator_norm(current)))
+            norms.append(math.inf)
+            return norms, True
+        norms.append(operator_norm(current))
         prev_n = n
-    bound_l = max(norm for _, norm in norms)
+    return norms, False
+
+
+def stability_check(
+    s: StencilScheme, horizon_t: float, threshold: float = DEFAULT_STABILITY_THRESHOLD
+) -> StabilityReport:
+    """Norms of the iterates C^n for n*dt <= T, geometrically subsampled.
+
+    A stencil that passes :func:`von_neumann_check` takes every norm from
+    its symbol (:func:`_symbol_norms`): no power drifts, because each one
+    is a single long double g^n.  A stencil that fails it walks the
+    powers through :func:`power` and :func:`compose`, whose coefficient
+    overflow marks the first diverged sample with an inf norm.
+    """
+    if s.dt > horizon_t:
+        raise ValueError(f"dt={s.dt} exceeds the horizon {horizon_t}")
+    n_max = int(math.floor(horizon_t / s.dt + 1e-9))
+    steps = sample_steps(n_max, 64)
+    symbol = von_neumann_check(s)
+    if symbol.passed:
+        norms, diverged = _symbol_norms(s, steps), False
+    else:
+        norms, diverged = _walked_norms(s, steps)
+    bound_l = max(norms)
     return StabilityReport(
         horizon_t=horizon_t,
         dt=s.dt,
-        norms=tuple(norms),
+        norms=tuple(zip(steps, norms)),
         bound_l=bound_l,
         stable=(not diverged) and bound_l <= threshold,
         threshold=threshold,
+        max_abs_g=symbol.max_abs_g,
     )
 
 

@@ -86,11 +86,17 @@ def ftcs_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
     """Explicit heat scheme u + (u(x+dx) - 2u + u(x-dx)) dt/dx^2 on ``grid_n`` points.
 
     Coefficients (r, 1-2r, r) with r = dt/dx^2; stable iff 2 dt <= dx^2.
+    The side coefficient is stored as (1 - c0)/2, c0 = 1 - 2r, so the row
+    sums to exactly 1 and the powers of a stable stencil have norm 1, not
+    1 + n*ulp.  For r in [1/4, 1] that is r itself (1 - 2r is exact by
+    Sterbenz's lemma); below 1/4 it moves r by at most 2^-55.
     """
     r = dt / dx**2
+    c0 = 1.0 - 2.0 * r
+    side = (1.0 - c0) / 2
     return StencilScheme(
         offsets=np.array([-1, 0, 1]),
-        coefficients=np.array([r, 1.0 - 2.0 * r, r]),
+        coefficients=np.array([side, c0, side]),
         dt=dt,
         dx=dx,
         name="ftcs",
@@ -245,7 +251,9 @@ def compose(first: StencilScheme, second: StencilScheme) -> StencilScheme:
     """Stencil of the composition second(first(u)): offset-wise convolution.
 
     Both factors must act on the same grid; the convolution wraps modulo
-    it, so the result never grows wider than one grid period.
+    it, so the result never grows wider than one grid period.  Of the
+    experiments, only stability rows that fail the von Neumann check
+    compose (see :func:`laxlab.analysis.stability_check`).
     """
     if first.period != second.period:
         raise InvalidGridError(f"cannot compose periods {first.period} and {second.period}")
@@ -258,7 +266,10 @@ def power(s: StencilScheme, n: int) -> StencilScheme:
 
     Every product wraps mod the period.  Raises
     :class:`DivergedOperatorError` if coefficients exceed the overflow
-    threshold, which signals gross instability.
+    threshold, which signals gross instability.  Of the experiments, only
+    stability rows that fail the von Neumann check take powers here; the
+    rest use the symbol (:func:`apply_power`,
+    :func:`laxlab.analysis.stability_check`).
     """
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import laxlab as lx
+from conftest import EXTENDED_FFT, _circulant_power_ld
 from laxlab import analysis
 from laxlab.analysis import (
     consistency_check,
@@ -15,13 +18,14 @@ from laxlab.analysis import (
     von_neumann_check,
     von_neumann_symbol,
 )
-from laxlab.errors import InvalidGridError
+from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.grid import RefinementPath
 from laxlab.schemes import (
     OVERFLOW_LIMIT,
     StencilScheme,
     apply_values,
     backward_euler_heat,
+    compose,
     ftcs_heat,
     power,
 )
@@ -134,6 +138,109 @@ class TestStability:
     def test_dt_larger_than_horizon_rejected(self):
         with pytest.raises(ValueError):
             stability_check(ftcs_heat(0.5, 1.0, 16), 0.1)
+
+
+def _walked_norms_reference(s, horizon_t):
+    """The power/compose walk every stability row took before symbol norms."""
+    n_max = int(math.floor(horizon_t / s.dt + 1e-9))
+    norms = []
+    current = None
+    prev_n = 0
+    for n in sample_steps(n_max, 64):
+        try:
+            jump = power(s, n - prev_n)
+            current = jump if current is None else compose(current, jump)
+        except DivergedOperatorError:
+            norms.append((n, math.inf))
+            break
+        norms.append((n, operator_norm(current)))
+        prev_n = n
+    return tuple(norms)
+
+
+class TestSymbolNorms:
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(st.integers(128, 4096), st.floats(0.0, 0.5, exclude_min=True))
+    @example(3000, 0.45)
+    @example(3000, 0.1)
+    @example(2047, 0.3)
+    @example(4096, 0.5)
+    @example(128, 2.0**-52)
+    @example(401, 1e-100)
+    @settings(max_examples=12)
+    def test_stable_ftcs_rows_stay_within_one(self, n, r):
+        # The power/compose walk drifted to 1 + 2.8e-11 at N = 3000, r = 0.45,
+        # and r = 0.1 also needs the exact FTCS row sum (1 + 1.3e-10 without).
+        # At r = 2^-52 a plain long double g**n read 1.002: g = 1 - 1e-18
+        # keeps few bits of g - 1, and n is 2e18.
+        # A dt that underflows to 0 is no stencil, and one so small that
+        # 1/dt overflows has no step count.
+        dx = TWO_PI / n
+        dt = r * dx**2
+        assume(dt > 0 and 1.0 / dt < math.inf)
+        report = stability_check(ftcs_heat(dt, dx, n), 1.0)
+        assert report.stable
+        assert report.bound_l <= 1.0 + 1e-12
+
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(
+        st.one_of(
+            st.tuples(st.just(ftcs_heat), st.floats(0.0, 0.5, exclude_min=True)),
+            st.tuples(st.just(backward_euler_heat), st.floats(0.01, 20.0)),
+        ),
+        st.integers(4, 64),
+        st.integers(1, 3000),
+    )
+    @example((ftcs_heat, 0.5), 64, 3000)
+    @example((ftcs_heat, 0.1), 61, 2000)
+    @example((backward_euler_heat, 4.0), 64, 1000)
+    @settings(max_examples=12)
+    def test_symbol_norms_match_dense_powers(self, build_r, n, n_max):
+        # Against C^k formed by direct circular convolutions in long double.
+        build, r = build_r
+        s = build(r, 1.0, n)
+        assert von_neumann_check(s).passed
+        report = stability_check(s, n_max * s.dt)
+        for k, norm in report.norms:
+            exact = float(np.abs(_circulant_power_ld(s, k)).sum(axis=1).max())
+            assert abs(norm - exact) <= 1e-13 * exact
+
+    def test_passing_rows_never_walk_powers(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a row that passes the von Neumann check walked its powers")
+
+        monkeypatch.setattr(analysis, "power", no_walk)
+        monkeypatch.setattr(analysis, "compose", no_walk)
+        n = 256
+        dx = TWO_PI / n
+        for s, horizon in (
+            (ftcs_heat(0.3 * dx**2, dx, n), 1.0),
+            (ftcs_heat(0.5 * dx**2, dx, n), 1.0),
+            (backward_euler_heat(4.0 * dx**2, dx, n), 0.05),
+        ):
+            report = stability_check(s, horizon)
+            assert report.stable
+            assert report.bound_l <= 1.0 + 1e-12
+        # A row that fails the check still walks.
+        with pytest.raises(AssertionError, match="walked"):
+            stability_check(ftcs_heat(0.55 * dx**2, dx, n), 1.0)
+
+    @pytest.mark.parametrize("r", [0.55, 0.75])
+    def test_failing_rows_keep_the_walk_bit_for_bit(self, r):
+        n = 256
+        dx = TWO_PI / n
+        s = ftcs_heat(r * dx**2, dx, n)
+        report = stability_check(s, 1.0)
+        assert not von_neumann_check(s).passed
+        assert report.norms == _walked_norms_reference(s, 1.0)
+        assert report.bound_l == max(norm for _, norm in report.norms)
+
+    @pytest.mark.parametrize("r", [0.3, 0.75])
+    def test_report_carries_the_von_neumann_factor(self, r):
+        n = 64
+        dx = TWO_PI / n
+        s = ftcs_heat(r * dx**2, dx, n)
+        assert stability_check(s, 1.0).max_abs_g == von_neumann_check(s).max_abs_g
 
 
 class TestVonNeumann:

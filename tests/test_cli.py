@@ -137,6 +137,25 @@ bits = 12
         assert len(written) == 4  # three CSVs and the summary
         assert len((tmp_path / "out" / "summary.txt").read_text().splitlines()) == 3
 
+    def test_one_von_neumann_check_per_stability_row(self, tmp_path, monkeypatch):
+        # max_abs_g comes from the check stability_check runs to pick its path.
+        from laxlab import analysis
+
+        calls = []
+        check = analysis.von_neumann_check
+
+        def counting(s):
+            calls.append(s.courant_ratio)
+            return check(s)
+
+        monkeypatch.setattr(analysis, "von_neumann_check", counting)
+        cfg = write_cfg(tmp_path, STABILITY_CFG.replace("r = 0.5", "r = 0.3, 0.5, 0.75"))
+        assert run(cfg, tmp_path / "out") == 0
+        assert len(calls) == 3
+        (csv,) = csv_files(tmp_path / "out", "stability")
+        max_g = [float(row.split(",")[5]) for row in csv.read_text().splitlines()[1:]]
+        assert max_g == pytest.approx([1.0, 1.0, 2.0], abs=1e-12)
+
     def test_seed_is_the_base_of_random_probes(self, tmp_path, monkeypatch):
         monkeypatch.delenv("LAXLAB_OUT", raising=False)
         cfg = write_cfg(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
+from conftest import EXTENDED_FFT, _circulant_power_ld
 from laxlab.analysis import operator_norm
 from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.roundoff import PrecisionSpec, round_to_precision, roundoff_growth_experiment
@@ -24,36 +26,6 @@ from laxlab.schemes import (
 )
 
 TWO_PI = 2 * math.pi
-
-# np.fft keeps long double only from numpy 2, and long double is wider
-# than double only on some platforms.
-EXTENDED_FFT = (
-    np.finfo(np.fft.rfft(np.ones(4, np.longdouble)).real.dtype).eps < np.finfo(float).eps
-)
-
-
-def _circulant_power_ld(s, steps):
-    """C^steps as a dense long double matrix: the wrapped kernel raised by
-    repeated squaring with direct circular convolutions, no transform."""
-    n = s.period
-
-    def conv(a, b):
-        full = np.convolve(a, b)
-        full[: n - 1] += full[n:]
-        return full[:n]
-
-    k = np.zeros(n, np.longdouble)
-    k[np.mod(s.offsets, n)] = s.coefficients
-    result = np.zeros(n, np.longdouble)
-    result[0] = 1
-    while steps:
-        if steps & 1:
-            result = conv(result, k)
-        steps >>= 1
-        if steps:
-            k = conv(k, k)
-    # (C u)[j] = sum_i kernel[i] u[j + i]
-    return result[np.mod(np.arange(n) - np.arange(n)[:, None], n)]
 
 
 class TestFtcs:
@@ -74,6 +46,23 @@ class TestFtcs:
         for r in (0.1, 0.3, 0.5, 0.75, 1.0):
             s = ftcs_heat(r, 1.0, 16)
             assert math.fsum(s.coefficients) == pytest.approx(1.0, abs=1e-15)
+
+    @given(st.floats(0.0, 1.0, exclude_min=True))
+    @example(0.1)
+    @example(2.0**-60)
+    @example(0.25)
+    @settings(max_examples=200)
+    def test_row_sum_is_exactly_one(self, r):
+        # Stored as (1 - c0)/2 beside c0 = 1 - 2r, so no power of a stable
+        # stencil inherits a row sum of 1 + ulp.  From r = 1/4 on, 1 - 2r is
+        # exact (Sterbenz) and the side coefficient is r bit for bit.
+        side, c0, other = ftcs_heat(r, 1.0, 16).coefficients
+        assert side == other
+        assert 2 * Fraction(side) + Fraction(c0) == 1
+        if r >= 0.25:
+            assert (side, c0) == (r, 1.0 - 2.0 * r)
+        else:
+            assert abs(side - r) <= 2.0**-55
 
 
 class TestBackwardEuler:
