@@ -173,6 +173,8 @@ def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
         dt = r * dx**2
         if dt > horizon:
             raise ConfigError(f"t = {horizon!r} is shorter than one step, r*dx^2 = {dt!r}")
+        if dt == 0 or horizon / dt == math.inf:
+            raise ConfigError(f"t = {horizon!r} holds too many steps of r*dx^2 = {dt!r} to count")
         s = builder(dt, dx, grid_n)
         report = analysis.stability_check(s, horizon, items["threshold"])
         n_max = int(math.floor(horizon / dt + 1e-9))

@@ -7,9 +7,11 @@ isolates round-off propagation from truncation error.  ``significand_bits``
 counts stored fraction bits (IEEE convention), so 52 bits reproduces
 double precision and the rounding becomes a no-op.  The rounding is
 Veltkamp's three-operation split, with a ``frexp`` fallback near the top of
-the double range; the rounded twin's finiteness is checked by the
-rounding's own guard every step, the full-precision twin's only at sample
-points.
+the double range.  The twins' finiteness is checked at sample points, and
+at every step past the count up to which an a-priori bound
+(:func:`~laxlab.schemes.overflow_free_steps`) proves the rounded twin
+stays below the split's overflow threshold; a full-period stencil has no
+such bound and is checked every step.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .analysis import loglog_slope, sample_steps, von_neumann_check
 from .errors import DivergedValueError
 from .grid import GridFunction, Probe, RefinementPath, TWO_PI, sample
-from .schemes import trajectory
+from .schemes import overflow_free_steps, trajectory
 
 __all__ = [
     "PrecisionSpec",
@@ -48,6 +50,11 @@ class PrecisionSpec:
     def epsilon(self) -> float:
         return 2.0 ** (-self.significand_bits)
 
+    @property
+    def split(self) -> float:
+        """Veltkamp's constant C = 2^(52 - bits) + 1 (see :func:`round_to_precision`)."""
+        return 2.0 ** (52 - self.significand_bits) + 1
+
 
 def round_to_precision(x, spec: PrecisionSpec):
     """Round to ``significand_bits`` fraction bits, nearest-even, exponent kept.
@@ -72,7 +79,7 @@ def round_to_precision(x, spec: PrecisionSpec):
     # fails the comparison as well.
     if not peak < (2.0 - 2.0**-scale) * 2.0**1023:
         raise DivergedValueError("cannot round non-finite values or values past the largest double")
-    split = 2.0 ** (52 - spec.significand_bits) + 1  # Veltkamp's C
+    split = spec.split
     if peak < sys.float_info.max / split:
         big = arr * split
         rounded = big - (big - arr)
@@ -109,30 +116,50 @@ def roundoff_growth_experiment(
     discretization, so the gap is pure round-off propagation.  Rounding
     after every step is the experiment, so no single symbol power can
     replace the loop: the twins step as one ``(2, N)`` array through
-    :func:`~laxlab.schemes.trajectory`, and row 1 is rounded (by
-    :func:`round_to_precision`) and written back between steps.  The run
-    is marked diverged when that rounding raises, or when row 0 is not
-    finite at a sample point (it is checked only there).  The gap is
-    recorded at geometrically sampled step counts and fitted to
-    gap(n) ~ C * n^q on log-log axes (fit skipped below 8 usable points).
-    Unstable schemes are allowed but flagged.
+    :func:`~laxlab.schemes.trajectory`, and row 1 is rounded and written
+    back between steps.  The gap is recorded at geometrically sampled step
+    counts and fitted to gap(n) ~ C * n^q on log-log axes (fit skipped
+    below 8 usable points).  Unstable schemes are allowed but flagged.
+
+    Up to the step count n* of :func:`~laxlab.schemes.overflow_free_steps`
+    (limit ``max_double / C``, growth 1 + 2^-(bits+1) a step), no value of
+    either row can reach the threshold where Veltkamp's split overflows,
+    so those steps split row 1 in place, with no guard.  A step at a
+    sample point, and every step past n*, rounds row 1 through the
+    checked :func:`round_to_precision`; the run is marked diverged when
+    that rounding raises, or when row 0 is not finite at a sample point.
+    A full-period stencil gets n* = 0, so its rounding is checked every
+    step.
     """
     n_max = max(1, round(horizon_t / s.dt))
     schedule = sample_steps(n_max, 8)
     flagged = not von_neumann_check(s).passed
+    split = spec.split
+    safe = overflow_free_steps(
+        s,
+        float(np.abs(u.values).max()),
+        sys.float_info.max / split,
+        1 + 2.0 ** -(spec.significand_bits + 1),
+    )
 
     # Row 0 is the full-precision twin, row 1 the rounded one; both take
     # the same step together, and only row 1 is rounded, in place, before
-    # the stepper reads it again.  The rounding's own guard stops row 1 at
-    # its first non-finite (or unroundable) step.  Row 0 is checked only
-    # where a gap is recorded: a linear step keeps a non-finite value
-    # non-finite, so no gap is recorded after row 0 breaks, and n_max is
-    # always in the schedule, so the last step is checked.
+    # the stepper reads it again.  Row 0 is checked only where a gap is
+    # recorded: a linear step keeps a non-finite value non-finite, so no
+    # gap is recorded after row 0 breaks, and n_max is always in the
+    # schedule, so the last step is checked.
     samples = []
     diverged = False
     target = 0
+    big, rest = np.empty(u.n), np.empty(u.n)
     steps = trajectory(s, np.array([u.values, u.values]))
     for n, twins in zip(range(1, n_max + 1), steps):
+        if n <= safe and n != schedule[target]:
+            row = twins[1]
+            np.multiply(row, split, out=big)
+            np.subtract(big, row, out=rest)
+            np.subtract(big, rest, out=row)
+            continue
         try:
             twins[1] = round_to_precision(twins[1], spec)
         except DivergedValueError:

@@ -32,6 +32,7 @@ __all__ = [
     "kernel",
     "compose",
     "power",
+    "overflow_free_steps",
     "OVERFLOW_LIMIT",
 ]
 
@@ -155,13 +156,16 @@ def trajectory(s: StencilScheme, values: np.ndarray):
     stencil is a product with the kernel FFT, taken once.  Each step
     reads the array yielded before it, so a caller may change that array
     in place (the twins round it) before resuming; the generator never
-    writes to ``values`` or to an array it has yielded.  Data on another
-    grid raises :class:`InvalidGridError` when the first step is taken.
+    writes to ``values`` or to an array it has yielded.  The stepper checks
+    no value: its callers guard against overflow only past the step count
+    of :func:`overflow_free_steps`, and every step of a full-period
+    stencil.  Data on another grid raises :class:`InvalidGridError` when
+    the first step is taken.
     """
     values = np.asarray(values, dtype=float)
     _check_grid(s, values)
     n = s.period
-    if s.offsets.size > _FFT_APPLY_CUTOFF:
+    if not _narrow(s):
         symbol = np.conj(np.fft.fft(kernel(s)))
         while True:
             values = np.fft.ifft(np.fft.fft(values) * symbol).real
@@ -170,10 +174,53 @@ def trajectory(s: StencilScheme, values: np.ndarray):
     coef = s.coefficients[:, None]
     terms = np.empty(values.shape[:-1] + index.shape)
     while True:
-        np.take(values, index, axis=-1, out=terms, mode="clip")
+        values.take(index, axis=-1, out=terms, mode="clip")
         np.multiply(terms, coef, out=terms)
         values = np.add.reduce(terms, axis=-2)
         yield values
+
+
+def _narrow(s: StencilScheme) -> bool:
+    """Whether :func:`trajectory` steps ``s`` by shifted sums, not by the FFT."""
+    return s.offsets.size <= _FFT_APPLY_CUTOFF
+
+
+def overflow_free_steps(s: StencilScheme, peak: float, limit: float, growth: float = 1.0):
+    """Step count n* up to which no value stepped by :func:`trajectory` reaches ``limit``.
+
+    ``peak`` is ``max|u0|`` of the data stepped, and ``growth`` a factor
+    each step may add on top of the stencil: rounding the state to p
+    significant bits after a step grows it by at most 1 + 2^-p.  A narrow
+    step sums w = ``offsets.size`` rounded products, so (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, sec. 3.1)
+    ``max|fl(C v)| <= ||C|| (1 + u)^w max|v|``, u = 2^-53.  After n steps
+    every value is therefore within ``peak * rho^n``, with
+    ``rho = ||C|| (1 + u)^w growth``, plus at most ``2^-1000 * max(1, rho^n)``
+    from the absolute errors of gradual underflow (under 2^-1064 a step)
+    for any n below 2^64.
+
+    n* is ``floor(log(limit / peak) / log(rho))`` with a margin: ``||C||``
+    is rounded up, each logarithm is widened by 2^-40 of its size, and
+    ``peak`` is taken as at least 2^-900, which covers the underflow term.
+    Returns ``math.inf`` when ``peak`` is 0 (zero data stays zero) or
+    rho <= 1.  Returns 0 when ``peak`` is not below ``limit``, and for a
+    full-period stencil: its FFT step rounds in the transform, which this
+    bound does not cover, so its callers check every step.
+    """
+    if not _narrow(s) or not peak < limit:
+        return 0
+    if peak == 0:
+        return math.inf
+    logs = (math.log(limit), -math.log(max(peak, 2.0**-900)))
+    headroom = math.fsum(logs) - 2.0**-40 * math.fsum(map(abs, logs))
+    if headroom <= 0:
+        return 0
+    norm = math.nextafter(math.fsum(np.abs(s.coefficients).tolist()), math.inf)
+    logs = (math.log(norm), s.offsets.size * math.log1p(2.0**-53), math.log1p(growth - 1))
+    log_rho = math.fsum(logs) + 2.0**-40 * math.fsum(map(abs, logs))
+    if log_rho <= 0:
+        return math.inf
+    return math.floor(headroom / log_rho * (1 - 2.0**-40))
 
 
 def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:

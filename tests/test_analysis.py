@@ -498,3 +498,29 @@ class TestConvergence:
             scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, [1e-2, 2.5e-3]
         )
         assert report.converged
+
+    @given(
+        r=st.floats(0.5, 1.0, exclude_min=True),
+        n=st.integers(8, 96),
+        magnitude=st.floats(0, 299.9),
+        n_steps=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Starts a step or two below the limit: n* is 0 or 1 and the checked tail runs.
+    @example(r=1.0, n=8, magnitude=299.9, n_steps=50, seed=0)
+    @example(r=0.75, n=96, magnitude=299.5, n_steps=3, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_unstable_trajectory_matches_a_loop_guarding_every_step(self, r, n, magnitude, n_steps, seed):
+        dx = TWO_PI / n
+        s = ftcs_heat(r * dx**2, dx, n)
+        u = lx.GridFunction(10.0**magnitude * np.random.default_rng(seed).uniform(-1, 1, n))
+        vals, diverged = u.values, False
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n_steps):
+                vals = apply_values(s, vals)
+                if not np.abs(vals).max() <= OVERFLOW_LIMIT:
+                    diverged = True
+                    break
+            got, got_diverged = analysis._run_trajectory(s, u, n_steps)
+        assert got_diverged == diverged
+        assert np.array_equal(got.view(np.int64), vals.view(np.int64))

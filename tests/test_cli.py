@@ -241,6 +241,15 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert "t = 1e-06" in err and "[stability]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("r", ["1e-310", "1e-320", "1e-323"])
+    def test_stability_step_count_past_any_float_exits_2(self, tmp_path, capsys, monkeypatch, r):
+        # r*dx^2 is a subnormal (so t/dt overflows) or underflows to 0.
+        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+        cfg = write_cfg(tmp_path, stability_cfg_with("r", r))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "too many steps" in err and "[stability]" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "section, cause",
         [

@@ -1,7 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from laxlab.analysis import operator_norm
 from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.roundoff import PrecisionSpec, round_to_precision, roundoff_growth_experiment
 from laxlab.schemes import (
+    OVERFLOW_LIMIT,
     StencilScheme,
     apply_power,
     apply_scheme,
@@ -21,6 +24,7 @@ from laxlab.schemes import (
     compose,
     ftcs_heat,
     kernel,
+    overflow_free_steps,
     power,
     trajectory,
 )
@@ -215,6 +219,81 @@ class TestApplyFastPaths:
             batched = apply_values(s, values)
             for row, out in zip(values, batched):
                 assert np.array_equal(out, apply_values(s, row))
+
+
+def _rho(s: StencilScheme, growth: float):
+    """||C|| (1 + 2^-53)^w growth in mpmath at the working precision (a
+    wide one sums the coefficients exactly)."""
+    norm = mpmath.fsum(abs(mpmath.mpf(float(c))) for c in s.coefficients)
+    return norm * (1 + mpmath.mpf(2) ** -53) ** s.offsets.size * growth
+
+
+class TestOverflowFreeSteps:
+    @given(
+        _narrow_stencils(),
+        st.integers(4, 52),
+        st.integers(1, 60),
+        st.integers(-300, 300),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # All-positive coefficients on data of one sign: the bound is nearly met.
+    @example((StencilScheme(np.array([-1, 0, 1]), [0.25, 0.75, 0.5], 0.1, 0.1, "pos", 3), 3),
+             4, 60, 0, True, 0)
+    @settings(max_examples=80, deadline=None)
+    def test_rounded_steps_stay_within_peak_times_rho_to_the_n(
+        self, stencil_n, bits, steps, magnitude, one_sign, seed
+    ):
+        # A limit the bound reaches after about `steps` steps; the data are
+        # stepped and rounded n* times (or `steps` times when n* is inf).
+        s, n = stencil_n
+        spec = PrecisionSpec(bits)
+        growth = 1 + 2.0 ** -(bits + 1)
+        values = 10.0**magnitude * np.random.default_rng(seed).uniform(-1, 1, n)
+        if one_sign:
+            values = np.abs(values)
+        peak = float(np.abs(values).max())
+        with mpmath.workprec(2200):
+            rho = _rho(s, growth)
+            reach = peak * rho**steps if rho > 1 else 2 * peak
+            limit = min(float(reach), sys.float_info.max / spec.split)
+            assume(peak < limit)
+            count = overflow_free_steps(s, peak, limit, growth)
+            if rho > 1:
+                assert count <= steps
+            else:
+                assert count > steps
+            for k, got in zip(range(1, min(count, steps) + 1), trajectory(s, values)):
+                got[...] = round_to_precision(got, spec)
+                top = float(np.abs(got).max())
+                bound = peak * rho**k + mpmath.mpf(2) ** -1000 * max(1, rho**k)
+                assert top <= bound and top < limit
+
+    def test_edge_cases(self):
+        n = 64
+        dx = TWO_PI / n
+        ftcs = ftcs_heat(0.55 * dx**2, dx, n)
+        assert overflow_free_steps(ftcs, 0.0, 1e300) == math.inf
+        assert overflow_free_steps(ftcs, 1e300, 1e300) == 0
+        assert overflow_free_steps(ftcs, 2e300, 1e300) == 0
+        assert overflow_free_steps(ftcs, math.nan, 1e300) == 0
+        # A full-period stencil steps through the FFT, which takes no bound.
+        assert overflow_free_steps(backward_euler_heat(4 * dx**2, dx, n), 1.0, 1e300) == 0
+        # The margin costs at most one step against the exact count.
+        with mpmath.workprec(200):
+            exact = int(mpmath.floor(mpmath.log(1e300) / mpmath.log(_rho(ftcs, 1.0))))
+        assert exact - 1 <= overflow_free_steps(ftcs, 1.0, 1e300) <= exact
+
+    @pytest.mark.parametrize("r", [0.5, 0.3, 1e-3, 1e-12])
+    @pytest.mark.parametrize("bits", [12, 23, 52])
+    def test_stable_ftcs_counts_pass_any_horizon_in_reach(self, r, bits):
+        # 1e6 steps is far past any config in configs/ and the benchmark.
+        n = 256
+        dx = TWO_PI / n
+        s = ftcs_heat(r * dx**2, dx, n)
+        spec = PrecisionSpec(bits)
+        assert overflow_free_steps(s, 1.0, OVERFLOW_LIMIT) > 10**17
+        assert overflow_free_steps(s, 1.0, sys.float_info.max / spec.split, 1 + 2.0 ** -(bits + 1)) > 10**6
 
 
 class TestApplyPower:
