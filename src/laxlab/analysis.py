@@ -4,29 +4,21 @@ The three defining properties of the equivalence-theorem framework are
 turned into finite, falsifiable checks:
 
 * stability: iterated operator norms ||C^n|| over n*dt <= T, against a
-  configurable cap (existence of a uniform bound cannot be observed in a
-  finite experiment, so stable means "never exceeded the cap").  A row
-  whose von Neumann check passes takes each norm from one symbol power,
-  ``sum |irfft(g^n)|`` with g^n in long double; a row that fails it walks
-  the powers through :func:`laxlab.schemes.power` and
-  :func:`laxlab.schemes.compose`, whose coefficient overflow marks the
-  divergence;
+  configurable cap (a uniform bound cannot be observed in a finite
+  experiment, so stable means "never exceeded the cap");
 * consistency: one-step residuals against the exact spectral evolution;
 * convergence: trajectory error at the final time along a refinement
-  path, with an observed order fitted in dx.  A cell whose von Neumann
-  check passes takes its endpoint C^n u from one symbol power,
-  ``irfft(g^n * rfft(u))``; a cell that fails it is stepped n times
-  through :func:`laxlab.schemes.trajectory`, because its blow-up grows
-  from the round-off each step adds, which a single spectral product
-  does not reproduce.
+  path, with an observed order fitted in dx.
 
-For circular-convolution stencils on sup-norm grids the operator norm is
-exactly the sum of absolute coefficients; every norm returned here is
-additionally validated by a witness vector that attains it (for a symbol
-norm, the sign pattern of the coefficients of C^n).  Every
-stencil is built for an N-point grid, so that is the norm of the N x N
-circulant, whose powers wrap mod N (see :mod:`laxlab.schemes`), and von
-Neumann factors are the DFT of the stencil wrapped onto the grid.
+A stability row or convergence cell whose von Neumann check passes reads
+C^n from the stencil's one symbol (see :mod:`laxlab.schemes`).  One that
+fails it walks the powers through :func:`~laxlab.schemes.power` and
+:func:`~laxlab.schemes.compose`, whose coefficient overflow marks the
+divergence (stability), or is stepped n times through
+:func:`~laxlab.schemes.trajectory`, because its blow-up grows from the
+round-off each step adds (convergence).  The sup-norm operator norm of the
+N x N circulant is exactly the sum of absolute coefficients, and every
+norm returned is validated by the sign-pattern witness that attains it.
 """
 from __future__ import annotations
 
@@ -45,7 +37,6 @@ from .grid import (
     resample,
     sample,
     sup_norm,
-    wavenumbers,
 )
 from .schemes import (
     OVERFLOW_LIMIT,
@@ -53,9 +44,9 @@ from .schemes import (
     apply_power,
     apply_values,
     compose,
-    kernel,
     overflow_free_steps,
     power,
+    symbol_powers,
     trajectory,
 )
 from .semigroup import HeatSemigroup, evolve
@@ -80,24 +71,31 @@ __all__ = [
 DEFAULT_STABILITY_THRESHOLD = 10.0
 
 
+def _check_witness(witness: np.ndarray, powers: np.ndarray, totals) -> None:
+    """Raise RuntimeError unless ``max |C^n w|`` matches each norm in ``totals``.
+
+    w is the sign pattern of the coefficients of C^n, which attains the
+    norm at a grid point; C^n w = irfft(rfft(w) * conj(g^n)), g^n a row of
+    ``powers``.  The slack covers a few ulps per transform point.
+    """
+    n = witness.shape[-1]
+    applied = np.fft.irfft(np.fft.rfft(witness) * np.conj(powers.astype(complex)), n=n)
+    attained = np.abs(applied).max(axis=-1)
+    tol = max(1e-12, 64 * n * np.finfo(float).eps) * np.maximum(1.0, totals)
+    if not (np.abs(attained - totals) <= tol).all():
+        raise RuntimeError(f"witness ratios {attained} disagree with norms {totals}")
+
+
 def operator_norm(s: StencilScheme) -> float:
     """Sup-norm operator norm of a periodic stencil: sum of |coefficients|.
 
-    This is the norm of the operator on the stencil's N-point grid.
-    Validated against the witness sign pattern, which attains the norm at
-    a grid point; a mismatch beyond 1e-12 relative raises RuntimeError.
+    This is the norm of the operator on the stencil's N-point grid,
+    validated by :func:`_check_witness`.
     """
     total = math.fsum(np.abs(s.coefficients).tolist())
-    n = s.period
-    witness = np.ones(n)
-    witness[np.mod(s.offsets, n)] = np.where(s.coefficients < 0, -1.0, 1.0)
-    attained = float(np.max(np.abs(apply_values(s, witness))))
-    # FFT-based application rounds at a few ulps per transform point.
-    tol = max(1e-12, 64 * n * np.finfo(float).eps) * max(1.0, total)
-    if abs(attained - total) > tol:
-        raise RuntimeError(
-            f"witness ratio {attained} disagrees with coefficient sum {total}"
-        )
+    witness = np.ones(s.period)
+    witness[np.mod(s.offsets, s.period)] = np.where(s.coefficients < 0, -1.0, 1.0)
+    _check_witness(witness, 1 + s.symbol_minus_one, total)
     return total
 
 
@@ -136,37 +134,23 @@ class StabilityReport:
 
 
 # Grid points transformed per irfft call, over several sampled powers: the
-# rows share the call's overhead, and each long double temporary of the
-# batch (up to 32 bytes an entry) stays near 128 kB, so peak memory does not
-# grow with N.
+# rows share the call's overhead, and each long double temporary (up to 32
+# bytes an entry) stays near 128 kB, so peak memory does not grow with N.
 _NORM_BATCH = 4096
 
 
 def _symbol_norms(s: StencilScheme, steps: list) -> list:
-    """||C^n|| = sum |irfft(g^n)| for each n in ``steps``, g = rfft(kernel).
+    """||C^n|| = sum |irfft(g^n)| for each n in ``steps``, g the stencil's symbol.
 
-    Everything up to the coefficients of C^n is in ``np.longdouble``, as
-    in :func:`~laxlab.schemes.apply_power`.  A run of consecutive n (the
-    dense head of :func:`sample_steps`, n <= 65) is a running product of
-    g, off by about n ulps of long double.  Every other g^n is
-    ``exp(n log g)``, with log g taken from h = g - 1, the transform of
-    the kernel minus the identity: where g is 1 - 1e-18 (a small r), g
-    itself keeps only a few bits of h, and the 1e18 steps such a row
-    samples would multiply that error into every mode.  Each norm is
-    validated like :func:`operator_norm`: the sign pattern w of the
-    coefficients must give ``max |C^n w|`` equal to the norm, here
-    ``irfft(rfft(w) * conj(g^n))`` in double precision.
+    Everything up to the coefficients of C^n is in ``np.longdouble``.  A
+    run of consecutive n (the dense head of :func:`sample_steps`, n <= 65)
+    is a running product of g, off by about n ulps of long double; every
+    other g^n comes from :func:`~laxlab.schemes.symbol_powers`.  Each norm
+    is validated like :func:`operator_norm`, by :func:`_check_witness` on
+    the sign pattern of the coefficients of C^n.
     """
     n = s.period
-    minus_identity = kernel(s).astype(np.longdouble)
-    minus_identity[0] -= 1
-    h = np.fft.rfft(minus_identity)
-    g = 1 + h
-    # log g = log|1 + h| + i arg(1 + h), from h itself rather than from the
-    # rounded g; a mode with g = 0 gets log|g| = -inf and g^n = 0.
-    with np.errstate(divide="ignore"):
-        log_abs = np.log1p(h.real * (2 + h.real) + h.imag**2) / 2
-    arg = np.arctan2(h.imag, 1 + h.real)
+    g = 1 + s.symbol_minus_one
     norms = []
     last_n, last = 0, np.ones_like(g)
     rows = max(1, _NORM_BATCH // n)
@@ -175,17 +159,11 @@ def _symbol_norms(s: StencilScheme, steps: list) -> list:
         if chunk[-1] - last_n == len(chunk):
             powers = last * np.cumprod(np.broadcast_to(g, (len(chunk), g.size)), axis=0)
         else:
-            ns = np.array(chunk, dtype=np.longdouble)[:, None]
-            powers = np.exp(ns * log_abs) * (np.cos(ns * arg) + 1j * np.sin(ns * arg))
+            powers = symbol_powers(s, chunk)
         last_n, last = chunk[-1], powers[-1]
         coeffs = np.fft.irfft(powers, n=n)
         totals = np.abs(coeffs).sum(axis=1).astype(float)
-        witness = np.where(coeffs < 0, -1.0, 1.0)
-        applied = np.fft.irfft(np.fft.rfft(witness) * np.conj(powers.astype(complex)), n=n)
-        attained = np.abs(applied).max(axis=1)
-        tol = max(1e-12, 64 * n * np.finfo(float).eps) * np.maximum(1.0, totals)
-        if not (np.abs(attained - totals) <= tol).all():
-            raise RuntimeError(f"witness ratios {attained} disagree with norms {totals}")
+        _check_witness(np.where(coeffs < 0, -1.0, 1.0), powers, totals)
         norms.extend(totals.tolist())
     return norms
 
@@ -261,16 +239,15 @@ class VonNeumannReport:
 def von_neumann_check(s: StencilScheme) -> VonNeumannReport:
     """Scan all modes of the stencil's grid; pass iff max |g(k)| <= 1.
 
-    Every |g(k)| comes from one FFT of the stencil wrapped onto the grid.
-    A 1e-12 slack absorbs rounding in the transform.
+    |g| is ``|1 + h|`` of the stencil's symbol, whose mode k is the factor
+    at wavenumber -k (reported so, to stay in :func:`~laxlab.grid.wavenumbers`);
+    |g(k)| = |g(-k)|, so modes 0..N//2 cover the grid.  A 1e-12 slack
+    absorbs rounding in the transform.
     """
-    n = s.period
-    ks = wavenumbers(n)
-    mags = np.abs(np.fft.fft(kernel(s)))[np.mod(ks, n)]
-    i = int(np.argmax(mags))
-    best, best_k = float(mags[i]), int(ks[i])
-    passed = best <= 1.0 + 1e-12
-    return VonNeumannReport(max_abs_g=best, wavenumber=best_k, passed=passed)
+    mags = np.abs(1 + s.symbol_minus_one)
+    k = int(np.argmax(mags))
+    best = float(mags[k])
+    return VonNeumannReport(max_abs_g=best, wavenumber=-k, passed=best <= 1.0 + 1e-12)
 
 
 def consistency_check(s: StencilScheme, sg: HeatSemigroup, u: GridFunction, ts):
@@ -363,22 +340,16 @@ def convergence_experiment(
     :func:`scheme_builder`).  Each cell takes n = round(T/dt) steps and is
     compared with the exact evolution at n*dt, so the final-time mismatch
     stays within dt/2.  A cell whose von Neumann check passes gets C^n u
-    from :func:`~laxlab.schemes.apply_power` (one transform pair); a cell
-    that fails it is stepped one step at a time, so that the round-off
-    each step feeds in grows as it does in a real run.  A cell diverges
-    when its values pass ``OVERFLOW_LIMIT``.  A stable circulant keeps
-    ``||C^n u|| <= sqrt(N) ||u||``, so checking only the endpoint of a
-    stable cell misses no overflow of the steps in between; a stepped cell
-    is checked at every step past the count up to which
-    :func:`~laxlab.schemes.overflow_free_steps` proves its values stay
-    below the limit (every step, for a full-period stencil).  Convergence
-    means: all errors finite, decreasing monotonically up to 10% jitter,
-    and the finest error below ``tol_rel * ||u||``.  The observed order is
-    the log-log slope of error against dx over at least three cells, and
-    None unless the errors are all finite and monotone in that sense.  The
-    compactness diameter is the max pairwise sup-distance among trajectory
-    endpoints and the exact solution, measured after trigonometric
-    resampling to the finest grid.
+    from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
+    ``||C^n u|| <= sqrt(N) ||u||``, so checking only its endpoint against
+    ``OVERFLOW_LIMIT`` misses no overflow in between.  A cell that fails it
+    is stepped by :func:`_run_trajectory`.  Convergence means: all errors
+    finite, decreasing monotonically up to 10% jitter, and the finest error
+    below ``tol_rel * ||u||``.  The observed order is the log-log slope of
+    error against dx over at least three cells, and None unless the errors
+    are all finite and monotone in that sense.  The compactness diameter is
+    the max pairwise sup-distance among trajectory endpoints and the exact
+    solution, measured after trigonometric resampling to the finest grid.
     """
     dts = sorted(dts, reverse=True)
     if not dts:

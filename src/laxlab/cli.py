@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import analysis, roundoff, ubp
 from .errors import ConfigError, InvalidGridError, LaxlabError
-from .grid import RefinementPath, TWO_PI, parse_probe, sample
+from .grid import MAX_GRID_N, RefinementPath, TWO_PI, parse_probe, sample
 from .semigroup import HeatSemigroup
 
 __all__ = ["run", "main"]
@@ -101,7 +101,7 @@ _POSITIVES = (_floats, _positive)
 _SCHEMA = {
     "stability": {
         "scheme": _SCHEME,
-        "grid_n": (int, lambda v: v >= 4),
+        "grid_n": (int, lambda v: 4 <= v <= MAX_GRID_N),
         "r": _POSITIVES,
         "t": _POSITIVE,
         "threshold": (*_POSITIVE, analysis.DEFAULT_STABILITY_THRESHOLD),

@@ -19,8 +19,13 @@ from .errors import DivergedValueError, InvalidGridError
 
 TWO_PI = 2.0 * math.pi
 
+# The finest grid a refinement cell or stability row may ask for: a desk-scale
+# run has N in the thousands, and a cell past this is a config error.
+MAX_GRID_N = 2**16
+
 __all__ = [
     "TWO_PI",
+    "MAX_GRID_N",
     "GridFunction",
     "RefinementPath",
     "Probe",
@@ -356,9 +361,13 @@ class RefinementPath:
 
         Flooring N keeps the actual spacing at or above the path target, so a
         path at or below the CFL boundary never lands on the unstable side.
-        Returns (n, dx).
+        Returns (n, dx).  A target that would need more than
+        :data:`MAX_GRID_N` points (or underflows to 0) raises
+        :class:`InvalidGridError`.
         """
         target = self.dx_for(dt)
+        if not (target > 0 and domain_length / target <= MAX_GRID_N):
+            raise InvalidGridError(f"dx target {target} too fine: more than {MAX_GRID_N} points")
         n = int(math.floor(domain_length / target))
         if n < 4:
             raise InvalidGridError(f"dx target {target} too coarse for the domain")

@@ -5,13 +5,9 @@ side by side: one at full working precision, one whose state is rounded
 to a reduced significand after every time step.  Their sup-norm gap
 isolates round-off propagation from truncation error.  ``significand_bits``
 counts stored fraction bits (IEEE convention), so 52 bits reproduces
-double precision and the rounding becomes a no-op.  The rounding is
-Veltkamp's three-operation split, with a ``frexp`` fallback near the top of
-the double range.  The twins' finiteness is checked at sample points, and
-at every step past the count up to which an a-priori bound
-(:func:`~laxlab.schemes.overflow_free_steps`) proves the rounded twin
-stays below the split's overflow threshold; a full-period stencil has no
-such bound and is checked every step.
+double precision and the rounding becomes a no-op (see
+:func:`round_to_precision`; the twins' checks are described in
+:func:`roundoff_growth_experiment`).
 """
 from __future__ import annotations
 

@@ -10,11 +10,14 @@ full-period stencil obtained from the inverse circulant.
 Every stencil is built for an N-point grid (``period=N``) and is the
 N x N circulant: its offsets are read mod N, and its powers and
 compositions are folded mod N, so they never grow wider than the grid.
+The DFT diagonalises such a circulant, so everything spectral (von Neumann
+factors, the FFT step, C^n u, exact norms) reads one symbol per stencil.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ __all__ = [
     "apply_values",
     "apply_power",
     "trajectory",
-    "kernel",
+    "symbol_powers",
     "compose",
     "power",
     "overflow_free_steps",
@@ -82,6 +85,24 @@ class StencilScheme:
     def courant_ratio(self) -> float:
         return self.dt / self.dx**2
 
+    @cached_property
+    def symbol_minus_one(self) -> np.ndarray:
+        """h = g - 1 over modes 0..N//2, read-only long double, taken once.
+
+        g = rfft(kernel), the kernel being the stencil wrapped onto its grid
+        (entry ``o mod N`` holds c_o), is the DFT symbol: C u =
+        irfft(rfft(u) * conj(g)), and g at mode k is the von Neumann factor
+        at wavenumber -k.  h is the transform of the kernel minus the
+        identity, so it keeps its bits where g is 1 - 1e-18.
+        """
+        n = self.period
+        minus_identity = np.zeros(n, np.longdouble)
+        minus_identity[np.mod(self.offsets, n)] = self.coefficients
+        minus_identity[0] -= 1
+        h = np.fft.rfft(minus_identity)
+        h.setflags(write=False)
+        return h
+
 
 def ftcs_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
     """Explicit heat scheme u + (u(x+dx) - 2u + u(x-dx)) dt/dx^2 on ``grid_n`` points.
@@ -128,15 +149,6 @@ def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
     )
 
 
-def kernel(s: StencilScheme) -> np.ndarray:
-    """The stencil wrapped onto its grid: length N, entry ``o mod N`` holds c_o.
-
-    Offsets are distinct mod N (the width is at most N), so every entry
-    holds one coefficient and the values are the coefficients unrounded.
-    """
-    return np.bincount(np.mod(s.offsets, s.period), weights=s.coefficients, minlength=s.period)
-
-
 def _check_grid(s: StencilScheme, values: np.ndarray) -> None:
     if values.shape[-1] != s.period:
         raise InvalidGridError(f"stencil built for {s.period} points applied to {values.shape[-1]}")
@@ -153,22 +165,21 @@ def trajectory(s: StencilScheme, values: np.ndarray):
     over the offset axis in offset order: three numpy calls a step, with
     the roundings of ``sum_m c_m * roll(u, -o_m)`` (only a sum that is
     exactly zero may come out as -0.0 instead of +0.0).  A full-period
-    stencil is a product with the kernel FFT, taken once.  Each step
+    stencil steps as ``irfft(rfft(v) * conj(g), n=N)``, with the double
+    factor conj(g) formed once from the stencil's symbol.  Each step
     reads the array yielded before it, so a caller may change that array
     in place (the twins round it) before resuming; the generator never
     writes to ``values`` or to an array it has yielded.  The stepper checks
-    no value: its callers guard against overflow only past the step count
-    of :func:`overflow_free_steps`, and every step of a full-period
-    stencil.  Data on another grid raises :class:`InvalidGridError` when
-    the first step is taken.
+    no value (see :func:`overflow_free_steps`).  Data on another grid
+    raises :class:`InvalidGridError` when the first step is taken.
     """
     values = np.asarray(values, dtype=float)
     _check_grid(s, values)
     n = s.period
     if not _narrow(s):
-        symbol = np.conj(np.fft.fft(kernel(s)))
+        factor = np.conj(1 + s.symbol_minus_one).astype(complex)
         while True:
-            values = np.fft.ifft(np.fft.fft(values) * symbol).real
+            values = np.fft.irfft(np.fft.rfft(values) * factor, n=n)
             yield values
     index = np.mod(np.arange(n) + s.offsets[:, None], n)
     coef = s.coefficients[:, None]
@@ -232,23 +243,35 @@ def apply_values(s: StencilScheme, values: np.ndarray) -> np.ndarray:
     return next(trajectory(s, values))
 
 
-def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
-    """C^n applied to samples of shape ``(..., N)``: ``irfft(g^n * rfft(u))``.
+def symbol_powers(s: StencilScheme, ns) -> np.ndarray:
+    """Rows g^n = exp(n log|g|) cis(n arg g), one per n in ``ns``, in long double.
 
-    The DFT diagonalises the circulant, with symbol g = conj(rfft(kernel)).
-    g and g^n are formed in ``np.longdouble``: raising g to the n-th power
-    multiplies its relative error by n, and a double-precision g (several
-    ulps off where N has a large prime factor) drifted ~3n ulps from the
-    exact C^n.  In extended precision g^n rounds to double within a few
-    ulps for n in the thousands, so the result is C^n up to the rounding of
-    one transform pair.  :func:`trajectory` rounds after every step
-    instead; callers that need that per-step round-off (the round-off
-    experiments, and unstable trajectories, whose blow-up grows from it)
-    step through it.
+    log g is taken from h = :attr:`StencilScheme.symbol_minus_one`, not
+    from the rounded g.  Raising g to the n-th power multiplies its
+    relative error by n: a double g (several ulps off where N has a large
+    prime factor) drifted ~3n ulps from the exact C^n, and a g of
+    1 - 1e-18 (small r) keeps few bits of h, which 1e18 steps would
+    multiply into every mode.  From h in extended precision, g^n rounds to
+    double within a few ulps.  A mode with g = 0 gets g^n = 0.
+    """
+    h = s.symbol_minus_one
+    with np.errstate(divide="ignore"):
+        log_abs = np.log1p(h.real * (2 + h.real) + h.imag**2) / 2
+    arg = np.arctan2(h.imag, 1 + h.real)
+    ns = np.array(ns, dtype=np.longdouble)[:, None]
+    return np.exp(ns * log_abs) * (np.cos(ns * arg) + 1j * np.sin(ns * arg))
+
+
+def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
+    """C^n applied to samples of shape ``(..., N)``: ``irfft(rfft(u) * conj(g^n))``.
+
+    With g^n from :func:`symbol_powers`, this is C^n up to one transform
+    pair's rounding.  Callers that need the round-off of every step (the
+    round-off twins, unstable trajectories) step through :func:`trajectory`.
     """
     _check_grid(s, values)
-    g = np.conj(np.fft.rfft(kernel(s).astype(np.longdouble)))
-    return np.fft.irfft(np.fft.rfft(values) * (g**n).astype(complex), n=s.period)
+    factor = np.conj(symbol_powers(s, [n])[0]).astype(complex)
+    return np.fft.irfft(np.fft.rfft(values) * factor, n=s.period)
 
 
 def apply_scheme(s: StencilScheme, u: GridFunction) -> GridFunction:

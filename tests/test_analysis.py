@@ -283,7 +283,7 @@ class TestVonNeumann:
         assert von_neumann_check(s).max_abs_g == 2.0
         assert von_neumann_symbol(s, n // 2) == pytest.approx(-2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [15, 16, 33])
+    @pytest.mark.parametrize("n", [6, 7, 15, 16, 33, 64])
     def test_fft_scan_matches_mode_by_mode_symbols(self, n):
         dx = 1.0 / n
         for s in (
@@ -296,6 +296,7 @@ class TestVonNeumann:
         ):
             mags = [abs(von_neumann_symbol(s, int(k))) for k in lx.wavenumbers(n)]
             report = von_neumann_check(s)
+            assert report.wavenumber in lx.wavenumbers(n)
             assert report.max_abs_g == pytest.approx(max(mags), abs=1e-12)
             assert mags[list(lx.wavenumbers(n)).index(report.wavenumber)] == pytest.approx(
                 max(mags), abs=1e-12

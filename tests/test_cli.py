@@ -174,7 +174,9 @@ bits = 12
         assert body("2", "c") != first
 
 
-BAD_VALUES = [("scheme", "crank"), ("grid_n", "abc"), ("r", "-0.3"), ("t", "0")]
+BAD_VALUES = [
+    ("scheme", "crank"), ("grid_n", "abc"), ("grid_n", "100000000"), ("r", "-0.3"), ("t", "0"),
+]
 
 
 def stability_cfg_with(key, value):
@@ -259,8 +261,21 @@ class TestBadValues:
              "path = table 1e-2=0.5\n", "not in refinement table"),
             ("[consistency broadband]\nscheme = ftcs\nprobe = random_uniform(1)\nr = 0.5\n"
              "dts = 1e-3\nts = 0.0\n", "band-limited"),
+            # Past MAX_GRID_N points: N ~ 4e155, a target that underflows to 0,
+            # and one whose L/target overflows.
+            ("[convergence fine-cfl]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-310\n"
+             "path = cfl\n", "too fine"),
+            ("[roundoff fine-r05]\nscheme = ftcs\nprobe = sine(1)\nt = 1\n"
+             "dts = 1e-310, 1e-2, 5e-3, 2.5e-3\npath = fixed_r 0.5\nbits = 12\n", "too fine"),
+            ("[convergence underflow]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-4\n"
+             "path = power 1 100\n", "too fine"),
+            ("[convergence overflow]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-3\n"
+             "path = power 1e-300 3\n", "too fine"),
         ],
-        ids=["path-too-coarse", "table-lacks-dt", "probe-not-band-limited"],
+        ids=[
+            "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
+            "fixed-r-past-max-grid", "target-underflows", "n-overflows",
+        ],
     )
     def test_unusable_grid_exits_2(self, tmp_path, capsys, monkeypatch, section, cause):
         # Each value is in range; only together do they choose an unusable grid.

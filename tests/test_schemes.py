@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from conftest import EXTENDED_FFT, _circulant_power_ld
-from laxlab.analysis import operator_norm
+from laxlab.analysis import operator_norm, von_neumann_symbol
 from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.roundoff import PrecisionSpec, round_to_precision, roundoff_growth_experiment
 from laxlab.schemes import (
@@ -23,7 +23,6 @@ from laxlab.schemes import (
     backward_euler_heat,
     compose,
     ftcs_heat,
-    kernel,
     overflow_free_steps,
     power,
     trajectory,
@@ -196,15 +195,24 @@ class TestApplyFastPaths:
 
     @pytest.mark.parametrize("n, r", [(33, 0.7), (127, 4.0), (444, 4.0)])
     def test_full_period_steps_bitwise_equal_per_step_kernel_fft(self, n, r):
-        # The formula that took the kernel FFT on every step, written out.
+        # The step written out from the coefficients: the long double kernel
+        # minus the identity, transformed, plus one, conjugated, in double.
         dx = TWO_PI / n
         s = backward_euler_heat(r * dx**2, dx, n)
         assert s.offsets.size > 32  # the FFT path
+        minus_identity = np.zeros(n, np.longdouble)
+        minus_identity[np.mod(s.offsets, n)] = s.coefficients
+        minus_identity[0] -= 1
+        factor = np.conj(1 + np.fft.rfft(minus_identity)).astype(complex)
         values = np.random.default_rng(n).uniform(-1, 1, (2, n))
         expected = values
-        for got in islice(trajectory(s, values), 6):
-            expected = np.fft.ifft(np.fft.fft(expected) * np.conj(np.fft.fft(kernel(s)))).real
+        for k, got in enumerate(islice(trajectory(s, values), 6), start=1):
+            expected = np.fft.irfft(np.fft.rfft(expected) * factor, n=n)
             assert np.array_equal(got, expected)
+            # Each step adds at most one transform pair's rounding.
+            exact = values.astype(np.longdouble) @ _circulant_power_ld(s, k).T
+            bound = k * 8 * math.log2(n) * np.finfo(float).eps * np.max(np.abs(values))
+            assert np.max(np.abs(got - exact)) <= bound
 
     @given(st.integers(4, 200), st.floats(0.05, 8.0), st.integers(0, 2**32 - 1))
     @example(33, 0.7, 0)
@@ -294,6 +302,55 @@ class TestOverflowFreeSteps:
         spec = PrecisionSpec(bits)
         assert overflow_free_steps(s, 1.0, OVERFLOW_LIMIT) > 10**17
         assert overflow_free_steps(s, 1.0, sys.float_info.max / spec.split, 1 + 2.0 ** -(bits + 1)) > 10**6
+
+
+@st.composite
+def _backward_euler_stencils(draw):
+    n = draw(st.integers(4, 70))
+    return backward_euler_heat(draw(st.floats(0.01, 20.0)), 1.0, n), n
+
+
+class TestSymbol:
+    @given(st.one_of(_narrow_stencils(), _backward_euler_stencils()))
+    @example((ftcs_heat(0.75, 1.0, 16), 16))
+    @example((backward_euler_heat(4.0, 1.0, 33), 33))
+    @settings(max_examples=60)
+    def test_matches_mode_by_mode_von_neumann_factors(self, stencil_n):
+        # Mode k of the symbol is the factor at wavenumber -k.
+        s, n = stencil_n
+        g = 1 + s.symbol_minus_one
+        assert g.shape == (n // 2 + 1,)
+        tol = 1e-13 * math.fsum(np.abs(s.coefficients).tolist())
+        for k, gk in enumerate(g):
+            assert abs(complex(gk) - von_neumann_symbol(s, -k)) <= tol
+
+    def test_is_read_only_and_taken_once(self):
+        s = backward_euler_heat(4.0, 1.0, 64)
+        h = s.symbol_minus_one
+        with pytest.raises(ValueError, match="read-only"):
+            h[0] = 0
+        apply_power(s, np.ones(64), 3)
+        next(trajectory(s, np.ones(64)))
+        assert s.symbol_minus_one is h
+
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(
+        st.one_of(_narrow_stencils(), _backward_euler_stencils()).filter(lambda sn: sn[1] <= 64),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((ftcs_heat(0.25, 1.0, 16), 16), 7, 0)  # a mode with g = 0
+    @settings(max_examples=40)
+    def test_apply_power_matches_dense_powers(self, stencil_n, steps, seed):
+        # Scaled to sum |c| <= 1, so every |g| <= 1 and C^n stays bounded;
+        # one transform pair's rounding is all apply_power may add.
+        s, n = stencil_n
+        total = math.fsum(np.abs(s.coefficients).tolist())
+        s = StencilScheme(s.offsets, s.coefficients / max(1.0, total), s.dt, s.dx, s.name, period=n)
+        u = np.random.default_rng(seed).uniform(-1, 1, n)
+        exact = _circulant_power_ld(s, steps) @ u.astype(np.longdouble)
+        bound = 8 * max(1, math.log2(n)) * np.finfo(float).eps * np.max(np.abs(u))
+        assert np.max(np.abs(apply_power(s, u, steps) - exact)) <= bound
 
 
 class TestApplyPower:
