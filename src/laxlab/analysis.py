@@ -43,7 +43,9 @@ from .schemes import (
     StencilScheme,
     apply_power,
     apply_values,
+    backward_euler_heat,
     compose,
+    ftcs_heat,
     overflow_free_steps,
     power,
     symbol_powers,
@@ -99,9 +101,13 @@ def operator_norm(s: StencilScheme) -> float:
     return total
 
 
-def loglog_slope(pairs) -> float:
-    """Least-squares slope of log(y) against log(x) over (x, y) pairs."""
-    return float(np.polyfit(np.log([x for x, _ in pairs]), np.log([y for _, y in pairs]), 1)[0])
+def loglog_slope(pairs, min_points: int) -> float | None:
+    """Least-squares slope of log(y) against log(x) over the (x, y) pairs with
+    finite y > 0; None when fewer than ``min_points`` such pairs are left."""
+    kept = [(x, y) for x, y in pairs if 0 < y < math.inf]
+    if len(kept) < min_points:
+        return None
+    return float(np.polyfit(np.log([x for x, _ in kept]), np.log([y for _, y in kept]), 1)[0])
 
 
 def sample_steps(n_max: int, dense: int) -> list:
@@ -297,13 +303,17 @@ class ConvergenceReport:
 
 def scheme_builder(name: str):
     """Map a scheme name to a (dt, dx, grid_n) -> StencilScheme factory."""
-    from .schemes import backward_euler_heat, ftcs_heat
-
     if name == "ftcs":
         return ftcs_heat
     if name == "backward_euler":
         return backward_euler_heat
     raise ValueError(f"unknown scheme: {name!r}")
+
+
+def _diameter(cloud) -> float:
+    """Max pairwise sup-distance among rows: per point, max - min is the largest
+    rounded |a - b| bit for bit, since a rounded difference is monotone in each."""
+    return float(np.ptp(cloud, axis=0).max())
 
 
 def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
@@ -356,7 +366,6 @@ def convergence_experiment(
         raise ValueError("need at least one dt")
     cells = []
     endpoints = []
-    finest = None
     for dt in dts:
         grid_n, dx = path.grid_for(dt, domain_length)
         s = builder(dt, dx, grid_n)
@@ -387,16 +396,13 @@ def convergence_experiment(
                 diverged=diverged,
             )
         )
-        finest = (grid_n, u)
 
     errors = [c.error for c in cells]
     monotone = all(errors[i + 1] <= errors[i] * 1.1 for i in range(len(errors) - 1))
     all_finite = all(math.isfinite(e) for e in errors)
-    positive = [(c.dx, c.error) for c in cells if c.error > 0]
-    fit = all_finite and monotone and len(positive) >= 3
-    observed_order = loglog_slope(positive) if fit else None
-    probe_norm = sup_norm(finest[1])
-    converged = all_finite and monotone and errors[-1] < tol_rel * probe_norm
+    settled = all_finite and monotone
+    observed_order = loglog_slope([(c.dx, c.error) for c in cells], 3) if settled else None
+    converged = settled and errors[-1] < tol_rel * sup_norm(u)
 
     if not all_finite:
         diameter = math.inf
@@ -405,11 +411,7 @@ def convergence_experiment(
         resampled = [resample(ep, n_max).values for ep in endpoints]
         sg = HeatSemigroup(horizon_t=horizon_t, grid_n=n_max, domain_length=domain_length)
         exact_fine = evolve(sg, sample(probe, n_max, domain_length), horizon_t)
-        cloud = resampled + [exact_fine.values]
-        diameter = 0.0
-        for i in range(len(cloud)):
-            for j in range(i + 1, len(cloud)):
-                diameter = max(diameter, float(np.max(np.abs(cloud[i] - cloud[j]))))
+        diameter = _diameter(resampled + [exact_fine.values])
 
     return ConvergenceReport(
         path=path,

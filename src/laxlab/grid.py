@@ -93,10 +93,6 @@ class Probe:
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def max_wavenumber(self) -> int | None:
-        """Largest Fourier mode present, or None if broadband."""
-        return None
-
     def __add__(self, other: "Probe") -> "Mixture":
         return Mixture((self, other))
 
@@ -109,12 +105,6 @@ class Sine(Probe):
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(self.wavenumber * x)
 
-    def max_wavenumber(self) -> int:
-        return abs(self.wavenumber)
-
-    def __str__(self) -> str:
-        return f"sine({self.wavenumber})"
-
 
 @dataclass(frozen=True)
 class Cosine(Probe):
@@ -124,12 +114,6 @@ class Cosine(Probe):
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude * np.cos(self.wavenumber * x)
 
-    def max_wavenumber(self) -> int:
-        return abs(self.wavenumber)
-
-    def __str__(self) -> str:
-        return f"cosine({self.wavenumber})"
-
 
 @dataclass(frozen=True)
 class Constant(Probe):
@@ -137,12 +121,6 @@ class Constant(Probe):
 
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(x, self.value)
-
-    def max_wavenumber(self) -> int:
-        return 0
-
-    def __str__(self) -> str:
-        return f"constant({self.value:g})"
 
 
 @dataclass(frozen=True)
@@ -155,9 +133,6 @@ class PointMass(Probe):
         vals = np.zeros_like(x)
         vals[self.index % x.size] = 1.0
         return vals
-
-    def __str__(self) -> str:
-        return f"point_mass({self.index})"
 
 
 @dataclass(frozen=True)
@@ -174,9 +149,6 @@ class RandomUniform(Probe):
         rng = np.random.default_rng(self.seed)
         return rng.uniform(-1.0, 1.0, size=x.size)
 
-    def __str__(self) -> str:
-        return f"random_uniform({self.seed})"
-
 
 @dataclass(frozen=True)
 class Mixture(Probe):
@@ -188,17 +160,8 @@ class Mixture(Probe):
             out = out + term.evaluate_on(x)
         return out
 
-    def max_wavenumber(self) -> int | None:
-        ks = [t.max_wavenumber() for t in self.terms]
-        if any(k is None for k in ks):
-            return None
-        return max(ks, default=0)
-
     def __add__(self, other: Probe) -> "Mixture":
         return Mixture(self.terms + (other,))
-
-    def __str__(self) -> str:
-        return "+".join(str(t) for t in self.terms)
 
 
 _PROBE_TERM = re.compile(
@@ -210,10 +173,13 @@ _PROBE_TERM = re.compile(
 def parse_probe(text: str, seed: int = 0) -> Probe:
     """Parse descriptors like ``sine(1)``, ``sine(1)+sine(31)``, ``0.5*cosine(2)``.
 
-    ``random_uniform(k)`` samples with seed ``k + seed``.
+    Terms are split at a ``+`` after a closing parenthesis, so an amplitude
+    may be written ``2e+0``.  A non-finite amplitude or constant raises
+    :class:`InvalidGridError`.  ``random_uniform(k)`` samples with seed
+    ``k + seed``.
     """
     terms = []
-    for chunk in text.split("+"):
+    for chunk in re.split(r"(?<=\))\s*\+", text):
         m = _PROBE_TERM.match(chunk)
         if m is None:
             raise InvalidGridError(f"unparseable probe term: {chunk!r}")
@@ -224,13 +190,16 @@ def parse_probe(text: str, seed: int = 0) -> Probe:
         elif name == "cosine":
             term = Cosine(int(arg), amp)
         elif name == "constant":
-            term = Constant(amp * float(arg if arg else 1.0))
+            amp *= float(arg if arg else 1.0)
+            term = Constant(amp)
         elif name == "point_mass":
             term = PointMass(int(arg))
         elif name == "random_uniform":
             term = RandomUniform(int(arg) + seed)
         else:
             raise InvalidGridError(f"unknown probe kind: {name!r}")
+        if not math.isfinite(amp):
+            raise InvalidGridError(f"non-finite amplitude in probe term: {chunk!r}")
         terms.append(term)
     if len(terms) == 1:
         return terms[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import loglog_slope, sample_steps, von_neumann_check
-from .errors import DivergedValueError
+from .errors import DivergedValueError, InvalidGridError
 from .grid import GridFunction, Probe, RefinementPath, TWO_PI, sample
 from .schemes import overflow_free_steps, trajectory
 
@@ -29,7 +29,13 @@ __all__ = [
     "roundoff_growth_experiment",
     "HalvingSweepReport",
     "halving_sweep",
+    "MAX_TWIN_UPDATES",
 ]
+
+# The most grid-point updates a halving sweep's twins may take (2 N per
+# step, over every cell): a desk-scale sweep takes a few million, and one
+# past this would run for hours.
+MAX_TWIN_UPDATES = 10**8
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,7 @@ def roundoff_growth_experiment(
             samples.append((n, n * s.dt, gap))
             target += 1
 
-    positive = [(n, g) for n, _, g in samples if g > 0]
-    exponent_q = loglog_slope(positive) if len(positive) >= 8 else None
+    exponent_q = loglog_slope([(n, g) for n, _, g in samples], 8)
 
     return RoundoffGrowthReport(
         samples=tuple(samples),
@@ -208,15 +213,21 @@ def halving_sweep(
 
     Fits gap ~ dt^(-s); a nonnegative s means refinement does not improve
     the round-off floor.  Needs at least 4 dt values; the fit is skipped
-    when fewer than two gaps are positive (e.g. the 52-bit control).
+    when fewer than two gaps are finite and positive (e.g. the 52-bit
+    control).  Raises :class:`InvalidGridError`, before any cell runs, when
+    the twins would take more than :data:`MAX_TWIN_UPDATES` updates.
     """
     dts = sorted(dts, reverse=True)
     if len(dts) < 4:
         raise ValueError(f"halving_sweep needs >= 4 dt values, got {len(dts)}")
+    grids = [path.grid_for(dt, domain_length) for dt in dts]
+    # In floats: a step count past any float is inf here and fails the check.
+    updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
+    if not updates <= MAX_TWIN_UPDATES:
+        raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_TWIN_UPDATES:.0e}")
     rows = []
     reports = []
-    for dt in dts:
-        grid_n, dx = path.grid_for(dt, domain_length)
+    for dt, (grid_n, dx) in zip(dts, grids):
         s = builder(dt, dx, grid_n)
         u = sample(probe, grid_n, domain_length)
         report = roundoff_growth_experiment(s, u, horizon_t, spec)
@@ -224,8 +235,8 @@ def halving_sweep(
         rows.append((dt, dx, max(1, round(horizon_t / dt)), final))
         reports.append(report)
 
-    positive = [(dt, g) for dt, _, _, g in rows if math.isfinite(g) and g > 0]
-    exponent_s = -loglog_slope(positive) if len(positive) >= 2 else None
+    slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)
+    exponent_s = None if slope is None else -slope
 
     return HalvingSweepReport(
         rows=tuple(rows), exponent_s=exponent_s, growth_reports=tuple(reports)

@@ -500,6 +500,42 @@ class TestConvergence:
         )
         assert report.converged
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_diameter_equals_pairwise_max_bit_for_bit(self, data):
+        m, n = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 4))
+        # Entries drawn from a small shared pool tie across rows; few columns
+        # keep the largest gap from always lying between adjacent rows.
+        values = st.floats(-1e300, 1e300)
+        pool = data.draw(st.lists(values, min_size=1, max_size=4))
+        entries = st.lists(st.sampled_from(pool) | values, min_size=n, max_size=n)
+        cloud = [np.array(data.draw(entries)) for _ in range(m)]
+        pairwise = max(float(np.max(np.abs(a - b))) for i, a in enumerate(cloud) for b in cloud[i + 1 :])
+        assert analysis._diameter(cloud).hex() == pairwise.hex()
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(1, 10**6),
+                st.one_of(
+                    st.floats(-1e300, 1e300),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                ),
+            ),
+            max_size=12,
+            unique_by=lambda p: p[0],
+        ),
+        min_points=st.integers(2, 8),
+    )
+    def test_loglog_slope_fits_only_finite_positive_points(self, pairs, min_points):
+        kept = [(x, y) for x, y in pairs if y > 0 and math.isfinite(y)]
+        got = analysis.loglog_slope(pairs, min_points)
+        if len(kept) < min_points:
+            assert got is None
+        else:
+            xs, ys = zip(*kept)
+            assert got == float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
     @given(
         r=st.floats(0.5, 1.0, exclude_min=True),
         n=st.integers(8, 96),

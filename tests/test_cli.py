@@ -217,6 +217,10 @@ class TestBadValues:
              "bad value"),
             ("[convergence]\nscheme = ftcs\nprobe = random_uniform(-1)\nt = 1\ndts = 1e-2\npath = cfl\n",
              "bad value"),
+            ("[convergence]\nscheme = ftcs\nprobe = 1e309*sine(1)\nt = 1\ndts = 1e-2\npath = cfl\n",
+             "bad value '1e309\\*sine\\(1\\)' for key 'probe'"),
+            ("[convergence]\nscheme = ftcs\nprobe = constant(1e999)\nt = 1\ndts = 1e-2\npath = cfl\n",
+             "bad value 'constant\\(1e999\\)' for key 'probe'"),
             ("[ubp_demo]\nk_range = 0:abc\n", "bad value '0:abc' for key 'k_range'"),
             ("[ubp_demo]\nk_range = 5:2\n", "bad value '5:2' for key 'k_range'"),
             ("[ubp_demo]\nk_range = -3\n", "bad value '-3' for key 'k_range'"),
@@ -227,6 +231,7 @@ class TestBadValues:
         ],
         ids=[
             "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed",
+            "infinite-amplitude", "infinite-constant",
             "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
             "probes-ones-negative", "k-max",
         ],
@@ -271,10 +276,17 @@ class TestBadValues:
              "path = power 1 100\n", "too fine"),
             ("[convergence overflow]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-3\n"
              "path = power 1e-300 3\n", "too fine"),
+            # Round-off twins past MAX_TWIN_UPDATES: ~1.2e12 updates (hours of
+            # stepping), and a step count past any float.
+            ("[roundoff long-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e6\n"
+             "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n", "updates"),
+            ("[roundoff huge-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e308\n"
+             "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n", "updates"),
         ],
         ids=[
             "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
-            "fixed-r-past-max-grid", "target-underflows", "n-overflows",
+            "fixed-r-past-max-grid", "target-underflows", "n-overflows", "twins-past-budget",
+            "twin-steps-past-any-float",
         ],
     )
     def test_unusable_grid_exits_2(self, tmp_path, capsys, monkeypatch, section, cause):

@@ -11,8 +11,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
+    # -W error: a demo that warns fails, as the suite's own tests do.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr

@@ -79,6 +79,27 @@ class TestSample:
         with pytest.raises(InvalidGridError):
             lx.parse_probe("wavelet(3)")
 
+    def test_parse_reads_exponent_signs(self):
+        def samples(text):
+            return lx.sample(lx.parse_probe(text), 64).values
+
+        assert np.array_equal(samples("2e+0*sine(1)"), samples("2*sine(1)"))
+        assert np.array_equal(samples("constant(1e+3)"), np.full(64, 1e3))
+        assert np.array_equal(samples("sine(1) + cosine(2)"), samples("sine(1)+cosine(2)"))
+
+    @pytest.mark.parametrize("text", ["sine(1)+", "sine(1) + ", "+sine(1)", "sine(1)++cosine(2)"])
+    def test_parse_rejects_a_stray_plus(self, text):
+        with pytest.raises(InvalidGridError):
+            lx.parse_probe(text)
+
+    @pytest.mark.parametrize(
+        "text", ["1e309*sine(1)", "-1e309*cosine(2)", "constant(1e999)", "1e200*constant(1e200)",
+                 "sine(1)+1e309*sine(2)"]
+    )
+    def test_parse_rejects_non_finite_amplitudes(self, text):
+        with pytest.raises(InvalidGridError, match="non-finite"):
+            lx.parse_probe(text)
+
 
 class TestSpectralCoefficients:
     def test_sine_mode_one(self):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.analysis import sample_steps, scheme_builder
-from laxlab.errors import DivergedValueError
+from laxlab.errors import DivergedValueError, InvalidGridError
 from laxlab.grid import RefinementPath
 from laxlab.roundoff import (
+    MAX_TWIN_UPDATES,
     PrecisionSpec,
     halving_sweep,
     round_to_precision,
@@ -319,6 +320,16 @@ class TestHalvingSweep:
         assert len(report.rows) == 4
         for dt, dx, n_steps, gap in report.rows:
             assert dt > 0 and dx > 0 and n_steps >= 1 and math.isfinite(gap)
+
+    def test_rejects_work_past_the_budget_before_any_cell_runs(self):
+        # Each cell has N = 31 points and takes 1e6 steps: 2 * 31 * 1e6 * 4 updates.
+        def no_cell(*args):
+            raise AssertionError("a cell was built")
+
+        path = RefinementPath.fixed_ratio(0.25)
+        assert path.grid_for(1e-2)[0] == 31 and 2 * 31 * 1e6 * 4 > MAX_TWIN_UPDATES
+        with pytest.raises(InvalidGridError, match="2.48e\\+08 updates"):
+            halving_sweep(no_cell, path, lx.Sine(1), 1e4, PrecisionSpec(12), [1e-2] * 4)
 
     def test_requires_four_dts(self):
         with pytest.raises(ValueError):
