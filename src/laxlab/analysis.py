@@ -3,8 +3,8 @@
 The three defining properties of the equivalence-theorem framework are
 turned into finite, falsifiable checks:
 
-* stability: iterated operator norms ||C^n|| over n*dt <= T, against a
-  configurable cap (a uniform bound cannot be observed in a finite
+* stability: iterated operator norms ||C^n|| over n*dt <= T, against the
+  cap :data:`STABILITY_CAP` (a uniform bound cannot be observed in a finite
   experiment, so stable means "never exceeded the cap");
 * consistency: one-step residuals against the exact spectral evolution;
 * convergence: trajectory error at the final time along a refinement
@@ -29,17 +29,16 @@ import numpy as np
 
 from .errors import DivergedOperatorError, InvalidGridError
 from .grid import (
+    OVERFLOW_LIMIT,
     GridFunction,
     Probe,
     RefinementPath,
-    TWO_PI,
     is_band_limited,
     resample,
     sample,
     sup_norm,
 )
 from .schemes import (
-    OVERFLOW_LIMIT,
     StencilScheme,
     apply_power,
     apply_values,
@@ -54,7 +53,7 @@ from .schemes import (
 from .semigroup import HeatSemigroup, evolve
 
 __all__ = [
-    "DEFAULT_STABILITY_THRESHOLD",
+    "STABILITY_CAP",
     "operator_norm",
     "StabilityReport",
     "stability_check",
@@ -70,7 +69,7 @@ __all__ = [
 
 # Stable one-step operators in scope have norm 1; unstable ones blow past
 # any cap within tens of steps, so a margin of 10 avoids false negatives.
-DEFAULT_STABILITY_THRESHOLD = 10.0
+STABILITY_CAP = 10.0
 
 
 def _check_witness(witness: np.ndarray, powers: np.ndarray, totals) -> None:
@@ -128,7 +127,6 @@ class StabilityReport:
     norms: tuple  # (n, ||C^n||) pairs; inf marks coefficient overflow
     bound_l: float
     stable: bool
-    threshold: float
     max_abs_g: float  # from the von Neumann check that chose the norm path
 
     def first_exceeding(self, cap: float):
@@ -195,10 +193,9 @@ def _walked_norms(s: StencilScheme, steps: list) -> tuple:
     return norms, False
 
 
-def stability_check(
-    s: StencilScheme, horizon_t: float, threshold: float = DEFAULT_STABILITY_THRESHOLD
-) -> StabilityReport:
-    """Norms of the iterates C^n for n*dt <= T, geometrically subsampled.
+def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
+    """Norms of the iterates C^n for n*dt <= T, geometrically subsampled;
+    stable means no norm passed :data:`STABILITY_CAP`.
 
     A stencil that passes :func:`von_neumann_check` takes every norm from
     its symbol (:func:`_symbol_norms`): no power drifts, because each one
@@ -221,8 +218,7 @@ def stability_check(
         dt=s.dt,
         norms=tuple(zip(steps, norms)),
         bound_l=bound_l,
-        stable=(not diverged) and bound_l <= threshold,
-        threshold=threshold,
+        stable=(not diverged) and bound_l <= STABILITY_CAP,
         max_abs_g=symbol.max_abs_g,
     )
 
@@ -341,21 +337,20 @@ def convergence_experiment(
     probe: Probe,
     horizon_t: float,
     dts,
-    domain_length: float = TWO_PI,
-    tol_rel: float = 1e-3,
 ) -> ConvergenceReport:
     """Trajectory error at the final time along a refinement path.
 
     ``builder`` is a (dt, dx, grid_n) -> StencilScheme factory (see
     :func:`scheme_builder`).  Each cell takes n = round(T/dt) steps and is
     compared with the exact evolution at n*dt, so the final-time mismatch
-    stays within dt/2.  A cell whose von Neumann check passes gets C^n u
-    from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
+    stays within dt/2; a T/dt past any float raises
+    :class:`InvalidGridError`.  A cell whose von Neumann check passes gets
+    C^n u from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
     ``||C^n u|| <= sqrt(N) ||u||``, so checking only its endpoint against
     ``OVERFLOW_LIMIT`` misses no overflow in between.  A cell that fails it
     is stepped by :func:`_run_trajectory`.  Convergence means: all errors
     finite, decreasing monotonically up to 10% jitter, and the finest error
-    below ``tol_rel * ||u||``.  The observed order is the log-log slope of
+    below ``1e-3 * ||u||``.  The observed order is the log-log slope of
     error against dx over at least three cells, and None unless the errors
     are all finite and monotone in that sense.  The compactness diameter is
     the max pairwise sup-distance among trajectory endpoints and the exact
@@ -367,9 +362,11 @@ def convergence_experiment(
     cells = []
     endpoints = []
     for dt in dts:
-        grid_n, dx = path.grid_for(dt, domain_length)
+        grid_n, dx = path.grid_for(dt)
         s = builder(dt, dx, grid_n)
-        u = sample(probe, grid_n, domain_length)
+        u = sample(probe, grid_n)
+        if not horizon_t / dt < math.inf:
+            raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r}")
         n_steps = max(1, round(horizon_t / dt))
         symbol = von_neumann_check(s)
         if symbol.passed:
@@ -381,10 +378,10 @@ def convergence_experiment(
             error = math.inf
             endpoints.append(None)
         else:
-            sg = HeatSemigroup(horizon_t=horizon_t, grid_n=grid_n, domain_length=domain_length)
+            sg = HeatSemigroup(horizon_t=horizon_t, grid_n=grid_n)
             exact = evolve(sg, u, n_steps * dt)
             error = float(np.max(np.abs(vals - exact.values)))
-            endpoints.append(GridFunction(vals, domain_length))
+            endpoints.append(GridFunction(vals))
         cells.append(
             ConvergenceCell(
                 dt=dt,
@@ -402,15 +399,15 @@ def convergence_experiment(
     all_finite = all(math.isfinite(e) for e in errors)
     settled = all_finite and monotone
     observed_order = loglog_slope([(c.dx, c.error) for c in cells], 3) if settled else None
-    converged = settled and errors[-1] < tol_rel * sup_norm(u)
+    converged = settled and errors[-1] < 1e-3 * sup_norm(u)
 
     if not all_finite:
         diameter = math.inf
     else:
         n_max = max(c.grid_n for c in cells)
         resampled = [resample(ep, n_max).values for ep in endpoints]
-        sg = HeatSemigroup(horizon_t=horizon_t, grid_n=n_max, domain_length=domain_length)
-        exact_fine = evolve(sg, sample(probe, n_max, domain_length), horizon_t)
+        sg = HeatSemigroup(horizon_t=horizon_t, grid_n=n_max)
+        exact_fine = evolve(sg, sample(probe, n_max), horizon_t)
         diameter = _diameter(resampled + [exact_fine.values])
 
     return ConvergenceReport(

@@ -104,7 +104,6 @@ _SCHEMA = {
         "grid_n": (int, lambda v: 4 <= v <= MAX_GRID_N),
         "r": _POSITIVES,
         "t": _POSITIVE,
-        "threshold": (*_POSITIVE, analysis.DEFAULT_STABILITY_THRESHOLD),
     },
     "consistency": {
         "scheme": _SCHEME,
@@ -119,7 +118,6 @@ _SCHEMA = {
         "t": _POSITIVE,
         "dts": _POSITIVES,
         "path": _PATH,
-        "tol_rel": (*_POSITIVE, 1e-3),
     },
     "roundoff": {
         "scheme": _SCHEME,
@@ -176,7 +174,7 @@ def _run_stability(items: dict, csv_lines: list, summary: list) -> str:
         if dt == 0 or horizon / dt == math.inf:
             raise ConfigError(f"t = {horizon!r} holds too many steps of r*dx^2 = {dt!r} to count")
         s = builder(dt, dx, grid_n)
-        report = analysis.stability_check(s, horizon, items["threshold"])
+        report = analysis.stability_check(s, horizon)
         n_max = int(math.floor(horizon / dt + 1e-9))
         csv_lines.append(_row(dt, dx, r, n_max, report.bound_l, report.max_abs_g, None, None))
         summary.append(
@@ -213,7 +211,6 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
         items["probe"],
         items["t"],
         items["dts"],
-        tol_rel=items["tol_rel"],
     )
     csv_lines.append(_ANALYSIS_HEADER)
     for cell in report.cells:

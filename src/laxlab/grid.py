@@ -1,7 +1,7 @@
 """Periodic grid functions with the sup-norm.
 
 A :class:`GridFunction` is a uniform sample of a function on the periodic
-interval ``[0, domain_length)``.  It is the concrete, finite-dimensional
+interval ``[0, 2*pi)``.  It is the concrete, finite-dimensional
 stand-in for elements of the normed space in which both exact evolutions
 and finite-difference trajectories live.  All objects here are immutable
 value types: operations return fresh grid functions and never mutate
@@ -23,9 +23,15 @@ TWO_PI = 2.0 * math.pi
 # run has N in the thousands, and a cell past this is a config error.
 MAX_GRID_N = 2**16
 
+# Coefficient and sample magnitudes past this mark gross instability; a typed
+# error keeps infinities out of downstream reports.  No probe starts past it,
+# so a transform of its N <= MAX_GRID_N samples cannot overflow.
+OVERFLOW_LIMIT = 1e300
+
 __all__ = [
     "TWO_PI",
     "MAX_GRID_N",
+    "OVERFLOW_LIMIT",
     "GridFunction",
     "RefinementPath",
     "Probe",
@@ -48,17 +54,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real, finite samples ``values[j] = u(j * dx)`` on a periodic uniform grid."""
+    """Real, finite samples ``values[j] = u(j * dx)``, ``dx = 2*pi / N``."""
 
     values: np.ndarray
-    domain_length: float = TWO_PI
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise InvalidGridError(f"need at least 2 samples, got shape {vals.shape}")
-        if not (self.domain_length > 0):
-            raise InvalidGridError(f"domain_length must be positive, got {self.domain_length}")
         if not np.isfinite(vals).all():
             raise DivergedValueError("non-finite sample in grid function")
         vals.setflags(write=False)
@@ -70,7 +73,7 @@ class GridFunction:
 
     @property
     def dx(self) -> float:
-        return self.domain_length / self.n
+        return TWO_PI / self.n
 
     @property
     def nodes(self) -> np.ndarray:
@@ -128,18 +131,21 @@ class PointMass(Probe):
     """Indicator of a single grid node; the node index is taken modulo N."""
 
     index: int = 0
+    amplitude: float = 1.0
 
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         vals = np.zeros_like(x)
         vals[self.index % x.size] = 1.0
-        return vals
+        return self.amplitude * vals
 
 
 @dataclass(frozen=True)
 class RandomUniform(Probe):
-    """Uniform samples in [-1, 1); deterministic for a fixed seed and N."""
+    """Uniform samples in [-1, 1), times the amplitude; deterministic for a
+    fixed seed and N."""
 
     seed: int = 0
+    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -147,7 +153,7 @@ class RandomUniform(Probe):
 
     def evaluate_on(self, x: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        return rng.uniform(-1.0, 1.0, size=x.size)
+        return self.amplitude * rng.uniform(-1.0, 1.0, size=x.size)
 
 
 @dataclass(frozen=True)
@@ -174,11 +180,14 @@ def parse_probe(text: str, seed: int = 0) -> Probe:
     """Parse descriptors like ``sine(1)``, ``sine(1)+sine(31)``, ``0.5*cosine(2)``.
 
     Terms are split at a ``+`` after a closing parenthesis, so an amplitude
-    may be written ``2e+0``.  A non-finite amplitude or constant raises
-    :class:`InvalidGridError`.  ``random_uniform(k)`` samples with seed
+    may be written ``2e+0``; it scales the samples of any term kind.  A
+    non-finite amplitude or constant raises :class:`InvalidGridError`, and
+    so do amplitudes whose absolute values sum past :data:`OVERFLOW_LIMIT`:
+    that sum bounds every sample.  ``random_uniform(k)`` samples with seed
     ``k + seed``.
     """
     terms = []
+    bound = 0.0
     for chunk in re.split(r"(?<=\))\s*\+", text):
         m = _PROBE_TERM.match(chunk)
         if m is None:
@@ -193,25 +202,28 @@ def parse_probe(text: str, seed: int = 0) -> Probe:
             amp *= float(arg if arg else 1.0)
             term = Constant(amp)
         elif name == "point_mass":
-            term = PointMass(int(arg))
+            term = PointMass(int(arg), amp)
         elif name == "random_uniform":
-            term = RandomUniform(int(arg) + seed)
+            term = RandomUniform(int(arg) + seed, amp)
         else:
             raise InvalidGridError(f"unknown probe kind: {name!r}")
         if not math.isfinite(amp):
             raise InvalidGridError(f"non-finite amplitude in probe term: {chunk!r}")
         terms.append(term)
+        bound += abs(amp)
+    if not bound <= OVERFLOW_LIMIT:
+        raise InvalidGridError(f"probe amplitudes sum to {bound!r}, past {OVERFLOW_LIMIT!r}")
     if len(terms) == 1:
         return terms[0]
     return Mixture(tuple(terms))
 
 
-def sample(probe: Probe, n: int, domain_length: float = TWO_PI) -> GridFunction:
+def sample(probe: Probe, n: int) -> GridFunction:
     """Sample a probe descriptor on an N-point periodic grid."""
     if n < 2:
         raise InvalidGridError(f"grid needs N >= 2, got {n}")
-    x = np.arange(n) * (domain_length / n)
-    return GridFunction(probe.evaluate_on(x), domain_length)
+    x = np.arange(n) * (TWO_PI / n)
+    return GridFunction(probe.evaluate_on(x))
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +240,15 @@ def spectral_coefficients(u: GridFunction) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(u.values)) / u.n
 
 
-def from_spectral_coefficients(coeffs: np.ndarray, domain_length: float = TWO_PI) -> GridFunction:
+def from_spectral_coefficients(coeffs: np.ndarray) -> GridFunction:
     """Inverse of :func:`spectral_coefficients` (real part of the synthesis)."""
     n = len(coeffs)
     vals = np.fft.ifft(np.fft.ifftshift(np.asarray(coeffs))) * n
-    return GridFunction(vals.real, domain_length)
+    return GridFunction(vals.real)
 
 
 def resample(u: GridFunction, n_new: int) -> GridFunction:
-    """Trigonometric resampling onto an ``n_new``-point grid of the same domain.
+    """Trigonometric resampling onto an ``n_new``-point grid.
 
     Rounds exactly as ``scipy.signal.resample`` does on real input.
     """
@@ -246,18 +258,18 @@ def resample(u: GridFunction, n_new: int) -> GridFunction:
     spectrum = np.fft.rfft(u.values)[: m // 2 + 1]
     if m % 2 == 0 and n_new != n:  # the unpaired Nyquist bin folds or splits
         spectrum[m // 2] *= 2.0 if n_new < n else 0.5
-    return GridFunction(np.fft.irfft(spectrum / (n / n_new), n=n_new), u.domain_length)
+    return GridFunction(np.fft.irfft(spectrum / (n / n_new), n=n_new))
 
 
-def is_band_limited(u: GridFunction, max_mode: int, rel_tol: float = 1e-12) -> bool:
-    """True if all modal energy above |k| = max_mode is negligible."""
+def is_band_limited(u: GridFunction, max_mode: int) -> bool:
+    """True if no mode above |k| = max_mode exceeds 1e-12 of the largest."""
     coeffs = spectral_coefficients(u)
     ks = wavenumbers(u.n)
     total = np.max(np.abs(coeffs))
     if total == 0.0:
         return True
     high = np.abs(coeffs[np.abs(ks) > max_mode])
-    return bool(high.size == 0 or np.max(high) <= rel_tol * total)
+    return bool(high.size == 0 or np.max(high) <= 1e-12 * total)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +337,7 @@ class RefinementPath:
                 return tdx
         raise InvalidGridError(f"dt={dt} not in refinement table")
 
-    def grid_for(self, dt: float, domain_length: float = TWO_PI) -> tuple:
+    def grid_for(self, dt: float) -> tuple:
         """Pick the grid size for a sweep cell: largest dx >= alpha(dt).
 
         Flooring N keeps the actual spacing at or above the path target, so a
@@ -335,9 +347,9 @@ class RefinementPath:
         :class:`InvalidGridError`.
         """
         target = self.dx_for(dt)
-        if not (target > 0 and domain_length / target <= MAX_GRID_N):
+        if not (target > 0 and TWO_PI / target <= MAX_GRID_N):
             raise InvalidGridError(f"dx target {target} too fine: more than {MAX_GRID_N} points")
-        n = int(math.floor(domain_length / target))
+        n = int(math.floor(TWO_PI / target))
         if n < 4:
             raise InvalidGridError(f"dx target {target} too coarse for the domain")
-        return n, domain_length / n
+        return n, TWO_PI / n

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import loglog_slope, sample_steps, von_neumann_check
 from .errors import DivergedValueError, InvalidGridError
-from .grid import GridFunction, Probe, RefinementPath, TWO_PI, sample
+from .grid import GridFunction, Probe, RefinementPath, sample
 from .schemes import overflow_free_steps, trajectory
 
 __all__ = [
@@ -207,7 +207,6 @@ def halving_sweep(
     horizon_t: float,
     spec: PrecisionSpec,
     dts,
-    domain_length: float = TWO_PI,
 ) -> HalvingSweepReport:
     """Final round-off gap versus dt along a refinement path.
 
@@ -220,7 +219,7 @@ def halving_sweep(
     dts = sorted(dts, reverse=True)
     if len(dts) < 4:
         raise ValueError(f"halving_sweep needs >= 4 dt values, got {len(dts)}")
-    grids = [path.grid_for(dt, domain_length) for dt in dts]
+    grids = [path.grid_for(dt) for dt in dts]
     # In floats: a step count past any float is inf here and fails the check.
     updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
     if not updates <= MAX_TWIN_UPDATES:
@@ -229,7 +228,7 @@ def halving_sweep(
     reports = []
     for dt, (grid_n, dx) in zip(dts, grids):
         s = builder(dt, dx, grid_n)
-        u = sample(probe, grid_n, domain_length)
+        u = sample(probe, grid_n)
         report = roundoff_growth_experiment(s, u, horizon_t, spec)
         final = math.inf if report.diverged else report.final_gap
         rows.append((dt, dx, max(1, round(horizon_t / dt)), final))

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergedOperatorError, InvalidGridError
-from .grid import GridFunction
+from .grid import OVERFLOW_LIMIT, GridFunction
 
 __all__ = [
     "StencilScheme",
@@ -36,12 +36,7 @@ __all__ = [
     "compose",
     "power",
     "overflow_free_steps",
-    "OVERFLOW_LIMIT",
 ]
-
-# Coefficient magnitudes past this mark gross instability; raising a typed
-# error keeps infinities out of downstream reports.
-OVERFLOW_LIMIT = 1e300
 
 # Stencils wider than this are applied through the FFT instead of shifted sums.
 _FFT_APPLY_CUTOFF = 32
@@ -276,7 +271,7 @@ def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
 
 def apply_scheme(s: StencilScheme, u: GridFunction) -> GridFunction:
     """One time step: circular convolution of the stencil with u."""
-    return GridFunction(apply_values(s, u.values), u.domain_length)
+    return GridFunction(apply_values(s, u.values))
 
 
 def _dense(s: StencilScheme) -> tuple:

@@ -9,7 +9,7 @@ semigroup: every multiplier lies in (0, 1], so the uniform bound is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,35 +29,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HeatSemigroup:
-    """Evolution operators for u_t = u_xx on an N-point periodic grid.
+    """Evolution operators for u_t = u_xx on an N-point grid of ``[0, 2*pi)``.
 
-    ``horizon_t`` is the interval on which the uniform bound ``bound_k``
-    is asserted; evolution past the horizon goes through
+    ``horizon_t`` is the interval on which the contraction bound 1 is
+    asserted; evolution past the horizon goes through
     :func:`extend_evolve`, which composes powers of E(horizon_t).
     """
 
     horizon_t: float
     grid_n: int
-    bound_k: float = 1.0
-    domain_length: float = field(default=2.0 * math.pi)
 
     def __post_init__(self) -> None:
         if not (self.horizon_t > 0):
             raise ValueError(f"horizon_t must be positive, got {self.horizon_t}")
         if self.grid_n < 2:
             raise InvalidGridError(f"grid_n must be >= 2, got {self.grid_n}")
-        if self.bound_k < 1.0:
-            raise ValueError(f"bound_k must be >= 1, got {self.bound_k}")
-
-    def _modes(self) -> np.ndarray:
-        # Integer wavenumbers in FFT order; the fundamental mode has k = 1
-        # only when domain_length = 2*pi, otherwise k scales by 2*pi/L.
-        base = np.fft.fftfreq(self.grid_n) * self.grid_n
-        return base * (2.0 * math.pi / self.domain_length)
 
     def multipliers(self, t: float) -> np.ndarray:
-        """Per-mode factors exp(-k^2 t), in FFT order."""
-        k = self._modes()
+        """Per-mode factors exp(-k^2 t), in FFT order (integer k)."""
+        k = np.fft.fftfreq(self.grid_n) * self.grid_n
         return np.exp(-(k**2) * t)
 
 
@@ -74,7 +64,7 @@ def evolve(sg: HeatSemigroup, u: GridFunction, t: float) -> GridFunction:
     if t == 0.0:
         return u
     spectrum = np.fft.fft(u.values) * sg.multipliers(t)
-    return GridFunction(np.fft.ifft(spectrum).real, u.domain_length)
+    return GridFunction(np.fft.ifft(spectrum).real)
 
 
 def extend_evolve(sg: HeatSemigroup, u: GridFunction, t: float) -> GridFunction:
@@ -97,22 +87,20 @@ def extend_evolve(sg: HeatSemigroup, u: GridFunction, t: float) -> GridFunction:
 
 def spectral_second_derivative(u: GridFunction) -> GridFunction:
     """The generator A = d^2/dx^2 realized as the multiplier -k^2."""
-    n = u.n
-    k = np.fft.fftfreq(n) * n * (2.0 * math.pi / u.domain_length)
+    k = np.fft.fftfreq(u.n) * u.n
     spectrum = np.fft.fft(u.values) * (-(k**2))
-    return GridFunction(np.fft.ifft(spectrum).real, u.domain_length)
+    return GridFunction(np.fft.ifft(spectrum).real)
 
 
 @dataclass(frozen=True)
 class ProperlyPosedReport:
     max_ratio: float
-    bound_k: float
     passed: bool
     rows: tuple  # (t, probe_index, ratio)
 
 
 def properly_posed_check(sg: HeatSemigroup, ts, probes) -> ProperlyPosedReport:
-    """Measure max ||E(t)u|| / ||u|| over a probe set against the bound K."""
+    """Measure max ||E(t)u|| / ||u|| over a probe set against the contraction bound 1."""
     probes = list(probes)
     if not probes:
         raise InvalidProbeError("need at least one probe")
@@ -126,8 +114,8 @@ def properly_posed_check(sg: HeatSemigroup, ts, probes) -> ProperlyPosedReport:
             ratio = sup_norm(evolve(sg, u, t)) / nu
             rows.append((float(t), pid, ratio))
             max_ratio = max(max_ratio, ratio)
-    passed = max_ratio <= sg.bound_k * (1.0 + 1e-9)
-    return ProperlyPosedReport(max_ratio, sg.bound_k, passed, tuple(rows))
+    passed = max_ratio <= 1.0 + 1e-9
+    return ProperlyPosedReport(max_ratio, passed, tuple(rows))
 
 
 def exact_solution_residual(sg: HeatSemigroup, u: GridFunction, t: float, dt_list):

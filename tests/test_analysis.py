@@ -9,6 +9,7 @@ import laxlab as lx
 from conftest import EXTENDED_FFT, _circulant_power_ld
 from laxlab import analysis
 from laxlab.analysis import (
+    STABILITY_CAP,
     consistency_check,
     convergence_experiment,
     operator_norm,
@@ -19,9 +20,8 @@ from laxlab.analysis import (
     von_neumann_symbol,
 )
 from laxlab.errors import DivergedOperatorError, InvalidGridError
-from laxlab.grid import RefinementPath
+from laxlab.grid import OVERFLOW_LIMIT, RefinementPath
 from laxlab.schemes import (
-    OVERFLOW_LIMIT,
     StencilScheme,
     apply_values,
     backward_euler_heat,
@@ -73,7 +73,7 @@ class TestStability:
         s = ftcs_heat(0.55 * dx**2, dx, n)
         report = stability_check(s, 1.0)
         assert not report.stable
-        assert report.bound_l > report.threshold
+        assert report.bound_l > STABILITY_CAP
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_backward_euler_unconditionally_stable(self, r):
@@ -443,15 +443,15 @@ class TestConvergence:
         assert all(math.isfinite(c.error) for c in report.cells)
         assert report.observed_order is None
 
-    def test_unit_domain_cells_report_grid_symbol(self):
-        dt = 0.75 / 16**2
+    def test_table_path_cells_report_grid_symbol(self):
+        dx = TWO_PI / 16
+        dt = 0.75 * dx**2
         report = convergence_experiment(
             scheme_builder("ftcs"),
-            RefinementPath.from_table([(dt, 1.0 / 16)]),
+            RefinementPath.from_table([(dt, dx)]),
             lx.Sine(1),
             0.01,
             [dt],
-            domain_length=1.0,
         )
         assert report.cells[0].grid_n == 16
         assert report.cells[0].max_abs_g == 2.0

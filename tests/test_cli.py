@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import laxlab
-from laxlab.cli import _SCHEMA, main, run
+from laxlab.cli import _RUNNERS, _SCHEMA, _validate, main, run
 from laxlab.errors import ConfigError
 
 STABILITY_CFG = """\
@@ -221,6 +221,8 @@ class TestBadValues:
              "bad value '1e309\\*sine\\(1\\)' for key 'probe'"),
             ("[convergence]\nscheme = ftcs\nprobe = constant(1e999)\nt = 1\ndts = 1e-2\npath = cfl\n",
              "bad value 'constant\\(1e999\\)' for key 'probe'"),
+            ("[convergence]\nscheme = ftcs\nprobe = 1e308*sine(1)+1e308*cosine(1)\nt = 0.1\n"
+             "dts = 4e-3, 2e-3, 1e-3\npath = fixed_r 0.496\n", "bad value '1e308\\*sine.*' for key 'probe'"),
             ("[ubp_demo]\nk_range = 0:abc\n", "bad value '0:abc' for key 'k_range'"),
             ("[ubp_demo]\nk_range = 5:2\n", "bad value '5:2' for key 'k_range'"),
             ("[ubp_demo]\nk_range = -3\n", "bad value '-3' for key 'k_range'"),
@@ -231,7 +233,7 @@ class TestBadValues:
         ],
         ids=[
             "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed",
-            "infinite-amplitude", "infinite-constant",
+            "infinite-amplitude", "infinite-constant", "amplitudes-past-overflow-limit",
             "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
             "probes-ones-negative", "k-max",
         ],
@@ -282,11 +284,13 @@ class TestBadValues:
              "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n", "updates"),
             ("[roundoff huge-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e308\n"
              "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n", "updates"),
+            ("[convergence huge-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e308\n"
+             "dts = 4e-3, 2e-3, 1e-3\npath = cfl\n", "too many steps"),
         ],
         ids=[
             "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
             "fixed-r-past-max-grid", "target-underflows", "n-overflows", "twins-past-budget",
-            "twin-steps-past-any-float",
+            "twin-steps-past-any-float", "convergence-steps-past-any-float",
         ],
     )
     def test_unusable_grid_exits_2(self, tmp_path, capsys, monkeypatch, section, cause):
@@ -308,6 +312,22 @@ MINIMAL_SECTIONS = {
 }
 
 
+# A value for each optional key, so that a section can set every key.
+OPTIONAL_KEYS = {"ubp_demo": {"probes": "ones(3); harmonic(4)"}}
+
+
+class ReadRecorder(dict):
+    """Parsed section items that remember which keys a runner read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def section_cfg(kind, items):
     return f"[{kind}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
 
@@ -315,6 +335,16 @@ def section_cfg(kind, items):
 @pytest.mark.parametrize("kind", _SCHEMA)
 def test_minimal_sections_run(tmp_path, kind):
     assert run(write_cfg(tmp_path, section_cfg(kind, MINIMAL_SECTIONS[kind])), tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("kind", _SCHEMA)
+def test_runner_reads_every_schema_key(kind):
+    # A key the runner never reads is parsed and then ignored: it does nothing.
+    text = {**MINIMAL_SECTIONS[kind], **OPTIONAL_KEYS.get(kind, {})}
+    assert set(text) == set(_SCHEMA[kind])
+    items = ReadRecorder(_validate(kind, kind, text, 0))
+    _RUNNERS[kind](items, [], [])
+    assert items.read == set(_SCHEMA[kind])
 
 
 @pytest.mark.parametrize("kind, key", [(kind, key) for kind in _SCHEMA for key in _SCHEMA[kind]])

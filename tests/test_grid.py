@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.errors import DivergedValueError, InvalidGridError
-from laxlab.grid import is_band_limited
+from laxlab.grid import OVERFLOW_LIMIT, is_band_limited
 
 
-def grid(values, length=2 * math.pi):
-    return lx.GridFunction(np.asarray(values, dtype=float), length)
+def grid(values):
+    return lx.GridFunction(np.asarray(values, dtype=float))
 
 
 class TestGridFunction:
@@ -24,8 +24,8 @@ class TestGridFunction:
             grid([1.0, math.nan])
 
     def test_dx_times_n_is_domain_length(self):
-        u = grid(np.zeros(7), length=3.5)
-        assert u.dx * u.n == pytest.approx(3.5, rel=1e-12)
+        u = grid(np.zeros(7))
+        assert u.dx * u.n == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_values_are_immutable(self):
         u = grid([1.0, 2.0])
@@ -100,6 +100,34 @@ class TestSample:
         with pytest.raises(InvalidGridError, match="non-finite"):
             lx.parse_probe(text)
 
+    @pytest.mark.parametrize(
+        "text", ["1e308*sine(1)+1e308*cosine(1)", "2e300*point_mass(0)",
+                 "6e299*random_uniform(1)+-6e299*constant(1)"]
+    )
+    def test_parse_rejects_amplitudes_summing_past_overflow_limit(self, text):
+        with pytest.raises(InvalidGridError, match="past"):
+            lx.parse_probe(text)
+
+    def test_parse_accepts_amplitudes_summing_to_overflow_limit(self):
+        half = OVERFLOW_LIMIT / 2
+        probe = lx.parse_probe(f"{half!r}*sine(1)+{-half!r}*cosine(1)")
+        assert lx.sup_norm(lx.sample(probe, 8)) <= OVERFLOW_LIMIT
+
+
+@given(
+    st.sampled_from(["sine", "cosine", "constant", "point_mass", "random_uniform"]),
+    st.integers(0, 40),
+    st.floats(-1e6, 1e6),
+    st.integers(2, 64),
+)
+@example("point_mass", 3, 2.0, 8)
+@example("random_uniform", 1, -0.5, 16)
+@settings(max_examples=100, deadline=None)
+def test_amplitude_scales_every_kind_bit_for_bit(kind, arg, amplitude, n):
+    scaled = lx.sample(lx.parse_probe(f"{amplitude!r}*{kind}({arg})"), n).values
+    unit = lx.sample(lx.parse_probe(f"{kind}({arg})"), n).values
+    assert scaled.tobytes() == (amplitude * unit).tobytes()
+
 
 class TestSpectralCoefficients:
     def test_sine_mode_one(self):
@@ -133,9 +161,7 @@ class TestSpectralCoefficients:
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_roundtrip_identity(self, n):
         u = lx.sample(lx.RandomUniform(n), n)
-        back = lx.from_spectral_coefficients(
-            lx.spectral_coefficients(u), u.domain_length
-        )
+        back = lx.from_spectral_coefficients(lx.spectral_coefficients(u))
         assert np.max(np.abs(back.values - u.values)) <= 1e-12 * max(
             1.0, lx.sup_norm(u)
         )

@@ -13,9 +13,9 @@ import laxlab as lx
 from conftest import EXTENDED_FFT, _circulant_power_ld
 from laxlab.analysis import operator_norm, von_neumann_symbol
 from laxlab.errors import DivergedOperatorError, InvalidGridError
+from laxlab.grid import OVERFLOW_LIMIT
 from laxlab.roundoff import PrecisionSpec, round_to_precision, roundoff_growth_experiment
 from laxlab.schemes import (
-    OVERFLOW_LIMIT,
     StencilScheme,
     apply_power,
     apply_scheme,

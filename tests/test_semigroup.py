@@ -172,8 +172,3 @@ class TestExactSolutionResidual:
         sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
         with pytest.raises(InvalidGridError):
             exact_solution_residual(sg, lx.sample(lx.Sine(31), 64), 0.0, [1e-3])
-
-
-def test_bound_k_must_be_at_least_one():
-    with pytest.raises(ValueError):
-        HeatSemigroup(horizon_t=1.0, grid_n=16, bound_k=0.5)
