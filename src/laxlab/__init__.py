@@ -25,7 +25,6 @@ from .errors import (
     DivergedValueError,
     InsufficientScanError,
     InvalidGridError,
-    InvalidProbeError,
     LaxlabError,
 )
 from .grid import (
@@ -38,7 +37,6 @@ from .grid import (
     RandomUniform,
     RefinementPath,
     Sine,
-    from_spectral_coefficients,
     parse_probe,
     resample,
     sample,
@@ -54,20 +52,12 @@ from .roundoff import (
 )
 from .schemes import (
     StencilScheme,
-    apply_scheme,
     backward_euler_heat,
     compose,
     ftcs_heat,
     power,
 )
-from .semigroup import (
-    HeatSemigroup,
-    evolve,
-    exact_solution_residual,
-    extend_evolve,
-    properly_posed_check,
-    spectral_second_derivative,
-)
+from .semigroup import HeatSemigroup, evolve, extend_evolve
 from .ubp import (
     FiniteSequence,
     apply_Tk,

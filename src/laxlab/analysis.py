@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DivergedOperatorError, InvalidGridError
 from .grid import (
+    MAX_UPDATES,
     OVERFLOW_LIMIT,
     GridFunction,
     Probe,
@@ -120,10 +121,17 @@ def sample_steps(n_max: int, dense: int) -> list:
     return sorted(steps)
 
 
+def step_count(horizon_t: float, dt: float) -> int:
+    """round(T/dt), at least 1; raises :class:`InvalidGridError` for a T/dt
+    past any float."""
+    if not horizon_t / dt < math.inf:
+        raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r} to count")
+    return max(1, round(horizon_t / dt))
+
+
 @dataclass(frozen=True)
 class StabilityReport:
-    horizon_t: float
-    dt: float
+    n_steps: int  # n_max, the most steps n*dt <= T
     norms: tuple  # (n, ||C^n||) pairs; inf marks coefficient overflow
     bound_l: float
     stable: bool
@@ -201,10 +209,14 @@ def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
     its symbol (:func:`_symbol_norms`): no power drifts, because each one
     is a single long double g^n.  A stencil that fails it walks the
     powers through :func:`power` and :func:`compose`, whose coefficient
-    overflow marks the first diverged sample with an inf norm.
+    overflow marks the first diverged sample with an inf norm.  A T shorter
+    than one step, or holding more steps than a float can count, raises
+    :class:`InvalidGridError`.
     """
     if s.dt > horizon_t:
-        raise ValueError(f"dt={s.dt} exceeds the horizon {horizon_t}")
+        raise InvalidGridError(f"t = {horizon_t!r} is shorter than one step, dt = {s.dt!r}")
+    if not horizon_t / s.dt < math.inf:
+        raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {s.dt!r} to count")
     n_max = int(math.floor(horizon_t / s.dt + 1e-9))
     steps = sample_steps(n_max, 64)
     symbol = von_neumann_check(s)
@@ -214,8 +226,7 @@ def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
         norms, diverged = _walked_norms(s, steps)
     bound_l = max(norms)
     return StabilityReport(
-        horizon_t=horizon_t,
-        dt=s.dt,
+        n_steps=n_max,
         norms=tuple(zip(steps, norms)),
         bound_l=bound_l,
         stable=(not diverged) and bound_l <= STABILITY_CAP,
@@ -286,7 +297,6 @@ class ConvergenceCell:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    path: RefinementPath
     cells: tuple
     observed_order: float | None
     converged: bool
@@ -318,7 +328,8 @@ def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
     The run diverges at the first step whose values pass ``OVERFLOW_LIMIT``
     (or are NaN).  Up to the step count of :func:`overflow_free_steps` no
     value can pass it, so those steps run unchecked; every later step (every
-    step, for a full-period stencil) is checked.
+    step, for a stencil of more than 32 offsets, stepped through the FFT) is
+    checked.
     """
     steps = trajectory(s, u.values)
     quiet = min(n_steps, overflow_free_steps(s, float(np.abs(u.values).max()), OVERFLOW_LIMIT))
@@ -348,27 +359,35 @@ def convergence_experiment(
     C^n u from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
     ``||C^n u|| <= sqrt(N) ||u||``, so checking only its endpoint against
     ``OVERFLOW_LIMIT`` misses no overflow in between.  A cell that fails it
-    is stepped by :func:`_run_trajectory`.  Convergence means: all errors
-    finite, decreasing monotonically up to 10% jitter, and the finest error
+    is stepped by :func:`_run_trajectory`; when those cells would take more
+    than :data:`~laxlab.grid.MAX_UPDATES` grid-point updates (N per step),
+    :class:`InvalidGridError` is raised before any cell runs.
+
+    Convergence means: all errors finite, decreasing monotonically up to
+    10% jitter or the round-off floor ``eps * ||u||``, and the finest error
     below ``1e-3 * ||u||``.  The observed order is the log-log slope of
-    error against dx over at least three cells, and None unless the errors
-    are all finite and monotone in that sense.  The compactness diameter is
-    the max pairwise sup-distance among trajectory endpoints and the exact
-    solution, measured after trigonometric resampling to the finest grid.
+    error against dx over at least three cells above the floor (an order
+    fitted to round-off noise would mean nothing), and None unless the
+    errors are all finite and monotone in that sense.  The compactness
+    diameter is the max pairwise sup-distance among trajectory endpoints
+    and the exact solution, measured after trigonometric resampling to the
+    finest grid.
     """
     dts = sorted(dts, reverse=True)
     if not dts:
         raise ValueError("need at least one dt")
-    cells = []
-    endpoints = []
+    plan = []
     for dt in dts:
         grid_n, dx = path.grid_for(dt)
         s = builder(dt, dx, grid_n)
-        u = sample(probe, grid_n)
-        if not horizon_t / dt < math.inf:
-            raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r}")
-        n_steps = max(1, round(horizon_t / dt))
-        symbol = von_neumann_check(s)
+        plan.append((s, step_count(horizon_t, dt), von_neumann_check(s)))
+    updates = sum(s.period * n_steps for s, n_steps, symbol in plan if not symbol.passed)
+    if updates > MAX_UPDATES:
+        raise InvalidGridError(f"unstable cells need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
+    cells = []
+    endpoints = []
+    for s, n_steps, symbol in plan:
+        u = sample(probe, s.period)
         if symbol.passed:
             vals = apply_power(s, u.values, n_steps)
             diverged = not np.abs(vals).max() <= OVERFLOW_LIMIT
@@ -378,15 +397,15 @@ def convergence_experiment(
             error = math.inf
             endpoints.append(None)
         else:
-            sg = HeatSemigroup(horizon_t=horizon_t, grid_n=grid_n)
-            exact = evolve(sg, u, n_steps * dt)
+            sg = HeatSemigroup(horizon_t=horizon_t, grid_n=s.period)
+            exact = evolve(sg, u, n_steps * s.dt)
             error = float(np.max(np.abs(vals - exact.values)))
             endpoints.append(GridFunction(vals))
         cells.append(
             ConvergenceCell(
-                dt=dt,
-                dx=dx,
-                grid_n=grid_n,
+                dt=s.dt,
+                dx=s.dx,
+                grid_n=s.period,
                 n_steps=n_steps,
                 error=error,
                 max_abs_g=symbol.max_abs_g,
@@ -395,11 +414,14 @@ def convergence_experiment(
         )
 
     errors = [c.error for c in cells]
-    monotone = all(errors[i + 1] <= errors[i] * 1.1 for i in range(len(errors) - 1))
+    norm = sup_norm(u)
+    floor = np.finfo(float).eps * norm
+    monotone = all(b <= max(a * 1.1, floor) for a, b in zip(errors, errors[1:]))
     all_finite = all(math.isfinite(e) for e in errors)
     settled = all_finite and monotone
-    observed_order = loglog_slope([(c.dx, c.error) for c in cells], 3) if settled else None
-    converged = settled and errors[-1] < 1e-3 * sup_norm(u)
+    above_floor = [(c.dx, c.error) for c in cells if c.error > floor]
+    observed_order = loglog_slope(above_floor, 3) if settled else None
+    converged = settled and errors[-1] < 1e-3 * norm
 
     if not all_finite:
         diameter = math.inf
@@ -411,7 +433,6 @@ def convergence_experiment(
         diameter = _diameter(resampled + [exact_fine.values])
 
     return ConvergenceReport(
-        path=path,
         cells=tuple(cells),
         observed_order=observed_order,
         converged=converged,

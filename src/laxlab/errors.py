@@ -17,10 +17,6 @@ class DivergedOperatorError(LaxlabError, ArithmeticError):
     """Iterated stencil coefficients exceeded the overflow threshold."""
 
 
-class InvalidProbeError(LaxlabError, ValueError):
-    """A probe function is unusable (e.g. identically zero where a ratio is needed)."""
-
-
 class InsufficientScanError(LaxlabError, ValueError):
     """A scan range is too short to certify the requested bound."""
 

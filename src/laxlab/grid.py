@@ -28,10 +28,16 @@ MAX_GRID_N = 2**16
 # so a transform of its N <= MAX_GRID_N samples cannot overflow.
 OVERFLOW_LIMIT = 1e300
 
+# The most grid-point updates a run may take step by step (the round-off
+# twins, convergence cells that fail von Neumann): a desk-scale run takes a
+# few million, and one past this would run for hours.
+MAX_UPDATES = 10**8
+
 __all__ = [
     "TWO_PI",
     "MAX_GRID_N",
     "OVERFLOW_LIMIT",
+    "MAX_UPDATES",
     "GridFunction",
     "RefinementPath",
     "Probe",
@@ -46,7 +52,6 @@ __all__ = [
     "sup_norm",
     "wavenumbers",
     "spectral_coefficients",
-    "from_spectral_coefficients",
     "resample",
     "is_band_limited",
 ]
@@ -74,10 +79,6 @@ class GridFunction:
     @property
     def dx(self) -> float:
         return TWO_PI / self.n
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n) * self.dx
 
 
 def sup_norm(u: GridFunction) -> float:
@@ -238,13 +239,6 @@ def wavenumbers(n: int) -> np.ndarray:
 def spectral_coefficients(u: GridFunction) -> np.ndarray:
     """Modal coefficients ordered to match :func:`wavenumbers`."""
     return np.fft.fftshift(np.fft.fft(u.values)) / u.n
-
-
-def from_spectral_coefficients(coeffs: np.ndarray) -> GridFunction:
-    """Inverse of :func:`spectral_coefficients` (real part of the synthesis)."""
-    n = len(coeffs)
-    vals = np.fft.ifft(np.fft.ifftshift(np.asarray(coeffs))) * n
-    return GridFunction(vals.real)
 
 
 def resample(u: GridFunction, n_new: int) -> GridFunction:

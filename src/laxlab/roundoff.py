@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import loglog_slope, sample_steps, von_neumann_check
+from .analysis import loglog_slope, sample_steps, step_count, von_neumann_check
 from .errors import DivergedValueError, InvalidGridError
-from .grid import GridFunction, Probe, RefinementPath, sample
+from .grid import MAX_UPDATES, GridFunction, Probe, RefinementPath, sample
 from .schemes import overflow_free_steps, trajectory
 
 __all__ = [
@@ -29,13 +29,7 @@ __all__ = [
     "roundoff_growth_experiment",
     "HalvingSweepReport",
     "halving_sweep",
-    "MAX_TWIN_UPDATES",
 ]
-
-# The most grid-point updates a halving sweep's twins may take (2 N per
-# step, over every cell): a desk-scale sweep takes a few million, and one
-# past this would run for hours.
-MAX_TWIN_UPDATES = 10**8
 
 
 @dataclass(frozen=True)
@@ -96,13 +90,10 @@ def round_to_precision(x, spec: PrecisionSpec):
 @dataclass(frozen=True)
 class RoundoffGrowthReport:
     samples: tuple  # (n, t, gap)
-    exponent_q: float | None
     diverged: bool
     flagged_unstable: bool
-    bits: int
     dt: float
     dx: float
-    scheme_name: str
 
     @property
     def final_gap(self) -> float:
@@ -120,8 +111,8 @@ def roundoff_growth_experiment(
     replace the loop: the twins step as one ``(2, N)`` array through
     :func:`~laxlab.schemes.trajectory`, and row 1 is rounded and written
     back between steps.  The gap is recorded at geometrically sampled step
-    counts and fitted to gap(n) ~ C * n^q on log-log axes (fit skipped
-    below 8 usable points).  Unstable schemes are allowed but flagged.
+    counts.  Unstable schemes are allowed but flagged.  A T/dt past any
+    float raises :class:`InvalidGridError`.
 
     Up to the step count n* of :func:`~laxlab.schemes.overflow_free_steps`
     (limit ``max_double / C``, growth 1 + 2^-(bits+1) a step), no value of
@@ -130,10 +121,10 @@ def roundoff_growth_experiment(
     sample point, and every step past n*, rounds row 1 through the
     checked :func:`round_to_precision`; the run is marked diverged when
     that rounding raises, or when row 0 is not finite at a sample point.
-    A full-period stencil gets n* = 0, so its rounding is checked every
-    step.
+    A stencil of more than 32 offsets, which steps through the FFT, gets
+    n* = 0, so its rounding is checked every step.
     """
-    n_max = max(1, round(horizon_t / s.dt))
+    n_max = step_count(horizon_t, s.dt)
     schedule = sample_steps(n_max, 8)
     flagged = not von_neumann_check(s).passed
     split = spec.split
@@ -175,17 +166,8 @@ def roundoff_growth_experiment(
             samples.append((n, n * s.dt, gap))
             target += 1
 
-    exponent_q = loglog_slope([(n, g) for n, _, g in samples], 8)
-
     return RoundoffGrowthReport(
-        samples=tuple(samples),
-        exponent_q=exponent_q,
-        diverged=diverged,
-        flagged_unstable=flagged,
-        bits=spec.significand_bits,
-        dt=s.dt,
-        dx=s.dx,
-        scheme_name=s.name,
+        samples=tuple(samples), diverged=diverged, flagged_unstable=flagged, dt=s.dt, dx=s.dx
     )
 
 
@@ -214,7 +196,7 @@ def halving_sweep(
     the round-off floor.  Needs at least 4 dt values; the fit is skipped
     when fewer than two gaps are finite and positive (e.g. the 52-bit
     control).  Raises :class:`InvalidGridError`, before any cell runs, when
-    the twins would take more than :data:`MAX_TWIN_UPDATES` updates.
+    the twins would take more than :data:`~laxlab.grid.MAX_UPDATES` updates.
     """
     dts = sorted(dts, reverse=True)
     if len(dts) < 4:
@@ -222,8 +204,8 @@ def halving_sweep(
     grids = [path.grid_for(dt) for dt in dts]
     # In floats: a step count past any float is inf here and fails the check.
     updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
-    if not updates <= MAX_TWIN_UPDATES:
-        raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_TWIN_UPDATES:.0e}")
+    if not updates <= MAX_UPDATES:
+        raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
     rows = []
     reports = []
     for dt, (grid_n, dx) in zip(dts, grids):
@@ -231,7 +213,7 @@ def halving_sweep(
         u = sample(probe, grid_n)
         report = roundoff_growth_experiment(s, u, horizon_t, spec)
         final = math.inf if report.diverged else report.final_gap
-        rows.append((dt, dx, max(1, round(horizon_t / dt)), final))
+        rows.append((dt, dx, step_count(horizon_t, dt), final))
         reports.append(report)
 
     slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)

@@ -22,13 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergedOperatorError, InvalidGridError
-from .grid import OVERFLOW_LIMIT, GridFunction
+from .grid import OVERFLOW_LIMIT
 
 __all__ = [
     "StencilScheme",
     "ftcs_heat",
     "backward_euler_heat",
-    "apply_scheme",
     "apply_values",
     "apply_power",
     "trajectory",
@@ -155,13 +154,15 @@ def trajectory(s: StencilScheme, values: np.ndarray):
     The loops that must step use this one stepper: the round-off twins,
     which round the state after every step, and unstable trajectories,
     whose blow-up grows from the round-off each step adds.  Everything a
-    step needs is set up once.  A narrow stencil gathers its shifted
-    copies through a ``(width, N)`` index table, scales them and sums
-    over the offset axis in offset order: three numpy calls a step, with
-    the roundings of ``sum_m c_m * roll(u, -o_m)`` (only a sum that is
-    exactly zero may come out as -0.0 instead of +0.0).  A full-period
-    stencil steps as ``irfft(rfft(v) * conj(g), n=N)``, with the double
-    factor conj(g) formed once from the stencil's symbol.  Each step
+    step needs is set up once.  The path switches on the offset count, not
+    on the stencil's kind.  A narrow stencil (at most ``_FFT_APPLY_CUTOFF``
+    = 32 offsets: FTCS, and backward Euler up to N = 32) gathers its
+    shifted copies through a ``(width, N)`` index table, scales them and
+    sums over the offset axis in offset order: three numpy calls a step,
+    with the roundings of ``sum_m c_m * roll(u, -o_m)`` (only a sum that is
+    exactly zero may come out as -0.0 instead of +0.0).  A wider stencil
+    steps as ``irfft(rfft(v) * conj(g), n=N)``, with the double factor
+    conj(g) formed once from the stencil's symbol.  Each step
     reads the array yielded before it, so a caller may change that array
     in place (the twins round it) before resuming; the generator never
     writes to ``values`` or to an array it has yielded.  The stepper checks
@@ -210,8 +211,11 @@ def overflow_free_steps(s: StencilScheme, peak: float, limit: float, growth: flo
     ``peak`` is taken as at least 2^-900, which covers the underflow term.
     Returns ``math.inf`` when ``peak`` is 0 (zero data stays zero) or
     rho <= 1.  Returns 0 when ``peak`` is not below ``limit``, and for a
-    full-period stencil: its FFT step rounds in the transform, which this
-    bound does not cover, so its callers check every step.
+    stencil of more than ``_FFT_APPLY_CUTOFF`` = 32 offsets: :func:`trajectory`
+    steps it through the FFT, whose rounding this bound does not cover, so
+    its callers check every step.  Backward
+    Euler up to N = 32 is narrow and gets a bound: n* = 3.9e17 against
+    ``OVERFLOW_LIMIT`` at N = 16, r = 1/2 and ``max|u0|`` = 1.
     """
     if not _narrow(s) or not peak < limit:
         return 0
@@ -267,11 +271,6 @@ def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
     _check_grid(s, values)
     factor = np.conj(symbol_powers(s, [n])[0]).astype(complex)
     return np.fft.irfft(np.fft.rfft(values) * factor, n=s.period)
-
-
-def apply_scheme(s: StencilScheme, u: GridFunction) -> GridFunction:
-    """One time step: circular convolution of the stencil with u."""
-    return GridFunction(apply_values(s, u.values))
 
 
 def _dense(s: StencilScheme) -> tuple:

@@ -21,6 +21,7 @@ from laxlab.analysis import (
 )
 from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.grid import OVERFLOW_LIMIT, RefinementPath
+from laxlab.roundoff import PrecisionSpec, roundoff_growth_experiment
 from laxlab.schemes import (
     StencilScheme,
     apply_values,
@@ -136,8 +137,20 @@ class TestStability:
         assert sample_steps(n_max, dense) == expected
 
     def test_dt_larger_than_horizon_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidGridError, match="shorter than one step"):
             stability_check(ftcs_heat(0.5, 1.0, 16), 0.1)
+
+    def test_step_count_past_any_float_rejected(self):
+        # t/dt = 1e310 overflows to inf: a typed error, not an OverflowError.
+        s = ftcs_heat(1e-310, TWO_PI / 64, 64)
+        with pytest.raises(InvalidGridError, match="too many steps"):
+            stability_check(s, 1.0)
+        with pytest.raises(InvalidGridError, match="too many steps"):
+            roundoff_growth_experiment(s, lx.sample(lx.Sine(1), 64), 1.0, PrecisionSpec(12))
+
+    def test_report_counts_the_steps_in_the_horizon(self):
+        report = stability_check(ftcs_heat(0.1, 1.0, 16), 1.0)
+        assert report.n_steps == 10 and report.norms[-1][0] == 10
 
 
 def _walked_norms_reference(s, horizon_t):
@@ -442,6 +455,26 @@ class TestConvergence:
         )
         assert all(math.isfinite(c.error) for c in report.cells)
         assert report.observed_order is None
+
+    def test_errors_at_round_off_level_converge_with_no_order(self):
+        # e^-40 ~ 4e-18: every error sits below eps*||u||, where a 10%
+        # monotone gate reads noise, and no order can be fitted to noise.
+        report = convergence_experiment(
+            scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), 40.0, [4e-3, 2e-3, 1e-3]
+        )
+        errors = [c.error for c in report.cells]
+        assert max(errors) < np.finfo(float).eps and errors[2] > 1.1 * errors[1]
+        assert report.converged and report.observed_order is None
+
+    def test_unstable_cells_past_the_update_budget_rejected(self, monkeypatch):
+        # N = 70, r ~ 0.50001 fails von Neumann: 2.48e6 steps, 1.74e8 updates.
+        def no_stepping(*args):
+            raise AssertionError("a cell was stepped")
+
+        monkeypatch.setattr(analysis, "_run_trajectory", no_stepping)
+        path = RefinementPath.from_table([(0.004028497, 0.08975979010256552)])
+        with pytest.raises(InvalidGridError, match="1.74e\\+08 updates"):
+            convergence_experiment(scheme_builder("ftcs"), path, lx.Sine(1), 1e4, [0.004028497])
 
     def test_table_path_cells_report_grid_symbol(self):
         dx = TWO_PI / 16

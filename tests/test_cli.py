@@ -112,8 +112,7 @@ bits = 12
         assert bodies_a == bodies_b
         assert (out_a / "summary.txt").read_text() == (out_b / "summary.txt").read_text()
 
-    def test_failing_section_keeps_earlier_summary(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+    def test_failing_section_keeps_earlier_summary(self, tmp_path):
         short = stability_cfg_with("t", "1e-6").replace("[stability]", "[stability short]")
         cfg = write_cfg(tmp_path, UBP_CFG + "\n" + short)
         out = tmp_path / "out"
@@ -156,8 +155,7 @@ bits = 12
         max_g = [float(row.split(",")[5]) for row in csv.read_text().splitlines()[1:]]
         assert max_g == pytest.approx([1.0, 1.0, 2.0], abs=1e-12)
 
-    def test_seed_is_the_base_of_random_probes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+    def test_seed_is_the_base_of_random_probes(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
             "[roundoff]\nscheme = ftcs\nprobe = random_uniform(1)\nt = 0.05\n"
@@ -195,8 +193,7 @@ class TestBadValues:
             run(cfg, tmp_path / "out")
 
     @pytest.mark.parametrize("key, bad", BAD_VALUES)
-    def test_main_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, key, bad):
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+    def test_main_exits_2_without_traceback(self, tmp_path, capsys, key, bad):
         cfg = write_cfg(tmp_path, stability_cfg_with(key, bad))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -242,18 +239,16 @@ class TestBadValues:
         with pytest.raises(ConfigError, match=message):
             run(write_cfg(tmp_path, section), tmp_path / "out")
 
-    def test_stability_t_shorter_than_one_step_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_stability_t_shorter_than_one_step_exits_2(self, tmp_path, capsys):
         # Each value is in range; only together (r*dx^2 = 4.8e-3 > t) are they unusable.
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
         cfg = write_cfg(tmp_path, stability_cfg_with("t", "1e-6"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "t = 1e-06" in err and "[stability]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("r", ["1e-310", "1e-320", "1e-323"])
-    def test_stability_step_count_past_any_float_exits_2(self, tmp_path, capsys, monkeypatch, r):
+    def test_stability_step_count_past_any_float_exits_2(self, tmp_path, capsys, r):
         # r*dx^2 is a subnormal (so t/dt overflows) or underflows to 0.
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
         cfg = write_cfg(tmp_path, stability_cfg_with("r", r))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -278,7 +273,7 @@ class TestBadValues:
              "path = power 1 100\n", "too fine"),
             ("[convergence overflow]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-3\n"
              "path = power 1e-300 3\n", "too fine"),
-            # Round-off twins past MAX_TWIN_UPDATES: ~1.2e12 updates (hours of
+            # Round-off twins past MAX_UPDATES: ~1.2e12 updates (hours of
             # stepping), and a step count past any float.
             ("[roundoff long-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e6\n"
              "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n", "updates"),
@@ -286,16 +281,20 @@ class TestBadValues:
              "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n", "updates"),
             ("[convergence huge-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e308\n"
              "dts = 4e-3, 2e-3, 1e-3\npath = cfl\n", "too many steps"),
+            # One cell that fails von Neumann (N = 70, r ~ 0.50001) and must
+            # step 2.48e6 times: 1.74e8 updates, past MAX_UPDATES.
+            ("[convergence unstable-long-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e4\n"
+             "dts = 0.004028497\npath = table 0.004028497=0.08975979010256552\n", "updates"),
         ],
         ids=[
             "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
             "fixed-r-past-max-grid", "target-underflows", "n-overflows", "twins-past-budget",
             "twin-steps-past-any-float", "convergence-steps-past-any-float",
+            "unstable-cells-past-budget",
         ],
     )
-    def test_unusable_grid_exits_2(self, tmp_path, capsys, monkeypatch, section, cause):
+    def test_unusable_grid_exits_2(self, tmp_path, capsys, section, cause):
         # Each value is in range; only together do they choose an unusable grid.
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
         cfg = write_cfg(tmp_path, section)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -348,8 +347,7 @@ def test_runner_reads_every_schema_key(kind):
 
 
 @pytest.mark.parametrize("kind, key", [(kind, key) for kind in _SCHEMA for key in _SCHEMA[kind]])
-def test_every_schema_key_rejects_garbage(tmp_path, capsys, monkeypatch, kind, key):
-    monkeypatch.delenv("LAXLAB_OUT", raising=False)
+def test_every_schema_key_rejects_garbage(tmp_path, capsys, kind, key):
     cfg = write_cfg(tmp_path, section_cfg(kind, {**MINIMAL_SECTIONS[kind], key: "@@"}))
     with pytest.raises(ConfigError, match=rf"'@@' for key {key!r} in section \[{kind}\]"):
         run(cfg, tmp_path / "out")
@@ -374,23 +372,13 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 class TestMain:
-    def test_exit_codes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+    def test_exit_codes(self, tmp_path):
         good = write_cfg(tmp_path, UBP_CFG, "good.cfg")
         bad = write_cfg(tmp_path, "[stability]\nshceme = ftcs\n", "bad.cfg")
         assert main(["--config", str(good), "--out", str(tmp_path / "o1")]) == 0
         assert main(["--config", str(bad), "--out", str(tmp_path / "o2")]) == 2
 
-    def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, UBP_CFG)
-        env_out = tmp_path / "from_env"
-        monkeypatch.setenv("LAXLAB_OUT", str(env_out))
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "ignored")]) == 0
-        assert env_out.exists()
-        assert not (tmp_path / "ignored").exists()
-
-    def test_error_message_names_key(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LAXLAB_OUT", raising=False)
+    def test_error_message_names_key(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "[stability]\nshceme = ftcs\n")
         assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "shceme" in capsys.readouterr().err

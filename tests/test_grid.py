@@ -148,7 +148,7 @@ class TestSpectralCoefficients:
     def test_point_mass_matches_direct_dft(self):
         u = lx.sample(lx.PointMass(0), 4)
         # direct DFT oracle: c_k = (1/N) sum_j u_j exp(-i k x_j)
-        x = u.nodes
+        x = np.arange(4) * u.dx
         oracle = {
             k: sum(u.values[j] * np.exp(-1j * k * x[j]) for j in range(4)) / 4
             for k in lx.wavenumbers(4)
@@ -157,14 +157,6 @@ class TestSpectralCoefficients:
         for k in oracle:
             assert abs(coeffs[k] - oracle[k]) < 1e-12
             assert abs(coeffs[k] - 0.25) < 1e-12
-
-    @pytest.mark.parametrize("n", [4, 8, 16, 64])
-    def test_roundtrip_identity(self, n):
-        u = lx.sample(lx.RandomUniform(n), n)
-        back = lx.from_spectral_coefficients(lx.spectral_coefficients(u))
-        assert np.max(np.abs(back.values - u.values)) <= 1e-12 * max(
-            1.0, lx.sup_norm(u)
-        )
 
 
 class TestNormAxioms:

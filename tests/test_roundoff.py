@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import laxlab as lx
 from laxlab.analysis import sample_steps, scheme_builder
 from laxlab.errors import DivergedValueError, InvalidGridError
-from laxlab.grid import RefinementPath
+from laxlab.grid import MAX_UPDATES, RefinementPath
 from laxlab.roundoff import (
-    MAX_TWIN_UPDATES,
     PrecisionSpec,
     halving_sweep,
     round_to_precision,
@@ -327,7 +326,7 @@ class TestHalvingSweep:
             raise AssertionError("a cell was built")
 
         path = RefinementPath.fixed_ratio(0.25)
-        assert path.grid_for(1e-2)[0] == 31 and 2 * 31 * 1e6 * 4 > MAX_TWIN_UPDATES
+        assert path.grid_for(1e-2)[0] == 31 and 2 * 31 * 1e6 * 4 > MAX_UPDATES
         with pytest.raises(InvalidGridError, match="2.48e\\+08 updates"):
             halving_sweep(no_cell, path, lx.Sine(1), 1e4, PrecisionSpec(12), [1e-2] * 4)
 

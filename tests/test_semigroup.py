@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 import laxlab as lx
-from laxlab.errors import InvalidGridError, InvalidProbeError
-from laxlab.semigroup import (
-    HeatSemigroup,
-    evolve,
-    exact_solution_residual,
-    extend_evolve,
-    properly_posed_check,
-)
+from laxlab.errors import InvalidGridError
+from laxlab.semigroup import HeatSemigroup, evolve, extend_evolve
 
 
 def diff(a, b):
@@ -117,58 +111,3 @@ class TestExtendEvolve:
             u = lx.GridFunction(rng.uniform(-1, 1, 32))
             assert lx.sup_norm(extend_evolve(sg, u, t)) <= lx.sup_norm(u) * (1 + 1e-12)
 
-
-class TestProperlyPosed:
-    def test_sine_probes(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
-        probes = [lx.sample(lx.Sine(1), 64), lx.sample(lx.Sine(3), 64)]
-        report = properly_posed_check(sg, [0.0, 0.5, 1.0], probes)
-        assert report.passed
-        assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_ratio_exactly_one(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
-        report = properly_posed_check(sg, [0.7], [lx.sample(lx.Constant(1.0), 16)])
-        assert report.max_ratio == pytest.approx(1.0, abs=1e-15)
-
-    def test_random_probe_enumeration(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
-        rng = np.random.default_rng(9)
-        probes = [lx.GridFunction(rng.uniform(-1, 1, 32)) for _ in range(20)]
-        ts = rng.uniform(0, 1, size=8)
-        report = properly_posed_check(sg, ts, probes)
-        assert report.max_ratio <= 1 + 1e-12
-        assert report.passed
-
-    def test_zero_probe_rejected(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
-        with pytest.raises(InvalidProbeError):
-            properly_posed_check(sg, [0.1], [lx.GridFunction(np.zeros(16))])
-
-
-class TestExactSolutionResidual:
-    def test_taylor_remainder_bound(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
-        u = lx.sample(lx.Sine(1), 64)
-        (residual,) = exact_solution_residual(sg, u, 0.0, [1e-3])
-        # closed-form oracle: |(e^{-dt}-1)/dt + 1| * ||u||
-        oracle = abs((math.exp(-1e-3) - 1) / 1e-3 + 1.0)
-        assert residual <= 1e-3 * lx.sup_norm(u)
-        assert residual == pytest.approx(oracle, rel=1e-6)
-
-    def test_first_order_ratio(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
-        u = lx.sample(lx.Sine(1), 64)
-        res = exact_solution_residual(sg, u, 0.0, [1e-3, 5e-4])
-        assert res[0] / res[1] == pytest.approx(2.0, rel=0.1)
-
-    def test_constant_is_stationary(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
-        u = lx.sample(lx.Constant(1.0), 32)
-        res = exact_solution_residual(sg, u, 0.3, [1e-2, 1e-3])
-        assert max(res) < 1e-13
-
-    def test_band_limit_enforced(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
-        with pytest.raises(InvalidGridError):
-            exact_solution_residual(sg, lx.sample(lx.Sine(31), 64), 0.0, [1e-3])
