@@ -40,9 +40,7 @@ from .grid import (
     parse_probe,
     resample,
     sample,
-    spectral_coefficients,
     sup_norm,
-    wavenumbers,
 )
 from .roundoff import (
     PrecisionSpec,

@@ -253,9 +253,9 @@ def von_neumann_check(s: StencilScheme) -> VonNeumannReport:
     """Scan all modes of the stencil's grid; pass iff max |g(k)| <= 1.
 
     |g| is ``|1 + h|`` of the stencil's symbol, whose mode k is the factor
-    at wavenumber -k (reported so, to stay in :func:`~laxlab.grid.wavenumbers`);
-    |g(k)| = |g(-k)|, so modes 0..N//2 cover the grid.  A 1e-12 slack
-    absorbs rounding in the transform.
+    at wavenumber -k (reported so, in -N//2..0); |g(k)| = |g(-k)|, so
+    modes 0..N//2 cover the grid.  A 1e-12 slack absorbs rounding in the
+    transform.
     """
     mags = np.abs(1 + s.symbol_minus_one)
     k = int(np.argmax(mags))
@@ -329,16 +329,17 @@ def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
     (or are NaN).  Up to the step count of :func:`overflow_free_steps` no
     value can pass it, so those steps run unchecked; every later step (every
     step, for a stencil of more than 32 offsets, stepped through the FFT) is
-    checked.
+    checked, and may overflow past the limit without a floating-point flag.
     """
     steps = trajectory(s, u.values)
     quiet = min(n_steps, overflow_free_steps(s, float(np.abs(u.values).max()), OVERFLOW_LIMIT))
     for _, vals in zip(range(quiet), steps):
         pass
-    for _, vals in zip(range(n_steps - quiet), steps):
-        # One reduction per step; the comparison is False for NaN as well.
-        if not np.abs(vals).max() <= OVERFLOW_LIMIT:
-            return vals, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, vals in zip(range(n_steps - quiet), steps):
+            # One reduction per step; the comparison is False for NaN as well.
+            if not np.abs(vals).max() <= OVERFLOW_LIMIT:
+                return vals, True
     return vals, False
 
 

@@ -50,8 +50,6 @@ __all__ = [
     "parse_probe",
     "sample",
     "sup_norm",
-    "wavenumbers",
-    "spectral_coefficients",
     "resample",
     "is_band_limited",
 ]
@@ -228,18 +226,8 @@ def sample(probe: Probe, n: int) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Discrete Fourier representation.  Coefficients are normalized so that
-# u_j = sum_k c_k exp(i k x_j), ordered by wavenumber -floor(N/2) .. ceil(N/2)-1.
+# Discrete Fourier representation: rfft, modes 0..N//2 (|X_k| = |X_-k| for real u).
 # ---------------------------------------------------------------------------
-
-def wavenumbers(n: int) -> np.ndarray:
-    return np.arange(-(n // 2), (n + 1) // 2)
-
-
-def spectral_coefficients(u: GridFunction) -> np.ndarray:
-    """Modal coefficients ordered to match :func:`wavenumbers`."""
-    return np.fft.fftshift(np.fft.fft(u.values)) / u.n
-
 
 def resample(u: GridFunction, n_new: int) -> GridFunction:
     """Trigonometric resampling onto an ``n_new``-point grid.
@@ -257,13 +245,8 @@ def resample(u: GridFunction, n_new: int) -> GridFunction:
 
 def is_band_limited(u: GridFunction, max_mode: int) -> bool:
     """True if no mode above |k| = max_mode exceeds 1e-12 of the largest."""
-    coeffs = spectral_coefficients(u)
-    ks = wavenumbers(u.n)
-    total = np.max(np.abs(coeffs))
-    if total == 0.0:
-        return True
-    high = np.abs(coeffs[np.abs(ks) > max_mode])
-    return bool(high.size == 0 or np.max(high) <= 1e-12 * total)
+    mags = np.abs(np.fft.rfft(u.values))
+    return bool(mags[max_mode + 1 :].max(initial=0) <= 1e-12 * mags.max())
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +308,10 @@ class RefinementPath:
             raise InvalidGridError(f"dt must be positive, got {dt}")
         if self.power is not None:
             c, p = self.power
-            return c * dt**p
+            try:
+                return c * dt**p
+            except OverflowError:  # dt**p past any float: an infinite target
+                return math.inf
         for tdt, tdx in self.table:
             if math.isclose(tdt, dt, rel_tol=1e-12):
                 return tdx
@@ -337,8 +323,8 @@ class RefinementPath:
         Flooring N keeps the actual spacing at or above the path target, so a
         path at or below the CFL boundary never lands on the unstable side.
         Returns (n, dx).  A target that would need more than
-        :data:`MAX_GRID_N` points (or underflows to 0) raises
-        :class:`InvalidGridError`.
+        :data:`MAX_GRID_N` points (or underflows to 0), or fewer than 4
+        (an inf target needs 0), raises :class:`InvalidGridError`.
         """
         target = self.dx_for(dt)
         if not (target > 0 and TWO_PI / target <= MAX_GRID_N):

@@ -49,7 +49,6 @@ class StencilScheme:
     coefficients: np.ndarray
     dt: float
     dx: float
-    name: str
     # The grid this stencil acts on: offsets are read mod period, and
     # compositions wrap instead of widening without bound.
     period: int
@@ -57,23 +56,24 @@ class StencilScheme:
     width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Raises :class:`InvalidGridError` for every value it rejects."""
         offs = np.array(self.offsets, dtype=int)
         coef = np.array(self.coefficients, dtype=float)
         if offs.ndim != 1 or offs.shape != coef.shape or not offs.size:
-            raise ValueError("offsets and coefficients must be 1-d, nonempty and the same length")
+            raise InvalidGridError("offsets and coefficients must be 1-d, nonempty and the same length")
         if not np.diff(np.sort(offs)).all():
-            raise ValueError("offsets must be distinct")
+            raise InvalidGridError("offsets must be distinct")
         if not np.isfinite(coef).all():
-            raise ValueError("coefficients must be finite")
+            raise InvalidGridError("coefficients must be finite")
         if not (self.dt > 0 and self.dx > 0):
-            raise ValueError(f"dt, dx must be positive, got dt={self.dt}, dx={self.dx}")
+            raise InvalidGridError(f"dt, dx must be positive, got dt={self.dt}, dx={self.dx}")
         offs.setflags(write=False)
         coef.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "width", int(offs.max() - offs.min()) + 1)
         if self.width > self.period:
-            raise ValueError(f"stencil width {self.width} exceeds its period {self.period}")
+            raise InvalidGridError(f"stencil width {self.width} exceeds its period {self.period}")
 
     @property
     def courant_ratio(self) -> float:
@@ -115,7 +115,6 @@ def ftcs_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
         coefficients=np.array([side, c0, side]),
         dt=dt,
         dx=dx,
-        name="ftcs",
         period=grid_n,
     )
 
@@ -125,20 +124,21 @@ def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
 
     D2 is the periodic second difference.  The circulant eigenvalues
     1 + 4r sin^2(pi k / N) are >= 1, so the inverse always exists; its
-    first row is recovered by an inverse DFT.
+    first row is recovered by an inverse DFT.  Past r ~ 4.5e307 an
+    eigenvalue may overflow to inf (1/inf = 0); mode 0 keeps 0 * r = 0.
     """
     if grid_n < 4:
         raise InvalidGridError(f"backward Euler needs grid_n >= 4, got {grid_n}")
     r = dt / dx**2
     k = np.arange(grid_n)
-    eigenvalues = 1.0 + 4.0 * r * np.sin(np.pi * k / grid_n) ** 2
+    with np.errstate(over="ignore"):
+        eigenvalues = 1.0 + 4.0 * np.sin(np.pi * k / grid_n) ** 2 * r
     coefficients = np.fft.fft(1.0 / eigenvalues).real / grid_n
     return StencilScheme(
         offsets=np.arange(grid_n),
         coefficients=coefficients,
         dt=dt,
         dx=dx,
-        name="backward_euler",
         period=grid_n,
     )
 
@@ -281,14 +281,13 @@ def _dense(s: StencilScheme) -> tuple:
     return lo, arr
 
 
-def _from_dense(dense: tuple, template: StencilScheme, name: str) -> StencilScheme:
+def _from_dense(dense: tuple, template: StencilScheme) -> StencilScheme:
     lo, arr = dense
     return StencilScheme(
         offsets=np.arange(lo, lo + arr.size),
         coefficients=arr,
         dt=template.dt,
         dx=template.dx,
-        name=name,
         period=template.period,
     )
 
@@ -302,10 +301,11 @@ def _conv(a: tuple, b: tuple, period: int) -> tuple:
     noise, which inflates the sum of |coefficients| as N grows.
     """
     lo = a[0] + b[0]
-    full = np.convolve(a[1], b[1])
-    if full.size > period:
-        lo %= period
-        full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below catches it
+        full = np.convolve(a[1], b[1])
+        if full.size > period:
+            lo %= period
+            full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
     if not np.isfinite(full).all() or np.max(np.abs(full)) > OVERFLOW_LIMIT:
         raise DivergedOperatorError("stencil coefficients overflowed during composition")
     return lo, full
@@ -322,7 +322,7 @@ def compose(first: StencilScheme, second: StencilScheme) -> StencilScheme:
     if first.period != second.period:
         raise InvalidGridError(f"cannot compose periods {first.period} and {second.period}")
     dense = _conv(_dense(first), _dense(second), first.period)
-    return _from_dense(dense, first, f"{first.name}*{second.name}")
+    return _from_dense(dense, first)
 
 
 def power(s: StencilScheme, n: int) -> StencilScheme:
@@ -348,4 +348,4 @@ def power(s: StencilScheme, n: int) -> StencilScheme:
         m >>= 1
         if m:
             sq = _conv(sq, sq, s.period)
-    return _from_dense(result, s, f"{s.name}^{n}")
+    return _from_dense(result, s)

@@ -48,14 +48,6 @@ class FiniteSequence:
         object.__setattr__(self, "entries", cleaned)
 
     @classmethod
-    def from_values(cls, values) -> "FiniteSequence":
-        return cls({i: v for i, v in enumerate(values)})
-
-    @classmethod
-    def zero(cls) -> "FiniteSequence":
-        return cls({})
-
-    @classmethod
     def unit(cls, k: int) -> "FiniteSequence":
         return cls({k: 1.0})
 
@@ -91,16 +83,14 @@ def norm_Tk(k: int) -> float:
 class PointwiseBoundReport:
     bound: float
     saturating_k: int
-    saturated: bool
 
 
 def pointwise_bound(x: FiniteSequence, k_max: int) -> PointwiseBoundReport:
-    """sup_k ||T_k x||, certified by scanning up to k_max.
+    """sup_k ||T_k x||, over the k up to k_max.
 
     T_k x vanishes for k at or beyond the support bound, so the supremum
-    is attained below it; the scan through k_max confirms saturation.
-    ``k_max`` must reach the support bound, otherwise saturation cannot
-    be certified and :class:`InsufficientScanError` is raised.
+    is attained below it.  ``k_max`` must reach the support bound,
+    otherwise :class:`InsufficientScanError` is raised.
     """
     m = x.support_bound
     if k_max < m:
@@ -110,8 +100,7 @@ def pointwise_bound(x: FiniteSequence, k_max: int) -> PointwiseBoundReport:
         val = k * abs(x[k])
         if val > bound:
             bound, best_k = val, k
-    tail = max((k * abs(x[k]) for k in range(m, k_max + 1)), default=0.0)
-    return PointwiseBoundReport(bound=bound, saturating_k=best_k, saturated=tail <= bound)
+    return PointwiseBoundReport(bound=bound, saturating_k=best_k)
 
 
 @dataclass(frozen=True)

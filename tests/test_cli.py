@@ -246,13 +246,17 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert "t = 1e-06" in err and "[stability]" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("r", ["1e-310", "1e-320", "1e-323"])
-    def test_stability_step_count_past_any_float_exits_2(self, tmp_path, capsys, r):
+    @pytest.mark.parametrize(
+        "r, message",
+        [("1e-310", "too many steps"), ("1e-320", "too many steps"), ("1e-323", "dt, dx must be positive")],
+        ids=["1e-310", "1e-320", "1e-323"],
+    )
+    def test_stability_step_count_past_any_float_exits_2(self, tmp_path, capsys, r, message):
         # r*dx^2 is a subnormal (so t/dt overflows) or underflows to 0.
         cfg = write_cfg(tmp_path, stability_cfg_with("r", r))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "too many steps" in err and "[stability]" in err and "Traceback" not in err
+        assert message in err and "[stability]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "section, cause",
@@ -285,12 +289,18 @@ class TestBadValues:
             # step 2.48e6 times: 1.74e8 updates, past MAX_UPDATES.
             ("[convergence unstable-long-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e4\n"
              "dts = 0.004028497\npath = table 0.004028497=0.08975979010256552\n", "updates"),
+            # r = 1e308: the FTCS side coefficient r overflows to inf.
+            ("[stability ftcs-r-past-max]\nscheme = ftcs\ngrid_n = 64\nr = 1e308\nt = 4\n",
+             "coefficients must be finite"),
+            # dx = 2 * 64**65536 is past any float: an infinite target.
+            ("[convergence power-overflows]\nscheme = ftcs\nprobe = sine(1)\nt = 3\ndts = 64\n"
+             "path = power 2 65536\n", "too coarse"),
         ],
         ids=[
             "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
             "fixed-r-past-max-grid", "target-underflows", "n-overflows", "twins-past-budget",
             "twin-steps-past-any-float", "convergence-steps-past-any-float",
-            "unstable-cells-past-budget",
+            "unstable-cells-past-budget", "ftcs-coefficient-overflows", "path-target-overflows",
         ],
     )
     def test_unusable_grid_exits_2(self, tmp_path, capsys, section, cause):
@@ -299,6 +309,34 @@ class TestBadValues:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert cause in err and section.split("\n")[0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, verdict",
+        [
+            # Every eigenvalue but mode 0's overflows to inf: the mean projection.
+            ("[stability be-r-past-max]\nscheme = backward_euler\ngrid_n = 64\nr = 1e308\nt = 1e307\n",
+             "bound_L=1 stable=True"),
+            # k^2 t overflows: exp(-inf) = 0 damps every mode but k = 0.
+            ("[consistency late]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = 1e308\n",
+             "max residual 0"),
+            # Row 0 of the unstable twins overflows between sample points.
+            ("[roundoff r4]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 4e-3, 2e-3, 1e-3, 5e-4\n"
+             "path = fixed_r 4\nbits = 12\n", "fit skipped"),
+            # The coefficients overflow inside the fold of a composition.
+            ("[stability n5]\nscheme = ftcs\ngrid_n = 5\nr = 2\nt = 1.7e308\n", "bound_L=inf stable=False"),
+            # At r = 3e12 one checked step of a cell overflows on its way past OVERFLOW_LIMIT.
+            ("[convergence r3e12]\nscheme = ftcs\nprobe = sine(1)\nt = 1e8\ndts = 1e6, 5e5, 2.5e5\n"
+             "path = fixed_r 3e12\n", "converged=False"),
+        ],
+        ids=["backward-euler-r-past-max", "consistency-t-past-max", "twins-overflow-between-samples",
+             "composition-overflows-in-fold", "convergence-step-overflows"],
+    )
+    def test_overflow_inside_a_run_ends_in_a_verdict(self, tmp_path, capsys, section, verdict):
+        # Under the suite's warnings-as-errors, a floating-point flag would end the run.
+        cfg = write_cfg(tmp_path, section)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        assert verdict in (tmp_path / "o" / "summary.txt").read_text()
 
 
 MINIMAL_SECTIONS = {

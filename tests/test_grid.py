@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.errors import DivergedValueError, InvalidGridError
-from laxlab.grid import OVERFLOW_LIMIT, is_band_limited
+from laxlab.grid import OVERFLOW_LIMIT, TWO_PI, is_band_limited
 
 
 def grid(values):
@@ -129,34 +129,37 @@ def test_amplitude_scales_every_kind_bit_for_bit(kind, arg, amplitude, n):
     assert scaled.tobytes() == (amplitude * unit).tobytes()
 
 
-class TestSpectralCoefficients:
-    def test_sine_mode_one(self):
-        coeffs = lx.spectral_coefficients(lx.sample(lx.Sine(1), 8))
-        ks = lx.wavenumbers(8)
-        lookup = dict(zip(ks, coeffs))
-        assert abs(lookup[1] - (-0.5j)) < 1e-12
-        assert abs(lookup[-1] - 0.5j) < 1e-12
-        others = [lookup[k] for k in ks if k not in (1, -1)]
-        assert max(abs(c) for c in others) < 1e-12
+def _band_limited_by_full_dft(u, max_mode):
+    """Oracle: the centred full DFT, fftshift(fft(u)) / N, read at wavenumbers
+    -N//2 .. (N-1)//2; no |k| above max_mode may pass 1e-12 of the largest."""
+    coeffs = np.abs(np.fft.fftshift(np.fft.fft(u.values)) / u.n)
+    ks = np.arange(-(u.n // 2), (u.n + 1) // 2)
+    total = coeffs.max()
+    if total == 0.0:
+        return True
+    high = coeffs[np.abs(ks) > max_mode]
+    return bool(high.size == 0 or high.max() <= 1e-12 * total)
 
-    def test_constant(self):
-        coeffs = lx.spectral_coefficients(lx.sample(lx.Constant(1.0), 8))
-        lookup = dict(zip(lx.wavenumbers(8), coeffs))
-        assert abs(lookup[0] - 1.0) < 1e-12
-        assert max(abs(lookup[k]) for k in lx.wavenumbers(8) if k != 0) < 1e-12
 
-    def test_point_mass_matches_direct_dft(self):
-        u = lx.sample(lx.PointMass(0), 4)
-        # direct DFT oracle: c_k = (1/N) sum_j u_j exp(-i k x_j)
-        x = np.arange(4) * u.dx
-        oracle = {
-            k: sum(u.values[j] * np.exp(-1j * k * x[j]) for j in range(4)) / 4
-            for k in lx.wavenumbers(4)
-        }
-        coeffs = dict(zip(lx.wavenumbers(4), lx.spectral_coefficients(u)))
-        for k in oracle:
-            assert abs(coeffs[k] - oracle[k]) < 1e-12
-            assert abs(coeffs[k] - 0.25) < 1e-12
+@st.composite
+def _planted_modes(draw):
+    """(u, max_mode): a few sine or cosine modes of amplitude 1e-14..1 on N = 4..512."""
+    n = draw(st.integers(4, 512))
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, n // 2), st.floats(1e-14, 1.0), st.booleans()), min_size=1, max_size=4
+    ))
+    x = np.arange(n) * (TWO_PI / n)
+    values = sum(a * (np.sin(k * x) if sine else np.cos(k * x)) for k, a, sine in terms)
+    return grid(values), draw(st.integers(0, n // 2))
+
+
+@given(_planted_modes())
+@example((grid(np.cos(np.arange(64) * (TWO_PI / 64) * 17) * 1e-14 + 1.0), 16))
+@example((grid(np.zeros(8)), 0))
+@settings(max_examples=300, deadline=None)
+def test_band_limit_check_matches_the_full_dft(case):
+    u, max_mode = case
+    assert is_band_limited(u, max_mode) == _band_limited_by_full_dft(u, max_mode)
 
 
 class TestNormAxioms:

@@ -127,7 +127,7 @@ class TestApply:
         assert np.max(np.abs(out - g * u.values)) < 1e-12
 
     def test_stencil_wider_than_grid(self):
-        wide = StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, "wide", period=7)
+        wide = StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, period=7)
         with pytest.raises(InvalidGridError):
             apply_values(wide, np.zeros(4))
 
@@ -136,7 +136,7 @@ class TestApply:
         rng = np.random.default_rng(4)
         offs = np.arange(-20, 20)
         coefs = rng.uniform(-1, 1, offs.size)
-        s = StencilScheme(offs, coefs, 0.1, 0.1, "dense", period=64)
+        s = StencilScheme(offs, coefs, 0.1, 0.1, period=64)
         u = rng.uniform(-1, 1, 64)
         direct = np.zeros(64)
         for o, c in zip(offs, coefs):
@@ -162,7 +162,7 @@ def _narrow_stencils(draw):
     offsets = sorted({lo, lo + width - 1} | inner)
     seed = draw(st.integers(0, 2**32 - 1))
     coefs = np.random.default_rng(seed).uniform(-1, 1, len(offsets))
-    return StencilScheme(np.array(offsets), coefs, 0.1, 0.1, "narrow", period=n), n
+    return StencilScheme(np.array(offsets), coefs, 0.1, 0.1, period=n), n
 
 
 class TestApplyFastPaths:
@@ -245,7 +245,7 @@ class TestOverflowFreeSteps:
         st.integers(0, 2**32 - 1),
     )
     # All-positive coefficients on data of one sign: the bound is nearly met.
-    @example((StencilScheme(np.array([-1, 0, 1]), [0.25, 0.75, 0.5], 0.1, 0.1, "pos", 3), 3),
+    @example((StencilScheme(np.array([-1, 0, 1]), [0.25, 0.75, 0.5], 0.1, 0.1, 3), 3),
              4, 60, 0, True, 0)
     @settings(max_examples=80, deadline=None)
     def test_rounded_steps_stay_within_peak_times_rho_to_the_n(
@@ -345,7 +345,7 @@ class TestSymbol:
         # one transform pair's rounding is all apply_power may add.
         s, n = stencil_n
         total = math.fsum(np.abs(s.coefficients).tolist())
-        s = StencilScheme(s.offsets, s.coefficients / max(1.0, total), s.dt, s.dx, s.name, period=n)
+        s = StencilScheme(s.offsets, s.coefficients / max(1.0, total), s.dt, s.dx, period=n)
         u = np.random.default_rng(seed).uniform(-1, 1, n)
         exact = _circulant_power_ld(s, steps) @ u.astype(np.longdouble)
         bound = 8 * max(1, math.log2(n)) * np.finfo(float).eps * np.max(np.abs(u))
@@ -456,7 +456,7 @@ class TestPower:
     def test_cube_matches_repeated_application_oracle(self):
         rng = np.random.default_rng(17)
         s = StencilScheme(
-            np.array([-1, 0, 2]), rng.uniform(-1, 1, 3), 0.1, 0.1, "random", period=32
+            np.array([-1, 0, 2]), rng.uniform(-1, 1, 3), 0.1, 0.1, period=32
         )
         u = rng.uniform(-1, 1, 32)
         p3 = power(s, 3)
@@ -475,7 +475,7 @@ class TestPower:
         assert np.max(np.abs(p5.coefficients - composed.coefficients)) <= 1e-12
 
     def test_overflow_raises_diverged_operator(self):
-        s = StencilScheme(np.array([0]), np.array([1e200]), 0.1, 0.1, "huge", period=16)
+        s = StencilScheme(np.array([0]), np.array([1e200]), 0.1, 0.1, period=16)
         with pytest.raises(DivergedOperatorError):
             power(s, 2)
 
@@ -511,7 +511,7 @@ class TestGridWrap:
 
     def test_width_beyond_period_rejected(self):
         with pytest.raises(ValueError):
-            StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, "wide", period=6)
+            StencilScheme(np.arange(-3, 4), np.ones(7), 0.1, 0.1, period=6)
         with pytest.raises(ValueError):
             ftcs_heat(0.25, 1.0, 2)
 
@@ -560,4 +560,4 @@ class TestGridWrap:
 
 def test_offsets_must_be_distinct():
     with pytest.raises(ValueError):
-        StencilScheme(np.array([0, 0]), np.array([1.0, 2.0]), 0.1, 0.1, "dup", period=16)
+        StencilScheme(np.array([0, 0]), np.array([1.0, 2.0]), 0.1, 0.1, period=16)

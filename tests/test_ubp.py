@@ -39,7 +39,7 @@ class TestFiniteSequence:
         assert x.support_bound == 1
 
     def test_support_bound(self):
-        assert FiniteSequence.zero().support_bound == 0
+        assert FiniteSequence({}).support_bound == 0
         assert FiniteSequence({5: 0.5, 100: -0.25}).support_bound == 101
 
     def test_negative_index_rejected(self):
@@ -49,10 +49,10 @@ class TestFiniteSequence:
 
 class TestSeqNorm:
     def test_zero(self):
-        assert seq_norm(FiniteSequence.zero()) == 0.0
+        assert seq_norm(FiniteSequence({})) == 0.0
 
     def test_max_abs(self):
-        assert seq_norm(FiniteSequence.from_values([1.0, -3.0, 2.0])) == 3.0
+        assert seq_norm(FiniteSequence(dict(enumerate([1.0, -3.0, 2.0])))) == 3.0
 
     def test_sparse_enumeration(self):
         assert seq_norm(FiniteSequence({5: 0.5, 100: -0.25})) == 0.5
@@ -60,12 +60,12 @@ class TestSeqNorm:
 
 class TestApplyTk:
     def test_paper_substitution(self):
-        x = FiniteSequence.from_values([1.0, 1.0, 1.0])
+        x = FiniteSequence(dict(enumerate([1.0, 1.0, 1.0])))
         y = apply_Tk(2, x)
         assert y.entries == {2: 2.0}
 
     def test_t_zero_annihilates(self):
-        x = FiniteSequence.from_values([3.0, 4.0])
+        x = FiniteSequence(dict(enumerate([3.0, 4.0])))
         assert apply_Tk(0, x).entries == {}
 
     def test_scaling(self):
@@ -110,11 +110,10 @@ class TestNormTk:
 
 class TestPointwiseBound:
     def test_ones_example(self):
-        x = FiniteSequence.from_values([1.0, 1.0, 1.0])
+        x = FiniteSequence(dict(enumerate([1.0, 1.0, 1.0])))
         report = pointwise_bound(x, 10)
         assert report.bound == 2.0
         assert report.saturating_k == 2
-        assert report.saturated
 
     def test_unit_zero(self):
         report = pointwise_bound(FiniteSequence.unit(0), 5)
@@ -126,7 +125,6 @@ class TestPointwiseBound:
         brute = max(seq_norm(apply_Tk(k, x)) for k in range(1001))
         report = pointwise_bound(x, 1000)
         assert report.bound == brute
-        assert report.saturated
 
     def test_insufficient_scan(self):
         x = FiniteSequence({50: 1.0})
@@ -134,14 +132,14 @@ class TestPointwiseBound:
             pointwise_bound(x, 10)
 
     def test_annihilated_beyond_support(self):
-        x = FiniteSequence.from_values([1.0, 0.5, 0.25])
+        x = FiniteSequence(dict(enumerate([1.0, 0.5, 0.25])))
         for k in range(x.support_bound, x.support_bound + 50):
             assert apply_Tk(k, x).entries == {}
 
 
 class TestViolationDemo:
     def test_table_contrast(self):
-        probe = FiniteSequence.from_values([1.0, 1.0, 1.0])
+        probe = FiniteSequence(dict(enumerate([1.0, 1.0, 1.0])))
         rows = ubp_violation_demo(range(101), [probe])
         assert [row.op_norm for row in rows] == [float(k) for k in range(101)]
         assert all(row.probe_bounds == ((0, 2.0),) for row in rows)
