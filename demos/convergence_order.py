@@ -25,7 +25,6 @@ for cell in report.cells:
     print(f"{cell.dt:<11.3e} {cell.dx:<11.3e} {cell.error:.3e}")
 print(f"observed order : {report.observed_order:.3f}")
 print(f"converged      : {report.converged}")
-print(f"cloud diameter : {report.compactness_diameter:.3e}")
 
 # --- the same probe at a fixed ratio past the threshold ----------------
 bad = convergence_experiment(

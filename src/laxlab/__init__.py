@@ -38,7 +38,6 @@ from .grid import (
     RefinementPath,
     Sine,
     parse_probe,
-    resample,
     sample,
     sup_norm,
 )

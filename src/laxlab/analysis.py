@@ -35,7 +35,6 @@ from .grid import (
     Probe,
     RefinementPath,
     is_band_limited,
-    resample,
     sample,
     sup_norm,
 )
@@ -300,7 +299,6 @@ class ConvergenceReport:
     cells: tuple
     observed_order: float | None
     converged: bool
-    compactness_diameter: float
 
     @property
     def errors(self):
@@ -314,12 +312,6 @@ def scheme_builder(name: str):
     if name == "backward_euler":
         return backward_euler_heat
     raise ValueError(f"unknown scheme: {name!r}")
-
-
-def _diameter(cloud) -> float:
-    """Max pairwise sup-distance among rows: per point, max - min is the largest
-    rounded |a - b| bit for bit, since a rounded difference is monotone in each."""
-    return float(np.ptp(cloud, axis=0).max())
 
 
 def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
@@ -369,10 +361,7 @@ def convergence_experiment(
     below ``1e-3 * ||u||``.  The observed order is the log-log slope of
     error against dx over at least three cells above the floor (an order
     fitted to round-off noise would mean nothing), and None unless the
-    errors are all finite and monotone in that sense.  The compactness
-    diameter is the max pairwise sup-distance among trajectory endpoints
-    and the exact solution, measured after trigonometric resampling to the
-    finest grid.
+    errors are all finite and monotone in that sense.
     """
     dts = sorted(dts, reverse=True)
     if not dts:
@@ -386,7 +375,6 @@ def convergence_experiment(
     if updates > MAX_UPDATES:
         raise InvalidGridError(f"unstable cells need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
     cells = []
-    endpoints = []
     for s, n_steps, symbol in plan:
         u = sample(probe, s.period)
         if symbol.passed:
@@ -396,12 +384,10 @@ def convergence_experiment(
             vals, diverged = _run_trajectory(s, u, n_steps)
         if diverged:
             error = math.inf
-            endpoints.append(None)
         else:
             sg = HeatSemigroup(horizon_t=horizon_t, grid_n=s.period)
             exact = evolve(sg, u, n_steps * s.dt)
             error = float(np.max(np.abs(vals - exact.values)))
-            endpoints.append(GridFunction(vals))
         cells.append(
             ConvergenceCell(
                 dt=s.dt,
@@ -424,18 +410,8 @@ def convergence_experiment(
     observed_order = loglog_slope(above_floor, 3) if settled else None
     converged = settled and errors[-1] < 1e-3 * norm
 
-    if not all_finite:
-        diameter = math.inf
-    else:
-        n_max = max(c.grid_n for c in cells)
-        resampled = [resample(ep, n_max).values for ep in endpoints]
-        sg = HeatSemigroup(horizon_t=horizon_t, grid_n=n_max)
-        exact_fine = evolve(sg, sample(probe, n_max), horizon_t)
-        diameter = _diameter(resampled + [exact_fine.values])
-
     return ConvergenceReport(
         cells=tuple(cells),
         observed_order=observed_order,
         converged=converged,
-        compactness_diameter=diameter,
     )

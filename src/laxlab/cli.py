@@ -61,17 +61,24 @@ def _parse_path(text: str) -> RefinementPath:
 
 
 def _parse_k_range(text: str) -> range:
-    """``a:b`` is k = a..b inclusive; a lone ``k`` is that one k."""
+    """``a:b`` is k = a..b inclusive; a lone ``k`` is that one k.  The last k
+    may not pass :data:`~laxlab.grid.MAX_GRID_N`, the cap of any grid."""
     lo, colon, hi = text.partition(":")
-    return range(int(lo), int(hi if colon else lo) + 1)
+    top = int(hi if colon else lo)
+    if top > MAX_GRID_N:
+        raise ValueError(f"k = {top} past {MAX_GRID_N}")
+    return range(int(lo), top + 1)
 
 
 def _parse_sequence_probes(text: str) -> list:
-    """A ``;``-separated list of ``ones(n)``, ``unit(k)`` and ``harmonic(m)``."""
+    """A ``;``-separated list of ``ones(n)``, ``unit(k)`` and ``harmonic(m)``,
+    each argument at most :data:`~laxlab.grid.MAX_GRID_N`."""
     probes = []
     for tok in filter(str.strip, text.split(";")):
         name, _, arg = tok.strip().partition("(")
         arg = int(arg.rstrip(")"))
+        if arg > MAX_GRID_N:
+            raise ValueError(f"{tok!r} past {MAX_GRID_N}")
         if name == "ones":
             probes.append(ubp.FiniteSequence({i: 1.0 for i in range(arg)}))
         elif name == "unit":
@@ -127,7 +134,7 @@ _SCHEMA = {
         "bits": (int, lambda v: 4 <= v <= 52),
     },
     "ubp_demo": {
-        "k_range": (_parse_k_range, lambda v: len(v) > 0 and v[0] >= 0),
+        "k_range": (_parse_k_range, lambda v: bool(v) and v[0] >= 0),  # len() raises past 2**63 items
         "probes": (_parse_sequence_probes, lambda v: all(p.entries for p in v), []),
     },
 }
@@ -212,10 +219,7 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
             _row(cell.dt, cell.dx, r, cell.n_steps, None, cell.max_abs_g, cell.error, report.converged)
         )
     order = "n/a" if report.observed_order is None else f"{report.observed_order:.3g}"
-    summary.append(
-        f"convergence {scheme}: converged={report.converged} observed_order={order} "
-        f"diameter={report.compactness_diameter:.6g}"
-    )
+    summary.append(f"convergence {scheme}: converged={report.converged} observed_order={order}")
     return scheme
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "parse_probe",
     "sample",
     "sup_norm",
-    "resample",
     "is_band_limited",
 ]
 
@@ -223,24 +222,6 @@ def sample(probe: Probe, n: int) -> GridFunction:
         raise InvalidGridError(f"grid needs N >= 2, got {n}")
     x = np.arange(n) * (TWO_PI / n)
     return GridFunction(probe.evaluate_on(x))
-
-
-# ---------------------------------------------------------------------------
-# Discrete Fourier representation: rfft, modes 0..N//2 (|X_k| = |X_-k| for real u).
-# ---------------------------------------------------------------------------
-
-def resample(u: GridFunction, n_new: int) -> GridFunction:
-    """Trigonometric resampling onto an ``n_new``-point grid.
-
-    Rounds exactly as ``scipy.signal.resample`` does on real input.
-    """
-    if n_new < 2:
-        raise InvalidGridError(f"grid needs N >= 2, got {n_new}")
-    n, m = u.n, min(n_new, u.n)
-    spectrum = np.fft.rfft(u.values)[: m // 2 + 1]
-    if m % 2 == 0 and n_new != n:  # the unpaired Nyquist bin folds or splits
-        spectrum[m // 2] *= 2.0 if n_new < n else 0.5
-    return GridFunction(np.fft.irfft(spectrum / (n / n_new), n=n_new))
 
 
 def is_band_limited(u: GridFunction, max_mode: int) -> bool:

@@ -88,15 +88,16 @@ class PointwiseBoundReport:
 def pointwise_bound(x: FiniteSequence, k_max: int) -> PointwiseBoundReport:
     """sup_k ||T_k x||, over the k up to k_max.
 
-    T_k x vanishes for k at or beyond the support bound, so the supremum
-    is attained below it.  ``k_max`` must reach the support bound,
-    otherwise :class:`InsufficientScanError` is raised.
+    T_k x vanishes off the support of x, so the supremum is attained on
+    it; the scan takes the support in increasing k, keeping the smallest k
+    on ties.  ``k_max`` must reach the support bound, otherwise
+    :class:`InsufficientScanError` is raised.
     """
     m = x.support_bound
     if k_max < m:
         raise InsufficientScanError(f"k_max={k_max} below support bound {m}")
     bound, best_k = 0.0, 0
-    for k in range(m):
+    for k in sorted(x.entries):
         val = k * abs(x[k])
         if val > bound:
             bound, best_k = val, k

@@ -426,24 +426,6 @@ class TestConvergence:
             report = convergence_experiment(builder, path, lx.Sine(1), 1.0, dts)
             assert report.converged
 
-    def test_compactness_diameter_shrinks_under_refinement(self):
-        coarse = convergence_experiment(
-            scheme_builder("ftcs"),
-            RefinementPath.cfl_boundary(),
-            lx.Sine(1),
-            1.0,
-            [2e-2, 1e-2, 5e-3],
-        )
-        fine = convergence_experiment(
-            scheme_builder("ftcs"),
-            RefinementPath.cfl_boundary(),
-            lx.Sine(1),
-            1.0,
-            [2.5e-3, 1.25e-3, 6.25e-4],
-        )
-        assert math.isfinite(coarse.compactness_diameter)
-        assert fine.compactness_diameter < coarse.compactness_diameter
-
     def test_no_order_fitted_to_growing_errors(self):
         # Finite but exploding errors (~1e15 .. 1e74) have a log-log slope,
         # but it measures blow-up, not convergence.
@@ -500,7 +482,6 @@ class TestConvergence:
         )
         assert not report.converged
         assert report.cells[0].error == math.inf
-        assert report.compactness_diameter == math.inf
 
     def test_only_cells_failing_von_neumann_are_stepped(self, monkeypatch):
         # r = 0.55 fails the check, so each cell must equal a plain step
@@ -533,19 +514,6 @@ class TestConvergence:
             scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, [1e-2, 2.5e-3]
         )
         assert report.converged
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_one_pass_diameter_equals_pairwise_max_bit_for_bit(self, data):
-        m, n = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 4))
-        # Entries drawn from a small shared pool tie across rows; few columns
-        # keep the largest gap from always lying between adjacent rows.
-        values = st.floats(-1e300, 1e300)
-        pool = data.draw(st.lists(values, min_size=1, max_size=4))
-        entries = st.lists(st.sampled_from(pool) | values, min_size=n, max_size=n)
-        cloud = [np.array(data.draw(entries)) for _ in range(m)]
-        pairwise = max(float(np.max(np.abs(a - b))) for i, a in enumerate(cloud) for b in cloud[i + 1 :])
-        assert analysis._diameter(cloud).hex() == pairwise.hex()
 
     @given(
         pairs=st.lists(

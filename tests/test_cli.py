@@ -227,12 +227,24 @@ class TestBadValues:
             ("[ubp_demo]\nk_range = 0:5\nprobes = unit(-1)\n", "bad value 'unit\\(-1\\)' for key 'probes'"),
             ("[ubp_demo]\nk_range = 0:5\nprobes = ones(-1)\n", "bad value 'ones\\(-1\\)' for key 'probes'"),
             ("[ubp_demo]\nk_range = 0:5\nk_max = 5\n", "unknown key 'k_max'"),
+            # An index past MAX_GRID_N = 65536 is a bad value, rejected before
+            # any range or probe is built.
+            ("[ubp_demo]\nk_range = 0:1000000\n", "bad value '0:1000000' for key 'k_range'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = ones(3000000)\n",
+             "bad value 'ones\\(3000000\\)' for key 'probes'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = unit(100000000)\n",
+             "bad value 'unit\\(100000000\\)' for key 'probes'"),
+            (f"[ubp_demo]\nk_range = 0:5\nprobes = unit({10**309})\n",
+             "bad value 'unit\\(10{309}\\)' for key 'probes'"),
+            (f"[ubp_demo]\nk_range = {10**309}\n", "bad value '10{309}' for key 'k_range'"),
+            (f"[ubp_demo]\nk_range = -{10**19}:5\n", "bad value '-10{19}:5' for key 'k_range'"),
         ],
         ids=[
             "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed",
             "infinite-amplitude", "infinite-constant", "amplitudes-past-overflow-limit",
             "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
-            "probes-ones-negative", "k-max",
+            "probes-ones-negative", "k-max", "k-range-past-cap", "probes-ones-past-cap",
+            "probes-unit-past-cap", "probes-unit-1e309", "k-range-1e309", "k-range-start-past-ssize",
         ],
     )
     def test_other_bad_values_raise_config_error(self, tmp_path, section, message):
@@ -395,7 +407,9 @@ def test_every_schema_key_rejects_garbage(tmp_path, capsys, kind, key):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only oracle; importing the CLI must not pay for it.
+    # laxlab depends on numpy alone.  scipy is installed next to it (perfbench
+    # records its version) but no code or test of laxlab uses it any more; an
+    # import of it would add about a second to every CLI start.
     src = Path(laxlab.__file__).resolve().parent.parent
     code = "import sys, laxlab.cli; print('scipy' in sys.modules)"
     result = subprocess.run(

@@ -5,11 +5,18 @@ in the shipped package: no experiment, CSV or summary reaches it.  The same
 holds for the members of each public class: a dataclass field, attribute,
 property or method that nothing reads as ``expr.member`` outside the tests
 is computed for no one.  There the acceptance criteria count as readers, since
-they are the spec.  The member check is textual, so a member whose name is
-read elsewhere on another object escapes it: ``VonNeumannReport.wavenumber``
-passes through ``self.wavenumber`` of the probes, and a ``name`` field would
-pass through ``path.name``.
+they are the spec.
+
+Both checks read code, not prose: a use is an ``ast.Name`` or
+``ast.Attribute`` in a reader file, so a mention in a docstring or comment
+reaches nothing.  The benchmark's string constants ``"<module>.<name>..."``
+count as uses of ``name`` as well, since its tracer resolves the layers it
+times by those names.  A member is matched by name alone, so one whose name
+is read elsewhere on another object escapes the check:
+``VonNeumannReport.wavenumber`` passes through ``self.wavenumber`` of the
+probes, and a ``name`` field would pass through ``path.name``.
 """
+import ast
 import dataclasses
 import importlib
 import re
@@ -20,14 +27,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "laxlab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-USERS = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + [
-    p for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py") if not p.name.startswith("test_")
-]
-MEMBER_READERS = USERS + [ROOT / "tests" / "test_acceptance.py"]
+BENCHMARK = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+READERS = (
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "demos").glob("*.py"))
+    + BENCHMARK
+    + [ROOT / "tests" / "test_acceptance.py"]
+)
+LAYER = re.compile(rf"^(?:{'|'.join(MODULES)})\.(\w+)")
 
 
-def _lines(paths=USERS):
-    return [line for path in paths for line in path.read_text().splitlines()]
+def _references() -> tuple:
+    """(names, attributes): the identifiers the readers load, the benchmark's
+    layer names counted among the names."""
+    names, attrs = set(), set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif path in BENCHMARK and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(LAYER.findall(node.value))
+    return names, attrs
+
+
+NAMES, ATTRIBUTES = _references()
 
 
 def _public(module):
@@ -37,14 +62,7 @@ def _public(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_is_used_outside_the_tests(module):
-    lines = _lines()
-    unused = []
-    for name in _public(module):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        # The name's own def/class line or assignment, and the __all__ lines.
-        own = re.compile(rf"\s*(?:(?:def|class)\s+{name}\b|{name}\s*[:=]|__all__\b|\"{name}\",?\s*$)")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
+    unused = [name for name in _public(module) if name not in NAMES | ATTRIBUTES]
     assert unused == []
 
 
@@ -56,12 +74,11 @@ def _members(cls) -> set:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_member_is_read_outside_the_tests(module):
-    text = "\n".join(_lines(MEMBER_READERS))
     unread = [
         f"{obj.__name__}.{member}"
         for obj in _public(module).values()
         if isinstance(obj, type)
         for member in sorted(_members(obj))
-        if not re.search(rf"(?<=[\w)\]])\.{re.escape(member)}\b", text)
+        if member not in ATTRIBUTES
     ]
     assert unread == []

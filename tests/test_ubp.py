@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxlab.errors import InsufficientScanError
 from laxlab.ubp import (
@@ -108,6 +110,26 @@ class TestNormTk:
             assert seq_norm(apply_Tk(k, FiniteSequence.unit(k))) == float(k)
 
 
+def dense_pointwise_bound(x: FiniteSequence) -> tuple:
+    """(bound, saturating k) by the scan of every k below the support bound."""
+    bound, best_k = 0.0, 0
+    for k in range(x.support_bound):
+        val = k * abs(x[k])
+        if val > bound:
+            bound, best_k = val, k
+    return bound, best_k
+
+
+@st.composite
+def sparse_sequences_with_ties(draw):
+    entries = draw(st.dictionaries(st.integers(0, 300), st.floats(-1e300, 1e300), max_size=8))
+    # An entry +-c / 2**j at k = 2**j has k * |x_k| = c exactly, so these tie.
+    c = draw(st.floats(1e-300, 1e300))
+    for j in draw(st.sets(st.integers(0, 8), max_size=4)):
+        entries[2**j] = draw(st.sampled_from([1.0, -1.0])) * c / 2**j
+    return FiniteSequence(entries)
+
+
 class TestPointwiseBound:
     def test_ones_example(self):
         x = FiniteSequence(dict(enumerate([1.0, 1.0, 1.0])))
@@ -125,6 +147,16 @@ class TestPointwiseBound:
         brute = max(seq_norm(apply_Tk(k, x)) for k in range(1001))
         report = pointwise_bound(x, 1000)
         assert report.bound == brute
+
+    @given(sparse_sequences_with_ties())
+    @settings(max_examples=200, deadline=None)
+    def test_support_scan_matches_the_dense_scan(self, x):
+        report = pointwise_bound(x, x.support_bound)
+        assert (report.bound, report.saturating_k) == dense_pointwise_bound(x)
+
+    def test_far_unit_is_scanned_at_once(self):
+        report = pointwise_bound(FiniteSequence.unit(10**12), 10**12 + 1)
+        assert (report.bound, report.saturating_k) == (1e12, 10**12)
 
     def test_insufficient_scan(self):
         x = FiniteSequence({50: 1.0})
