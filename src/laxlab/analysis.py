@@ -10,15 +10,19 @@ turned into finite, falsifiable checks:
 * convergence: trajectory error at the final time along a refinement
   path, with an observed order fitted in dx.
 
-A stability row or convergence cell whose von Neumann check passes reads
-C^n from the stencil's one symbol (see :mod:`laxlab.schemes`).  One that
-fails it walks the powers through :func:`~laxlab.schemes.power` and
-:func:`~laxlab.schemes.compose`, whose coefficient overflow marks the
-divergence (stability), or is stepped n times through
+A stability row takes its norms by one of three paths.  One whose von
+Neumann check passes and whose coefficients are all nonnegative reads
+||C^n|| = (sum c)^n from its row sum; one that passes with a negative
+coefficient reads C^n from the stencil's one symbol (see
+:mod:`laxlab.schemes`); one that fails it walks the powers through
+:func:`~laxlab.schemes.power` and :func:`~laxlab.schemes.compose`, whose
+coefficient overflow marks the divergence.  A convergence cell that passes
+reads C^n u from the symbol, and one that fails is stepped n times through
 :func:`~laxlab.schemes.trajectory`, because its blow-up grows from the
-round-off each step adds (convergence).  The sup-norm operator norm of the
-N x N circulant is exactly the sum of absolute coefficients, and every
-norm returned is validated by the sign-pattern witness that attains it.
+round-off each step adds.  The sup-norm operator norm of the N x N
+circulant is exactly the sum of absolute coefficients; every norm taken
+from coefficients or the symbol is validated by the sign-pattern witness
+that attains it, and the row sum needs none: the all-ones vector attains it.
 """
 from __future__ import annotations
 
@@ -179,6 +183,33 @@ def _symbol_norms(s: StencilScheme, steps: list) -> list:
     return norms
 
 
+def _row_sum_norms(s: StencilScheme, steps: list) -> list:
+    """||C^n|| = (sum c)^n for each n in ``steps``, for a stencil with no
+    negative coefficient.
+
+    C^n then has no negative coefficient either, and its row sums to
+    (sum c)^n, so the all-ones vector attains its sup norm: nothing is
+    transformed, so nothing needs a witness.  The sum is carried in long
+    double as two correctly rounded doubles (the exact sum and what is left
+    of it), and log(sum c) is taken from the sum below 1/2 and as
+    log1p(sum c - 1) from there up, so that every n keeps the relative
+    accuracy of long double (a double sum c - 1 alone would put n * 2^-53 /
+    sum c into each norm); a row sum of exactly 1 (every stable FTCS row)
+    gives norms of exactly 1.  A zero sum gives norms of 0, and a norm past
+    the largest double is inf.
+    """
+    def exact_sum(terms: list) -> np.longdouble:
+        hi = math.fsum(terms)
+        return np.longdouble(hi) + np.longdouble(math.fsum(terms + [-hi]))
+
+    coef = s.coefficients.tolist()
+    total = exact_sum(coef)
+    with np.errstate(divide="ignore"):
+        log_g = np.log(total) if total < 0.5 else np.log1p(exact_sum(coef + [-1.0]))
+    with np.errstate(over="ignore"):
+        return np.exp(np.array(steps, np.longdouble) * log_g).astype(float).tolist()
+
+
 def _walked_norms(s: StencilScheme, steps: list) -> tuple:
     """(norms, diverged): C^n built by :func:`power` and :func:`compose`.
 
@@ -204,13 +235,15 @@ def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
     """Norms of the iterates C^n for n*dt <= T, geometrically subsampled;
     stable means no norm passed :data:`STABILITY_CAP`.
 
-    A stencil that passes :func:`von_neumann_check` takes every norm from
-    its symbol (:func:`_symbol_norms`): no power drifts, because each one
-    is a single long double g^n.  A stencil that fails it walks the
-    powers through :func:`power` and :func:`compose`, whose coefficient
-    overflow marks the first diverged sample with an inf norm.  A T shorter
-    than one step, or holding more steps than a float can count, raises
-    :class:`InvalidGridError`.
+    A stencil that passes :func:`von_neumann_check` with no negative
+    coefficient takes every norm from its row sum (:func:`_row_sum_norms`),
+    exactly and with no transform; one that passes with a negative
+    coefficient takes it from its symbol (:func:`_symbol_norms`): no power
+    drifts, because each one is a single long double g^n.  A stencil that
+    fails the check walks the powers through :func:`power` and
+    :func:`compose`, whose coefficient overflow marks the first diverged
+    sample with an inf norm.  A T shorter than one step, or holding more
+    steps than a float can count, raises :class:`InvalidGridError`.
     """
     if s.dt > horizon_t:
         raise InvalidGridError(f"t = {horizon_t!r} is shorter than one step, dt = {s.dt!r}")
@@ -219,10 +252,12 @@ def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
     n_max = int(math.floor(horizon_t / s.dt + 1e-9))
     steps = sample_steps(n_max, 64)
     symbol = von_neumann_check(s)
-    if symbol.passed:
-        norms, diverged = _symbol_norms(s, steps), False
-    else:
+    if not symbol.passed:
         norms, diverged = _walked_norms(s, steps)
+    elif (s.coefficients >= 0).all():
+        norms, diverged = _row_sum_norms(s, steps), False
+    else:
+        norms, diverged = _symbol_norms(s, steps), False
     bound_l = max(norms)
     return StabilityReport(
         n_steps=n_max,

@@ -245,9 +245,12 @@ def _run_roundoff(items: dict, csv_lines: list, summary: list) -> str:
 def _run_ubp_demo(items: dict, csv_lines: list, summary: list) -> str:
     k_range, probes = items["k_range"], items["probes"]
     csv_lines.append("k,op_norm,probe_id,probe_bound\n")
-    for row in ubp.ubp_violation_demo(k_range, probes):
-        for pid, bound in row.probe_bounds or [(None, None)]:
-            csv_lines.append(_row(row.k, row.op_norm, pid, bound))
+    rows = ubp.ubp_violation_demo(k_range, probes)
+    # Every row carries the same probe bounds, so their cells are formatted once.
+    tails = [_row(pid, bound) for pid, bound in rows[0].probe_bounds or [(None, None)]]
+    for row in rows:
+        head = f"{row.k},{_fmt(row.op_norm)},"
+        csv_lines.extend(head + tail for tail in tails)
     summary.append(
         f"ubp_demo: k up to {max(k_range)}, op norm unbounded, "
         f"{len(probes)} probe(s) with fixed pointwise bounds"

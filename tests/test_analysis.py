@@ -256,6 +256,98 @@ class TestSymbolNorms:
         assert stability_check(s, 1.0).max_abs_g == von_neumann_check(s).max_abs_g
 
 
+@st.composite
+def nonnegative_stencils(draw, max_n, min_sum=0.0):
+    """A stencil of 1-8 distinct offsets with nonnegative coefficients whose
+    sum is between ``min_sum`` and 1, on an N-point grid, N in 4..max_n."""
+    n = draw(st.integers(4, max_n))
+    offsets = draw(
+        st.lists(st.integers(-((n - 1) // 2), n // 2), min_size=1, max_size=8, unique=True)
+    )
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(offsets), max_size=len(offsets))))
+    total = draw(st.floats(min_sum, 1.0))
+    if not weights.sum() > 0:
+        weights = np.ones(len(offsets))
+    coefficients = weights / weights.sum() * total
+    return StencilScheme(np.array(offsets), coefficients, dt=1.0, dx=1.0, period=n)
+
+
+def _close(norm, exact):
+    # Relative, except among subnormals, whose spacing is absolute.
+    return abs(norm - exact) <= 1e-13 * exact + np.finfo(float).smallest_subnormal
+
+
+class TestRowSumNorms:
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(nonnegative_stencils(64), st.integers(1, 3000))
+    @example(StencilScheme(np.array([-1, 0, 1]), np.array([0.25, 0.5, 0.25]), 1.0, 1.0, 4), 3000)
+    @example(StencilScheme(np.array([0, 3]), np.array([0.3, 0.2]), 1.0, 1.0, 61), 1000)
+    @settings(max_examples=30)
+    def test_row_sum_norms_match_dense_powers(self, s, n_max):
+        assert von_neumann_check(s).passed
+        report = stability_check(s, float(n_max))
+        for k, norm in report.norms:
+            exact = float(np.abs(_circulant_power_ld(s, k)).sum(axis=1).max())
+            assert _close(norm, exact), (k, norm, exact)
+
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(nonnegative_stencils(512, min_sum=0.1), st.integers(1, 3000))
+    @example(StencilScheme(np.array([-1, 0, 1]), np.array([0.2, 0.55, 0.25]), 1.0, 1.0, 383), 3000)
+    @example(StencilScheme(np.array([-2, 5]), np.array([0.6, 0.39]), 1.0, 1.0, 509), 3000)
+    @example(StencilScheme(np.array([0, 1, 2]), np.array([0.1, 0.2, 0.3]), 1.0, 1.0, 255), 1000)
+    @settings(max_examples=30)
+    def test_row_sum_norms_match_symbol_norms(self, s, n_max):
+        # Each mode of the symbol carries noise of about N long double ulps of
+        # 1, so the symbol path resolves a norm to 1e-13 only while the row
+        # sum stays near 1; below 0.1 the dense oracle above is the reference.
+        report = stability_check(s, float(n_max))
+        steps = [k for k, _ in report.norms]
+        for (k, norm), symbol_norm in zip(report.norms, analysis._symbol_norms(s, steps)):
+            assert _close(norm, symbol_norm), (k, norm, symbol_norm)
+
+    @pytest.mark.parametrize("n", [64, 383, 1024])
+    @pytest.mark.parametrize("r", [0.1, 0.25, 0.3, 0.5])
+    def test_stable_ftcs_norms_are_exactly_one_with_no_transform(self, monkeypatch, n, r):
+        # At N = 383 the symbol's mode 0 carries 1e-19 of Bluestein noise;
+        # the row sum of an FTCS stencil at r <= 1/2 is exactly 1.
+        def no_symbol(*args):
+            raise AssertionError("a nonnegative stencil took its norms from the symbol")
+
+        monkeypatch.setattr(analysis, "_symbol_norms", no_symbol)
+        dx = TWO_PI / n
+        report = stability_check(ftcs_heat(r * dx**2, dx, n), 1.0)
+        assert report.bound_l == 1.0
+        assert all(norm == 1.0 for _, norm in report.norms)
+        assert report.stable
+
+    def test_backward_euler_rows_take_symbol_norms(self, monkeypatch):
+        # Its stored tail holds -1e-17 noise, so it is not a positive stencil.
+        symbol_norms = analysis._symbol_norms
+        calls = []
+        monkeypatch.setattr(analysis, "_symbol_norms", lambda s, steps: calls.append(s) or symbol_norms(s, steps))
+        n = 256
+        dx = TWO_PI / n
+        s = backward_euler_heat(4.0 * dx**2, dx, n)
+        assert (s.coefficients < 0).any()
+        assert stability_check(s, 0.05).stable
+        assert calls == [s]
+
+    def test_overflowing_norm_is_infinite_and_unstable(self):
+        # max|g| = 1 + 4e-13 passes the von Neumann slack; (1 + 4e-13)^1e16
+        # is e^4000, finite in long double and past the largest double.
+        s = StencilScheme(np.array([-1, 0, 1]), np.array([0.25, 0.5 + 4e-13, 0.25]), 1.0, 1.0, 64)
+        assert von_neumann_check(s).passed
+        report = stability_check(s, 1e16)
+        assert report.bound_l == math.inf
+        assert not report.stable
+        assert report.norms[-1] == (10**16, math.inf)
+
+    def test_zero_stencil_has_zero_norms(self):
+        s = StencilScheme(np.array([0, 1]), np.array([0.0, 0.0]), 1.0, 1.0, 8)
+        report = stability_check(s, 100.0)
+        assert report.bound_l == 0.0 and report.stable
+
+
 class TestVonNeumann:
     def test_symbol_at_pi(self):
         n = 16

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import laxlab
-from laxlab.cli import _RUNNERS, _SCHEMA, _validate, main, run
+from laxlab import ubp
+from laxlab.cli import _RUNNERS, _SCHEMA, _parse_sequence_probes, _row, _validate, main, run
 from laxlab.errors import ConfigError
 
 STABILITY_CFG = """\
@@ -53,6 +54,23 @@ class TestRun:
         (csv,) = csv_files(out, "ubp_demo")
         lines = csv.read_text().strip().splitlines()
         assert len(lines) == 22  # header plus k = 0..20
+
+    @pytest.mark.parametrize("probes", ["ones(3); harmonic(100)", ""])
+    def test_ubp_demo_csv_bytes_match_row_by_row_formatting(self, tmp_path, probes):
+        # The runner formats the shared probe cells once per section; the
+        # bytes must be those of formatting every row whole with _row.
+        cfg = write_cfg(tmp_path, UBP_CFG + (f"probes = {probes}\n" if probes else ""))
+        out = tmp_path / "out"
+        assert run(cfg, out) == 0
+        (csv,) = csv_files(out, "ubp_demo")
+        rows = ubp.ubp_violation_demo(range(21), _parse_sequence_probes(probes))
+        expected = "k,op_norm,probe_id,probe_bound\n" + "".join(
+            _row(row.k, row.op_norm, pid, bound)
+            for row in rows
+            for pid, bound in row.probe_bounds or [(None, None)]
+        )
+        assert csv.read_bytes() == expected.encode()
+        assert csv.read_text().count("\n") == 1 + 21 * max(1, len(rows[0].probe_bounds))
 
     def test_unknown_key_named_in_error(self, tmp_path):
         cfg = write_cfg(tmp_path, STABILITY_CFG.replace("scheme", "shceme"))
