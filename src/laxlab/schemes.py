@@ -5,7 +5,7 @@ applying it to a grid function is circular convolution, so every scheme
 here is linear and translation-invariant.  The flagship instance is the
 explicit forward-time centered-space (FTCS) heat scheme; backward Euler
 is included as the unconditionally stable contrast case, stored as a
-full-period stencil obtained from the inverse circulant.
+full-period stencil: the closed-form first row of the inverse circulant.
 
 Every stencil is built for an N-point grid (``period=N``) and is the
 N x N circulant: its offsets are read mod N, and its powers and
@@ -120,27 +120,27 @@ def ftcs_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
 
 
 def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
-    """Implicit scheme (I - dt D2)^{-1} as a dense full-period stencil.
+    """Implicit scheme (I - dt D2)^{-1}, D2 the periodic second difference.
 
-    D2 is the periodic second difference.  The circulant eigenvalues
-    1 + 4r sin^2(pi k / N) are >= 1, so the inverse always exists; its
-    first row is recovered by an inverse DFT.  Past r ~ 4.5e307 an
-    eigenvalue may overflow to inf (1/inf = 0); mode 0 keeps 0 * r = 0.
+    The inverse circulant's first row is a periodised two-sided geometric
+    sequence (Davis, *Circulant Matrices*, 1979), c_j = tanh(a/2) (e^{-aj} +
+    e^{-a(N-j)}) / (1 - e^{-aN}), cosh a = 1 + 1/(2r), r = dt/dx^2: it is
+    nonnegative, sums to 1, and does not overflow for any positive double r.
+    The tail c_1..c_{N-1} is rounded to multiples of 2^-53, a move of at
+    most 2^-54 each that keeps the row symmetric, and c_0 = 1 - sum(tail)
+    is exact, so the row sums to exactly 1.
     """
     if grid_n < 4:
         raise InvalidGridError(f"backward Euler needs grid_n >= 4, got {grid_n}")
     r = dt / dx**2
-    k = np.arange(grid_n)
-    with np.errstate(over="ignore"):
-        eigenvalues = 1.0 + 4.0 * np.sin(np.pi * k / grid_n) ** 2 * r
-    coefficients = np.fft.fft(1.0 / eigenvalues).real / grid_n
-    return StencilScheme(
-        offsets=np.arange(grid_n),
-        coefficients=coefficients,
-        dt=dt,
-        dx=dx,
-        period=grid_n,
-    )
+    if not 0 < r < math.inf:
+        raise InvalidGridError(f"backward Euler needs 0 < dt/dx^2 < inf, got dt={dt}, dx={dx}")
+    a = 2 * math.asinh(0.5 / math.sqrt(r))
+    j = np.arange(grid_n)
+    row = math.tanh(a / 2) / -math.expm1(-a * grid_n) * (np.exp(-a * j) + np.exp(-a * (grid_n - j)))
+    tail = np.ldexp(np.rint(np.ldexp(row[1:], 53)), -53)
+    c0 = 1 - math.fsum(tail.tolist())  # exact: the tail's sum is a multiple of 2^-53 below 1
+    return StencilScheme(j, np.concatenate(([c0], tail)), dt, dx, period=grid_n)
 
 
 def _check_grid(s: StencilScheme, values: np.ndarray) -> None:
@@ -214,7 +214,7 @@ def overflow_free_steps(s: StencilScheme, peak: float, limit: float, growth: flo
     stencil of more than ``_FFT_APPLY_CUTOFF`` = 32 offsets: :func:`trajectory`
     steps it through the FFT, whose rounding this bound does not cover, so
     its callers check every step.  Backward
-    Euler up to N = 32 is narrow and gets a bound: n* = 3.9e17 against
+    Euler up to N = 32 is narrow and gets a bound: n* = 3.5e17 against
     ``OVERFLOW_LIMIT`` at N = 16, r = 1/2 and ``max|u0|`` = 1.
     """
     if not _narrow(s) or not peak < limit:

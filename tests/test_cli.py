@@ -1,9 +1,13 @@
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laxlab
 from laxlab import ubp
@@ -325,12 +329,18 @@ class TestBadValues:
             # dx = 2 * 64**65536 is past any float: an infinite target.
             ("[convergence power-overflows]\nscheme = ftcs\nprobe = sine(1)\nt = 3\ndts = 64\n"
              "path = power 2 65536\n", "too coarse"),
+            # r*dx^2 underflows to 0, and overflows (dx^2 = 2.47 at N = 4).
+            ("[stability be-dt-underflows]\nscheme = backward_euler\ngrid_n = 64\nr = 5e-324\nt = 1\n",
+             "dt/dx^2"),
+            ("[stability be-dt-overflows]\nscheme = backward_euler\ngrid_n = 4\n"
+             "r = 1.7976931348623157e308\nt = 1e308\n", "dt/dx^2"),
         ],
         ids=[
             "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
             "fixed-r-past-max-grid", "target-underflows", "n-overflows", "twins-past-budget",
             "twin-steps-past-any-float", "convergence-steps-past-any-float",
             "unstable-cells-past-budget", "ftcs-coefficient-overflows", "path-target-overflows",
+            "backward-euler-dt-underflows", "backward-euler-dt-overflows",
         ],
     )
     def test_unusable_grid_exits_2(self, tmp_path, capsys, section, cause):
@@ -343,7 +353,7 @@ class TestBadValues:
     @pytest.mark.parametrize(
         "section, verdict",
         [
-            # Every eigenvalue but mode 0's overflows to inf: the mean projection.
+            # Every coefficient is about 1/N: the mean projection.
             ("[stability be-r-past-max]\nscheme = backward_euler\ngrid_n = 64\nr = 1e308\nt = 1e307\n",
              "bound_L=1 stable=True"),
             # k^2 t overflows: exp(-inf) = 0 damps every mode but k = 0.
@@ -357,9 +367,13 @@ class TestBadValues:
             # At r = 3e12 one checked step of a cell overflows on its way past OVERFLOW_LIMIT.
             ("[convergence r3e12]\nscheme = ftcs\nprobe = sine(1)\nt = 1e8\ndts = 1e6, 5e5, 2.5e5\n"
              "path = fixed_r 3e12\n", "converged=False"),
+            # max|g| = 1 + 4e-13 passes von Neumann with c0 = -2e-13: the symbol
+            # path, whose max|g|^n passes the largest double from n ~ 1.8e15 on.
+            ("[stability ftcs-in-slack]\nscheme = ftcs\ngrid_n = 64\nr = 0.5000000000001\nt = 1e16\n",
+             "bound_L=inf stable=False"),
         ],
         ids=["backward-euler-r-past-max", "consistency-t-past-max", "twins-overflow-between-samples",
-             "composition-overflows-in-fold", "convergence-step-overflows"],
+             "composition-overflows-in-fold", "convergence-step-overflows", "symbol-norms-overflow"],
     )
     def test_overflow_inside_a_run_ends_in_a_verdict(self, tmp_path, capsys, section, verdict):
         # Under the suite's warnings-as-errors, a floating-point flag would end the run.
@@ -367,6 +381,46 @@ class TestBadValues:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().err == ""
         assert verdict in (tmp_path / "o" / "summary.txt").read_text()
+
+
+# r from the subnormals, around the von Neumann slack at 1/2 and up to the
+# largest double; t from the subnormals to the largest double, with the
+# moderate horizons that let most sections reach a verdict.
+FUZZ_R = st.one_of(
+    st.floats(2.0**-1074, 2.0**-1022),
+    st.floats(0.5 - 1e-13, 0.5 + 1e-13),
+    st.floats(-16, 308).map(lambda x: 10.0**x),
+    st.sampled_from([0.5, 1e308, sys.float_info.max]),
+)
+FUZZ_T = st.one_of(
+    st.floats(2.0**-1074, 2.0**-1022),
+    st.floats(-300, 308).map(lambda x: 10.0**x),
+    st.floats(0.01, 100.0),
+    st.sampled_from([1.0, 1e16, 1e308, sys.float_info.max]),
+)
+
+
+@given(
+    scheme=st.sampled_from(["ftcs", "backward_euler"]),
+    # Capped: a row that fails von Neumann walks its powers, whose cost grows
+    # like N^2 per sample and has no other bound.
+    grid_n=st.integers(4, 128),
+    rs=st.one_of(st.tuples(FUZZ_R), st.tuples(FUZZ_R, FUZZ_R)),
+    horizon=FUZZ_T,
+)
+@settings(max_examples=300)
+def test_stability_sections_end_in_a_verdict_or_a_config_error(scheme, grid_n, rs, horizon):
+    r = ", ".join(map(repr, rs))
+    text = f"[stability fuzz]\nscheme = {scheme}\ngrid_n = {grid_n}\nr = {r}\nt = {horizon!r}\n"
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        code = main(["--config", str(write_cfg(Path(tmp), text)), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 0 and scheme == "backward_euler":
+            (csv,) = csv_files(out, "stability")
+            bounds = [float(row.split(",")[4]) for row in csv.read_text().splitlines()[1:]]
+            assert bounds == [1.0] * len(rs)
 
 
 MINIMAL_SECTIONS = {

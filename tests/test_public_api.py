@@ -12,9 +12,9 @@ Both checks read code, not prose: a use is an ``ast.Name`` or
 reaches nothing.  The benchmark's string constants ``"<module>.<name>..."``
 count as uses of ``name`` as well, since its tracer resolves the layers it
 times by those names.  A member is matched by name alone, so one whose name
-is read elsewhere on another object escapes the check:
-``VonNeumannReport.wavenumber`` passes through ``self.wavenumber`` of the
-probes, and a ``name`` field would pass through ``path.name``.
+is read elsewhere on another object escapes the check: a ``wavenumber``
+field would pass through ``self.wavenumber`` of the probes, and a ``name``
+field through ``path.name``.
 """
 import ast
 import dataclasses

@@ -96,6 +96,35 @@ class TestBackwardEuler:
         row = np.linalg.inv(eye - s.courant_ratio * d2)[0]
         assert np.max(np.abs(s.coefficients - row)) <= 1e-12 * np.max(np.abs(row))
 
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @given(
+        st.integers(4, 4096),
+        st.one_of(st.floats(-16, 308).map(lambda x: 10.0**x), st.floats(2.0**-1074, 2.0**-1022)),
+    )
+    # The rows of the ROADMAP's table, where the transformed inverse left
+    # -1e-17 noise in the tail, and the largest r.
+    @example(4096, 1e-12)
+    @example(4096, 1e-9)
+    @example(1024, 1e-12)
+    @example(64, 1e-16)
+    @example(65536, 1e-12)
+    @example(64, 1e308)
+    @example(4, 1.7976931348623157e308)
+    @settings(max_examples=60)
+    def test_nonnegative_symmetric_row_summing_to_exactly_one(self, n, r):
+        # Against the inverse DFT of the circulant's eigenvalues
+        # 1 + 4r sin^2(pi k/N), in long double.  Rounding the tail to
+        # multiples of 2^-53 moves each of its coefficients by up to 2^-54,
+        # an absolute amount, and c_0 by up to their sum.
+        coefficients = backward_euler_heat(r, 1.0, n).coefficients
+        assert (coefficients >= 0).all()
+        assert sum(map(Fraction, coefficients.tolist())) == 1
+        assert np.array_equal(coefficients[1:], coefficients[:0:-1])
+        modes = np.arange(n // 2 + 1, dtype=np.longdouble)
+        row = np.fft.irfft(1 / (1 + 4 * np.longdouble(r) * np.sin(np.pi * modes / n) ** 2), n=n)
+        assert np.max(np.abs(coefficients[1:] - row[1:])) <= 2.0**-53
+        assert abs(coefficients[0] - row[0]) <= n * 2.0**-53
+
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_one_step_sup_norm_at_most_one(self, r):
         n = 32
