@@ -45,7 +45,7 @@ print(f"converged      : {bad.converged}")
 # with r = dt/dx^2 growing without bound still converges (first order).
 be = convergence_experiment(
     scheme_builder("backward_euler"),
-    RefinementPath.from_power(1.0, 1.0),
+    RefinementPath(1.0, 1.0),
     lx.Sine(1),
     1.0,
     [1e-2, 5e-3, 2.5e-3],

@@ -54,9 +54,7 @@ def _parse_path(text: str) -> RefinementPath:
     if toks[0] == "fixed_r" and len(toks) == 2:
         return RefinementPath.fixed_ratio(float(toks[1]))
     if toks[0] == "power" and len(toks) == 3:
-        return RefinementPath.from_power(float(toks[1]), float(toks[2]))
-    if toks[0] == "table" and len(toks) > 1:
-        return RefinementPath.from_table(tok.split("=") for tok in toks[1:])
+        return RefinementPath(float(toks[1]), float(toks[2]))
     raise ValueError(f"unparseable refinement path: {text!r}")
 
 

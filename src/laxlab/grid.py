@@ -236,67 +236,34 @@ def is_band_limited(u: GridFunction, max_mode: int) -> bool:
 
 @dataclass(frozen=True)
 class RefinementPath:
-    """The relation ``dx = alpha(dt)`` driving a refinement sweep.
+    """The power law ``dx = c * dt**p`` (``c, p > 0``) driving a refinement sweep."""
 
-    Either a power rule ``dx = c * dt**p`` or an explicit (dt, dx) table.
-    """
-
-    power: tuple | None = None
-    table: tuple | None = None
+    c: float
+    p: float
 
     def __post_init__(self) -> None:
-        if (self.power is None) == (self.table is None):
-            raise InvalidGridError("exactly one of power/table must be given")
-        if self.power is not None:
-            c, p = self.power
-            if not (c > 0 and p > 0):
-                raise InvalidGridError(f"power rule needs c, p > 0, got c={c}, p={p}")
-        else:
-            rows = sorted(self.table)
-            if not rows:
-                raise InvalidGridError("empty refinement table")
-            prev_dx = 0.0
-            for dt, dx in rows:
-                if not (dt > 0 and dx > 0):
-                    raise InvalidGridError(f"nonpositive table entry ({dt}, {dx})")
-                if dx < prev_dx:
-                    raise InvalidGridError("table dx must be nondecreasing in dt")
-                prev_dx = dx
-            object.__setattr__(self, "table", tuple(rows))
-
-    @classmethod
-    def from_power(cls, c: float, p: float) -> "RefinementPath":
-        return cls(power=(float(c), float(p)))
-
-    @classmethod
-    def from_table(cls, pairs) -> "RefinementPath":
-        return cls(table=tuple((float(a), float(b)) for a, b in pairs))
+        if not (self.c > 0 and self.p > 0):
+            raise InvalidGridError(f"power rule needs c, p > 0, got c={self.c}, p={self.p}")
 
     @classmethod
     def cfl_boundary(cls) -> "RefinementPath":
         """dx = sqrt(2 dt): the tightest spacing keeping r = dt/dx^2 <= 1/2."""
-        return cls.from_power(math.sqrt(2.0), 0.5)
+        return cls(math.sqrt(2.0), 0.5)
 
     @classmethod
     def fixed_ratio(cls, r: float) -> "RefinementPath":
         """dx chosen so that dt/dx^2 stays at the given ratio r."""
         if not (r > 0):
             raise InvalidGridError(f"ratio must be positive, got {r}")
-        return cls.from_power(1.0 / math.sqrt(r), 0.5)
+        return cls(1.0 / math.sqrt(r), 0.5)
 
     def dx_for(self, dt: float) -> float:
         if not (dt > 0):
             raise InvalidGridError(f"dt must be positive, got {dt}")
-        if self.power is not None:
-            c, p = self.power
-            try:
-                return c * dt**p
-            except OverflowError:  # dt**p past any float: an infinite target
-                return math.inf
-        for tdt, tdx in self.table:
-            if math.isclose(tdt, dt, rel_tol=1e-12):
-                return tdx
-        raise InvalidGridError(f"dt={dt} not in refinement table")
+        try:
+            return self.c * dt**self.p
+        except OverflowError:  # dt**p past any float: an infinite target
+            return math.inf
 
     def grid_for(self, dt: float) -> tuple:
         """Pick the grid size for a sweep cell: largest dx >= alpha(dt).

@@ -96,7 +96,7 @@ class RoundoffGrowthReport:
 
     @property
     def final_gap(self) -> float:
-        return self.samples[-1][2] if self.samples else math.nan
+        return math.inf if self.diverged else self.samples[-1][2]
 
 
 def roundoff_growth_experiment(
@@ -209,8 +209,7 @@ def halving_sweep(
         s = builder(dt, dx, grid_n)
         u = sample(probe, grid_n)
         report = roundoff_growth_experiment(s, u, horizon_t, spec)
-        final = math.inf if report.diverged else report.final_gap
-        rows.append((dt, dx, step_count(horizon_t, dt), final))
+        rows.append((dt, dx, step_count(horizon_t, dt), report.final_gap))
         reports.append(report)
 
     slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)

@@ -532,7 +532,7 @@ class TestConvergence:
     def test_backward_euler_along_dt_equals_dx(self):
         report = convergence_experiment(
             scheme_builder("backward_euler"),
-            RefinementPath.from_power(1.0, 1.0),
+            RefinementPath(1.0, 1.0),
             lx.Sine(1),
             1.0,
             [1e-2, 5e-3, 2.5e-3],
@@ -544,7 +544,7 @@ class TestConvergence:
         cases = [
             ("ftcs", RefinementPath.fixed_ratio(0.3), 0.3),
             ("ftcs", RefinementPath.fixed_ratio(0.5), 0.5),
-            ("backward_euler", RefinementPath.from_power(1.0, 1.0), None),
+            ("backward_euler", RefinementPath(1.0, 1.0), None),
         ]
         for name, path, _ in cases:
             dts = [5e-3, 2.5e-3, 1.25e-3]
@@ -588,16 +588,17 @@ class TestConvergence:
             raise AssertionError("a cell was stepped")
 
         monkeypatch.setattr(analysis, "_run_trajectory", no_stepping)
-        path = RefinementPath.from_table([(0.004028497, 0.08975979010256552)])
+        path = RefinementPath.fixed_ratio(0.500012)
         with pytest.raises(InvalidGridError, match="1.74e\\+08 updates"):
             convergence_experiment(scheme_builder("ftcs"), path, lx.Sine(1), 1e4, [0.004028497])
 
-    def test_table_path_cells_report_grid_symbol(self):
+    def test_cells_report_the_symbol_of_the_grid_they_land_on(self):
+        # The path asks for r = 0.7500001; flooring N lands on N = 16, r = 0.75.
         dx = TWO_PI / 16
         dt = 0.75 * dx**2
         report = convergence_experiment(
             scheme_builder("ftcs"),
-            RefinementPath.from_table([(dt, dx)]),
+            RefinementPath.fixed_ratio(0.7500001),
             lx.Sine(1),
             0.01,
             [dt],
@@ -659,14 +660,15 @@ class TestConvergence:
                 ),
             ),
             max_size=12,
-            unique_by=lambda p: p[0],
         ),
         min_points=st.integers(2, 8),
     )
+    # One x thrice (a dt listed three times): no slope to fit.
+    @example([(10, 1.0), (10, 2.0), (10, 3.0)], 3)
     def test_loglog_slope_fits_only_finite_positive_points(self, pairs, min_points):
         kept = [(x, y) for x, y in pairs if y > 0 and math.isfinite(y)]
         got = analysis.loglog_slope(pairs, min_points)
-        if len(kept) < min_points:
+        if len({x for x, _ in kept}) < min_points:
             assert got is None
         else:
             xs, ys = zip(*kept)

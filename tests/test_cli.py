@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -6,12 +8,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laxlab
 from laxlab import ubp
-from laxlab.cli import _RUNNERS, _SCHEMA, _parse_sequence_probes, _row, _validate, main, run
+from laxlab.cli import _RUNNERS, _SCHEMA, _parse_path, _parse_sequence_probes, _row, _validate, main, run
 from laxlab.errors import ConfigError
 
 STABILITY_CFG = """\
@@ -232,6 +234,8 @@ class TestBadValues:
              "path = cfl\nbits = 60\n", "bad value"),
             ("[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = fixed_r x\n",
              "bad value"),
+            ("[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = table 1e-2=0.5\n",
+             "bad value 'table 1e-2=0.5' for key 'path'"),
             ("[consistency]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = -1\n",
              "bad value"),
             ("[convergence]\nscheme = ftcs\nprobe = random_uniform(-1)\nt = 1\ndts = 1e-2\npath = cfl\n",
@@ -262,8 +266,8 @@ class TestBadValues:
             (f"[ubp_demo]\nk_range = -{10**19}:5\n", "bad value '-10{19}:5' for key 'k_range'"),
         ],
         ids=[
-            "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "negative-ts", "negative-seed",
-            "infinite-amplitude", "infinite-constant", "amplitudes-past-overflow-limit",
+            "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "path-table", "negative-ts",
+            "negative-seed", "infinite-amplitude", "infinite-constant", "amplitudes-past-overflow-limit",
             "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
             "probes-ones-negative", "k-max", "k-range-past-cap", "probes-ones-past-cap",
             "probes-unit-past-cap", "probes-unit-1e309", "k-range-1e309", "k-range-start-past-ssize",
@@ -297,8 +301,6 @@ class TestBadValues:
         [
             ("[convergence coarse]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\n"
              "path = power 100 0.5\n", "too coarse"),
-            ("[convergence short-table]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2, 5e-3\n"
-             "path = table 1e-2=0.5\n", "not in refinement table"),
             ("[consistency broadband]\nscheme = ftcs\nprobe = random_uniform(1)\nr = 0.5\n"
              "dts = 1e-3\nts = 0.0\n", "band-limited"),
             # Past MAX_GRID_N points: N ~ 4e155, a target that underflows to 0,
@@ -322,7 +324,7 @@ class TestBadValues:
             # One cell that fails von Neumann (N = 70, r ~ 0.50001) and must
             # step 2.48e6 times: 1.74e8 updates, past MAX_UPDATES.
             ("[convergence unstable-long-t]\nscheme = ftcs\nprobe = sine(1)\nt = 1e4\n"
-             "dts = 0.004028497\npath = table 0.004028497=0.08975979010256552\n", "updates"),
+             "dts = 0.004028497\npath = fixed_r 0.500012\n", "updates"),
             # r = 1e308: the FTCS side coefficient r overflows to inf.
             ("[stability ftcs-r-past-max]\nscheme = ftcs\ngrid_n = 64\nr = 1e308\nt = 4\n",
              "coefficients must be finite"),
@@ -336,7 +338,7 @@ class TestBadValues:
              "r = 1.7976931348623157e308\nt = 1e308\n", "dt/dx^2"),
         ],
         ids=[
-            "path-too-coarse", "table-lacks-dt", "probe-not-band-limited", "cfl-past-max-grid",
+            "path-too-coarse", "probe-not-band-limited", "cfl-past-max-grid",
             "fixed-r-past-max-grid", "target-underflows", "n-overflows", "twins-past-budget",
             "twin-steps-past-any-float", "convergence-steps-past-any-float",
             "unstable-cells-past-budget", "ftcs-coefficient-overflows", "path-target-overflows",
@@ -371,9 +373,13 @@ class TestBadValues:
             # path, whose max|g|^n passes the largest double from n ~ 1.8e15 on.
             ("[stability ftcs-in-slack]\nscheme = ftcs\ngrid_n = 64\nr = 0.5000000000001\nt = 1e16\n",
              "bound_L=inf stable=False"),
+            # N = 6, r = 9.1e299: the one step overflows, so the residual is inf.
+            ("[consistency step-overflows]\nscheme = ftcs\nprobe = 1e300*sine(1)\nr = 1e300\n"
+             "dts = 1e300\nts = 0.0\n", "max residual inf"),
         ],
         ids=["backward-euler-r-past-max", "consistency-t-past-max", "twins-overflow-between-samples",
-             "composition-overflows-in-fold", "convergence-step-overflows", "symbol-norms-overflow"],
+             "composition-overflows-in-fold", "convergence-step-overflows", "symbol-norms-overflow",
+             "consistency-step-overflows"],
     )
     def test_overflow_inside_a_run_ends_in_a_verdict(self, tmp_path, capsys, section, verdict):
         # Under the suite's warnings-as-errors, a floating-point flag would end the run.
@@ -421,6 +427,99 @@ def test_stability_sections_end_in_a_verdict_or_a_config_error(scheme, grid_n, r
             (csv,) = csv_files(out, "stability")
             bounds = [float(row.split(",")[4]) for row in csv.read_text().splitlines()[1:]]
             assert bounds == [1.0] * len(rs)
+
+
+# Path parameters (fixed_r's x, power's c and p), r and dts: the subnormals,
+# 1e-300, 1e308, inf, nan and the negatives, beside (three draws in four)
+# moderate values that reach a verdict.
+FUZZ_EXTREMES = st.one_of(
+    st.floats(2.0**-1074, 2.0**-1022),
+    st.sampled_from([1e-300, 1e308, math.inf, math.nan, 0.0, -1e-3, -2.0]),
+    st.floats(-1e308, -2.0**-1074),
+)
+
+
+def mostly(moderate):
+    return st.one_of(moderate, moderate, moderate, FUZZ_EXTREMES)
+
+
+FUZZ_R = mostly(st.floats(0.05, 4.0))
+FUZZ_PATH = st.one_of(
+    st.just("cfl"),
+    FUZZ_R.map(lambda x: f"fixed_r {x!r}"),
+    st.tuples(mostly(st.floats(0.5, 4.0)), mostly(st.floats(0.4, 1.2))).map(
+        lambda cp: f"power {cp[0]!r} {cp[1]!r}"
+    ),
+    st.sampled_from(["table 1e-2=0.5", "table 4e-3=0.09 2e-3=0.06"]),
+)
+FUZZ_DT = st.floats(-4, -1).map(lambda x: 10.0**x)
+# Two draws in three list only moderate dts, enough for a round-off sweep.
+FUZZ_DTS = st.one_of(
+    st.lists(FUZZ_DT, min_size=4, max_size=6),
+    st.lists(FUZZ_DT, min_size=4, max_size=6),
+    st.lists(mostly(FUZZ_DT), min_size=1, max_size=6),
+)
+# Amplitudes from 1e-100 up: a run on data near underflow takes subnormal
+# arithmetic, whose wall time no update budget bounds.
+FUZZ_PROBE = st.tuples(
+    st.floats(-100, 300).map(lambda x: 10.0**x),
+    st.sampled_from(["sine(1)", "sine(1)+cosine(3)", "random_uniform(1)", "point_mass(0)"]),
+).map(lambda term: f"{term[0]!r}*{term[1]}")
+# Grid-point updates that one fuzzed sweep may step, counting the overhead of
+# a step as 200 updates: a few tens of milliseconds.
+FUZZ_WORK = 1e6
+
+
+def fuzz_horizon(path, dts, horizon):
+    """The horizon, cut so that the cells of a sweep step at most FUZZ_WORK
+    updates in all.  A path that gives some dt no grid ends the section
+    before any step, so there the horizon stands."""
+    try:
+        grids = [_parse_path(path).grid_for(dt)[0] for dt in dts]
+    except ValueError:
+        return horizon
+    rate = sum((n + 200) / dt for n, dt in zip(grids, dts))
+    return min(horizon, max(FUZZ_WORK / rate, 5e-324))
+
+
+@given(
+    kind=st.sampled_from(["convergence", "roundoff", "consistency"]),
+    scheme=st.sampled_from(["ftcs", "backward_euler"]),
+    probe=FUZZ_PROBE,
+    path=FUZZ_PATH,
+    r=FUZZ_R,
+    dts=FUZZ_DTS,
+    horizon=FUZZ_T,
+    ts=st.lists(st.one_of(st.just(0.0), FUZZ_T), min_size=1, max_size=2),
+    bits=st.integers(4, 52),
+)
+# N = 6, r = 9.1e299: the one step overflows, and the residual reads inf.
+@example(kind="consistency", scheme="ftcs", probe="1e300*sine(1)", path="cfl", r=1e300, dts=[1e300],
+         horizon=1.0, ts=[0.0], bits=12)
+@settings(max_examples=400)
+def test_sweep_sections_end_in_a_verdict_or_a_config_error(
+    kind, scheme, probe, path, r, dts, horizon, ts, bits
+):
+    items = {"scheme": scheme, "probe": probe, "dts": ", ".join(map(repr, dts))}
+    if kind == "consistency":
+        items.update(r=repr(r), ts=", ".join(map(repr, ts)))
+    else:
+        items.update(t=repr(fuzz_horizon(path, dts, horizon)), path=path)
+    if kind == "roundoff":
+        items["bits"] = str(bits)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        code = main(["--config", str(write_cfg(Path(tmp), section_cfg(kind, items))), "--out", str(out)])
+        csv_text = "".join(csv.read_text() for csv in csv_files(out, kind))
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == "" and "nan" not in csv_text
+    else:
+        assert err.getvalue().startswith("laxlab: config error: ") and err.getvalue().count("\n") == 1
+    if kind != "consistency" and path.startswith("table"):
+        assert code == 2
 
 
 MINIMAL_SECTIONS = {

@@ -183,18 +183,12 @@ class TestNormAxioms:
 
 class TestRefinementPath:
     def test_power_rule(self):
-        path = lx.RefinementPath.from_power(2.0, 0.5)
+        path = lx.RefinementPath(2.0, 0.5)
         assert path.dx_for(0.25) == pytest.approx(1.0)
 
     def test_cfl_boundary(self):
         path = lx.RefinementPath.cfl_boundary()
         assert path.dx_for(0.02) == pytest.approx(math.sqrt(0.04))
-
-    def test_table_monotone_required(self):
-        with pytest.raises(InvalidGridError):
-            lx.RefinementPath.from_table([(0.1, 0.1), (0.2, 0.05)])
-        path = lx.RefinementPath.from_table([(0.2, 0.2), (0.1, 0.1)])
-        assert path.dx_for(0.1) == 0.1
 
     def test_grid_for_never_undershoots_dx(self):
         path = lx.RefinementPath.cfl_boundary()

@@ -210,6 +210,19 @@ class TestGrowthExperiment:
         assert len(report.samples) == 15 and report.samples[-1][0] == 1024
         assert all(math.isfinite(gap) for _, _, gap in report.samples)
 
+    def test_a_diverged_run_has_an_infinite_final_gap(self):
+        # The last gap recorded (about 1.85e305) is not the final one: the
+        # run passed the largest double before its last step.
+        n = 64
+        dx = TWO_PI / n
+        s = ftcs_heat(0.75 * dx**2, dx, n)
+        u = lx.sample(lx.Sine(1) + lx.RandomUniform(1), n)
+        report = roundoff_growth_experiment(s, u, 3000 * s.dt, PrecisionSpec(12))
+        assert report.diverged and 1e300 < report.samples[-1][2] < math.inf
+        assert report.final_gap == math.inf
+        stable = roundoff_growth_experiment(*_cfl_cell(4e-3), 1.0, PrecisionSpec(12))
+        assert not stable.diverged and stable.final_gap == stable.samples[-1][2]
+
     @given(
         r=st.floats(0.3, 1.0, exclude_min=True),
         n=st.integers(8, 64),
@@ -304,7 +317,7 @@ class TestHalvingSweep:
     def test_backward_euler_table_shape(self):
         report = halving_sweep(
             scheme_builder("backward_euler"),
-            RefinementPath.from_power(1.0, 1.0),
+            RefinementPath(1.0, 1.0),
             lx.Sine(1),
             1.0,
             PrecisionSpec(12),
