@@ -17,12 +17,13 @@ that passes with a negative coefficient reads C^n from the stencil's one
 symbol (see :mod:`laxlab.schemes`); one that fails it walks the powers
 through :func:`~laxlab.schemes.power` and :func:`~laxlab.schemes.compose`,
 whose coefficient overflow marks the divergence.  A convergence cell that
-passes reads C^n u from the symbol, and one that fails is stepped n times
-through :func:`~laxlab.schemes.trajectory`, because its blow-up grows from
-the round-off each step adds.  The sup-norm operator norm of the N x N
-circulant is exactly the sum of absolute coefficients; every norm taken from
-coefficients or the symbol is validated by the sign-pattern witness that
-attains it, and the row sum needs none: the all-ones vector attains it.
+passes reads C^n u from the symbol, and the cells that fail are stepped
+together through :func:`~laxlab.schemes.trajectory`, because their blow-up
+grows from the round-off each step adds.  The sup-norm operator norm of the
+N x N circulant is exactly the sum of absolute coefficients; every norm
+taken from coefficients or the symbol is validated by the sign-pattern
+witness that attains it, and the row sum needs none: the all-ones vector
+attains it.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .grid import (
 )
 from .schemes import (
     StencilScheme,
+    _in_stacks,
     apply_power,
     apply_values,
     backward_euler_heat,
@@ -347,25 +349,42 @@ def scheme_builder(name: str):
     raise ValueError(f"unknown scheme: {name!r}")
 
 
-def _run_trajectory(s: StencilScheme, u: GridFunction, n_steps: int):
-    """Step the scheme n_steps times; returns (values, diverged).
+def _run_trajectory(cells) -> list:
+    """(values, diverged) of each (stencil, n, data) cell of a stack after n steps.
 
-    The run diverges at the first step whose values pass ``OVERFLOW_LIMIT``
-    (or are NaN).  Up to the step count of :func:`overflow_free_steps` no
-    value can pass it, so those steps run unchecked; every later step (every
-    step, for a stencil of more than 32 offsets, stepped through the FFT) is
-    checked, and may overflow past the limit without a floating-point flag.
+    The cells step together through :func:`trajectory`, longest first (see
+    :func:`~laxlab.schemes._in_stacks`), and each leaves the array once it
+    is the last one and has ended, so no cell takes a step past its n.  A
+    cell diverges at the first step whose values pass ``OVERFLOW_LIMIT`` (or
+    are NaN); it is then never read again.  Up to the step count of
+    :func:`overflow_free_steps` no value of a cell can pass the limit, so
+    its steps run unchecked; every later step (every step, for a stencil of
+    more than 32 offsets, stepped through the FFT) checks the cell's own
+    values, and may overflow past the limit without a floating-point flag.
     """
-    steps = trajectory(s, u.values)
-    quiet = min(n_steps, overflow_free_steps(s, float(np.abs(u.values).max()), OVERFLOW_LIMIT))
-    for _, vals in zip(range(quiet), steps):
-        pass
+    ends = np.cumsum([s.period for s, _, _ in cells]).tolist()
+    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    quiet = [overflow_free_steps(s, float(np.abs(u.values).max()), OVERFLOW_LIMIT) for s, _, u in cells]
+    out = [None] * len(cells)
+    live, event = len(cells), 1
+    steps = trajectory([s for s, _, _ in cells], np.concatenate([u.values for _, _, u in cells]))
+    vals = next(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, vals in zip(range(n_steps - quiet), steps):
-            # One reduction per step; the comparison is False for NaN as well.
-            if not np.abs(vals).max() <= OVERFLOW_LIMIT:
-                return vals, True
-    return vals, False
+        for n in range(1, cells[0][1] + 1):
+            if n >= event:  # a cell ends, or is past its unchecked steps
+                for i in range(live):
+                    # One reduction per step; the comparison is False for NaN as well.
+                    if out[i] is None and n > quiet[i] and not np.abs(vals[spans[i]]).max() <= OVERFLOW_LIMIT:
+                        out[i] = vals[spans[i]], True
+                    elif out[i] is None and n == cells[i][1]:
+                        out[i] = vals[spans[i]], False
+                while live and out[live - 1] is not None:
+                    live -= 1
+                if not live:
+                    break
+                event = min(min(q + 1, c[1]) for q, c, o in zip(quiet, cells, out[:live]) if o is None)
+            vals = steps.send(live)
+    return out
 
 
 def convergence_experiment(
@@ -384,10 +403,11 @@ def convergence_experiment(
     :class:`InvalidGridError`.  A cell whose von Neumann check passes gets
     C^n u from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
     ``||C^n u|| <= sqrt(N) ||u||``, so checking only its endpoint against
-    ``OVERFLOW_LIMIT`` misses no overflow in between.  A cell that fails it
-    is stepped by :func:`_run_trajectory`; when those cells would take more
-    than :data:`~laxlab.grid.MAX_UPDATES` grid-point updates (N per step),
-    :class:`InvalidGridError` is raised before any cell runs.
+    ``OVERFLOW_LIMIT`` misses no overflow in between.  The cells that fail
+    it are stepped together, one stack at a time, by :func:`_run_trajectory`;
+    when they would take more than :data:`~laxlab.grid.MAX_UPDATES`
+    grid-point updates (N per step), :class:`InvalidGridError` is raised
+    before any cell runs.
 
     Convergence means: all errors finite, decreasing monotonically up to
     10% jitter or the round-off floor ``eps * ||u||``, and the finest error
@@ -399,51 +419,39 @@ def convergence_experiment(
     dts = sorted(dts, reverse=True)
     if not dts:
         raise ValueError("need at least one dt")
-    plan = []
+    cells, symbols = [], []
     for dt in dts:
         grid_n, dx = path.grid_for(dt)
-        s = builder(dt, dx, grid_n)
-        plan.append((s, step_count(horizon_t, dt), von_neumann_check(s)))
-    updates = sum(s.period * n_steps for s, n_steps, symbol in plan if not symbol.passed)
+        cells.append((builder(dt, dx, grid_n), step_count(horizon_t, dt), sample(probe, grid_n)))
+        symbols.append(von_neumann_check(cells[-1][0]))
+    unstable = [cell for cell, symbol in zip(cells, symbols) if not symbol.passed]
+    updates = sum(s.period * n_steps for s, n_steps, _ in unstable)
     if updates > MAX_UPDATES:
         raise InvalidGridError(f"unstable cells need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
-    cells = []
-    for s, n_steps, symbol in plan:
-        u = sample(probe, s.period)
+    stepped = iter(_in_stacks(unstable, _run_trajectory))
+    out = []
+    for (s, n_steps, u), symbol in zip(cells, symbols):
         if symbol.passed:
             vals = apply_power(s, u.values, n_steps)
             diverged = not np.abs(vals).max() <= OVERFLOW_LIMIT
         else:
-            vals, diverged = _run_trajectory(s, u, n_steps)
+            vals, diverged = next(stepped)
         if diverged:
             error = math.inf
         else:
             sg = HeatSemigroup(horizon_t=horizon_t, grid_n=s.period)
             exact = evolve(sg, u, n_steps * s.dt)
             error = float(np.max(np.abs(vals - exact.values)))
-        cells.append(
-            ConvergenceCell(
-                dt=s.dt,
-                dx=s.dx,
-                n_steps=n_steps,
-                error=error,
-                max_abs_g=symbol.max_abs_g,
-                diverged=diverged,
-            )
-        )
+        out.append(ConvergenceCell(s.dt, s.dx, n_steps, error, symbol.max_abs_g, diverged))
 
-    errors = [c.error for c in cells]
+    errors = [c.error for c in out]
     norm = sup_norm(u)
     floor = np.finfo(float).eps * norm
     monotone = all(b <= max(a * 1.1, floor) for a, b in zip(errors, errors[1:]))
     all_finite = all(math.isfinite(e) for e in errors)
     settled = all_finite and monotone
-    above_floor = [(c.dx, c.error) for c in cells if c.error > floor]
+    above_floor = [(c.dx, c.error) for c in out if c.error > floor]
     observed_order = loglog_slope(above_floor, 3) if settled else None
     converged = settled and errors[-1] < 1e-3 * norm
 
-    return ConvergenceReport(
-        cells=tuple(cells),
-        observed_order=observed_order,
-        converged=converged,
-    )
+    return ConvergenceReport(cells=tuple(out), observed_order=observed_order, converged=converged)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -70,11 +71,14 @@ def _parse_k_range(text: str) -> range:
 
 def _parse_sequence_probes(text: str) -> list:
     """A ``;``-separated list of ``ones(n)``, ``unit(k)`` and ``harmonic(m)``,
-    each argument at most :data:`~laxlab.grid.MAX_GRID_N`."""
+    each token the whole of ``name(int)``, each argument at most
+    :data:`~laxlab.grid.MAX_GRID_N`."""
     probes = []
     for tok in filter(str.strip, text.split(";")):
-        name, _, arg = tok.strip().partition("(")
-        arg = int(arg.rstrip(")"))
+        match = re.fullmatch(r"\s*(\w+)\(([^()]*)\)\s*", tok)
+        if match is None:
+            raise ValueError(f"unparseable sequence probe: {tok!r}")
+        name, arg = match[1], int(match[2])
         if arg > MAX_GRID_N:
             raise ValueError(f"{tok!r} past {MAX_GRID_N}")
         if name == "ones":

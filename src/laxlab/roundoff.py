@@ -3,11 +3,11 @@
 Two trajectories of the same scheme on the same discretization are run
 side by side: one at full working precision, one whose state is rounded
 to a reduced significand after every time step.  Their sup-norm gap
-isolates round-off propagation from truncation error.  ``significand_bits``
-counts stored fraction bits (IEEE convention), so 52 bits reproduces
-double precision and the rounding becomes a no-op (see
-:func:`round_to_precision`; the twins' checks are described in
-:func:`roundoff_growth_experiment`).
+isolates round-off propagation from truncation error.  One twin loop
+(:func:`_twin_runs`) steps the twins of every cell of a sweep together,
+and a single cell is the sweep of one.  ``significand_bits`` counts stored
+fraction bits (IEEE convention), so 52 bits reproduces double precision
+and the rounding becomes a no-op (see :func:`round_to_precision`).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import loglog_slope, sample_steps, step_count
 from .errors import DivergedValueError, InvalidGridError
 from .grid import MAX_UPDATES, GridFunction, Probe, RefinementPath, sample
-from .schemes import overflow_free_steps, trajectory
+from .schemes import _in_stacks, overflow_free_steps, trajectory
 
 __all__ = [
     "PrecisionSpec",
@@ -102,70 +102,90 @@ class RoundoffGrowthReport:
 def roundoff_growth_experiment(
     s, u: GridFunction, horizon_t: float, spec: PrecisionSpec
 ) -> RoundoffGrowthReport:
-    """Gap between a per-step-rounded trajectory and the full-precision one.
+    """Gap between a per-step-rounded trajectory and the full-precision one:
+    the twin loop of :func:`halving_sweep` (:func:`_twin_runs`) on one cell.
 
     Both runs start from the identical initial state and use the identical
-    discretization, so the gap is pure round-off propagation.  Rounding
-    after every step is the experiment, so no single symbol power can
-    replace the loop: the twins step as one ``(2, N)`` array through
-    :func:`~laxlab.schemes.trajectory`, and row 1 is rounded and written
-    back between steps.  The gap is recorded at geometrically sampled step
-    counts.  A T/dt past any float raises :class:`InvalidGridError`.
+    discretization, so the gap is pure round-off propagation.  A T/dt past
+    any float raises :class:`InvalidGridError`.
+    """
+    return _twin_runs([(s, step_count(horizon_t, s.dt), u)], spec)[0]
+
+
+def _twin_runs(cells, spec: PrecisionSpec) -> list:
+    """The :class:`RoundoffGrowthReport` of each (stencil, n, data) cell of
+    a stack after n steps.
+
+    Rounding after every step is the experiment, so no symbol power can
+    replace the loop.  The cells step together through
+    :func:`~laxlab.schemes.trajectory`, longest first (see
+    :func:`~laxlab.schemes._in_stacks`), as one ``(2, sum N)`` array whose
+    row 1 is rounded in place between steps; row 0 runs at full precision.
+    A cell leaves the array once it is the last one and has ended (run its
+    n steps, or diverged), so no cell takes a step past its n.  Each cell
+    keeps its own n*, gap schedule (geometric in n) and divergence flag.
 
     Up to the step count n* of :func:`~laxlab.schemes.overflow_free_steps`
     (limit ``max_double / C``, growth 1 + 2^-(bits+1) a step), no value of
-    either row can reach the threshold where Veltkamp's split overflows,
-    so those steps split row 1 in place, with no guard.  A step at a
-    sample point, and every step past n*, rounds row 1 through the
-    checked :func:`round_to_precision`; the run is marked diverged when
-    that rounding raises, or when row 0 is not finite at a sample point.
-    A stencil of more than 32 offsets, which steps through the FFT, gets
-    n* = 0, so its rounding is checked every step.
+    a cell can reach the threshold where Veltkamp's split overflows, so
+    those steps split row 1 with no guard, in one pass over the array.  At
+    its sample points and past its n*, a cell's row 1 is rounded instead by
+    the checked :func:`round_to_precision`, bit for bit as if it ran alone;
+    the cell diverges when that rounding raises, or when its row 0 is not
+    finite at a sample point (a step keeps a non-finite value non-finite,
+    and the last step is a sample point).  Row 0 may overflow in between, so
+    the loop raises no floating-point flags.  A stencil of more than 32
+    offsets, which steps through the FFT, gets n* = 0.
     """
-    n_max = step_count(horizon_t, s.dt)
-    schedule = sample_steps(n_max, 8)
     split = spec.split
-    safe = overflow_free_steps(
-        s,
-        float(np.abs(u.values).max()),
-        sys.float_info.max / split,
-        1 + 2.0 ** -(spec.significand_bits + 1),
-    )
-
-    # Row 0 is the full-precision twin, row 1 the rounded one; both take
-    # the same step together, and only row 1 is rounded, in place, before
-    # the stepper reads it again.  Row 0 is checked only where a gap is
-    # recorded: a linear step keeps a non-finite value non-finite, so no
-    # gap is recorded after row 0 breaks, and n_max is always in the
-    # schedule, so the last step is checked.  Row 0 may overflow between
-    # sample points, so the loop raises no floating-point flags.
-    samples = []
-    diverged = False
-    target = 0
-    big, rest = np.empty(u.n), np.empty(u.n)
-    steps = trajectory(s, np.array([u.values, u.values]))
+    growth = 1 + 2.0 ** -(spec.significand_bits + 1)
+    ends = np.cumsum([s.period for s, _, _ in cells]).tolist()
+    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    schedules = [sample_steps(n, 8) for _, n, _ in cells]
+    safe = [overflow_free_steps(s, float(np.abs(u.values).max()), sys.float_info.max / split, growth)
+            for s, _, u in cells]
+    samples = [[] for _ in cells]
+    diverged = [False] * len(cells)
+    live, event = len(cells), 1
+    big, rest = np.empty(ends[-1]), np.empty(ends[-1])
+    values = np.concatenate([u.values for _, _, u in cells])
+    steps = trajectory([s for s, _, _ in cells], np.array([values, values]))
+    twins = next(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, twins in zip(range(1, n_max + 1), steps):
-            if n <= safe and n != schedule[target]:
-                row = twins[1]
-                np.multiply(row, split, out=big)
-                np.subtract(big, row, out=rest)
-                np.subtract(big, rest, out=row)
-                continue
-            try:
-                twins[1] = round_to_precision(twins[1], spec)
-            except DivergedValueError:
-                diverged = True
-                break
-            if n == schedule[target]:
-                if not np.isfinite(twins[0]).all():
-                    diverged = True
+        for n in range(1, cells[0][1] + 1):
+            row, rounded = twins[1], {}
+            if n >= event:  # a cell is at a sample point or past its n*
+                for i in range(live):
+                    if not diverged[i] and (n > safe[i] or n == schedules[i][len(samples[i])]):
+                        try:
+                            rounded[i] = round_to_precision(row[spans[i]], spec)
+                        except DivergedValueError:
+                            diverged[i] = True
+            np.multiply(row, split, out=big)
+            np.subtract(big, row, out=rest)
+            np.subtract(big, rest, out=row)
+            for i, cell in rounded.items():
+                row[spans[i]] = cell
+                if n != schedules[i][len(samples[i])]:
+                    continue
+                if not np.isfinite(twins[0, spans[i]]).all():
+                    diverged[i] = True
+                else:
+                    gap = float(np.max(np.abs(cell - twins[0, spans[i]])))
+                    samples[i].append((n, n * cells[i][0].dt, gap))
+            if n >= event:
+                while live and (diverged[live - 1] or n == cells[live - 1][1]):
+                    live -= 1
+                if not live:
                     break
-                gap = float(np.max(np.abs(twins[1] - twins[0])))
-                samples.append((n, n * s.dt, gap))
-                target += 1
-
-    return RoundoffGrowthReport(samples=tuple(samples), diverged=diverged, dt=s.dt, dx=s.dx)
+                big, rest = big[: ends[live - 1]], rest[: ends[live - 1]]
+                event = min(min(schedules[i][len(samples[i])], safe[i] + 1)
+                            for i in range(live) if not diverged[i])
+            twins = steps.send(live)
+    return [
+        RoundoffGrowthReport(samples=tuple(got), diverged=bad, dt=s.dt, dx=s.dx)
+        for (s, _, _), got, bad in zip(cells, samples, diverged)
+    ]
 
 
 @dataclass(frozen=True)
@@ -189,11 +209,13 @@ def halving_sweep(
 ) -> HalvingSweepReport:
     """Final round-off gap versus dt along a refinement path.
 
-    Fits gap ~ dt^(-s); a nonnegative s means refinement does not improve
-    the round-off floor.  Needs at least 4 dt values; the fit is skipped
-    when fewer than two gaps are finite and positive (e.g. the 52-bit
-    control).  Raises :class:`InvalidGridError`, before any cell runs, when
-    the twins would take more than :data:`~laxlab.grid.MAX_UPDATES` updates.
+    The cells' twins step together, one stack at a time (:func:`_twin_runs`),
+    and the reports come back coarse to fine.  Fits gap ~ dt^(-s); a
+    nonnegative s means refinement does not improve the round-off floor.
+    Needs at least 4 dt values; the fit is skipped when fewer than two gaps
+    are finite and positive (e.g. the 52-bit control).  Raises
+    :class:`InvalidGridError`, before any cell runs, when the twins would
+    take more than :data:`~laxlab.grid.MAX_UPDATES` updates.
     """
     dts = sorted(dts, reverse=True)
     if len(dts) < 4:
@@ -203,18 +225,14 @@ def halving_sweep(
     updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
     if not updates <= MAX_UPDATES:
         raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
-    rows = []
-    reports = []
-    for dt, (grid_n, dx) in zip(dts, grids):
-        s = builder(dt, dx, grid_n)
-        u = sample(probe, grid_n)
-        report = roundoff_growth_experiment(s, u, horizon_t, spec)
-        rows.append((dt, dx, step_count(horizon_t, dt), report.final_gap))
-        reports.append(report)
+    cells = [
+        (builder(dt, dx, grid_n), step_count(horizon_t, dt), sample(probe, grid_n))
+        for dt, (grid_n, dx) in zip(dts, grids)
+    ]
+    reports = _in_stacks(cells, lambda stack: _twin_runs(stack, spec))
+    rows = [(s.dt, s.dx, n_steps, r.final_gap) for (s, n_steps, _), r in zip(cells, reports)]
 
     slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)
     exponent_s = None if slope is None else -slope
 
-    return HalvingSweepReport(
-        rows=tuple(rows), exponent_s=exponent_s, growth_reports=tuple(reports)
-    )
+    return HalvingSweepReport(rows=tuple(rows), exponent_s=exponent_s, growth_reports=tuple(reports))

@@ -143,48 +143,76 @@ def backward_euler_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
     return StencilScheme(j, np.concatenate(([c0], tail)), dt, dx, period=grid_n)
 
 
-def _check_grid(s: StencilScheme, values: np.ndarray) -> None:
-    if values.shape[-1] != s.period:
-        raise InvalidGridError(f"stencil built for {s.period} points applied to {values.shape[-1]}")
+def _check_grid(n: int, values: np.ndarray) -> None:
+    if values.shape[-1] != n:
+        raise InvalidGridError(f"stencil built for {n} points applied to {values.shape[-1]}")
 
 
-def trajectory(s: StencilScheme, values: np.ndarray):
+def trajectory(s, values):
     """Yield C u, C^2 u, ... for samples of shape ``(..., N)``, N = ``s.period``.
 
     The loops that must step use this one stepper: the round-off twins,
     which round the state after every step, and unstable trajectories,
-    whose blow-up grows from the round-off each step adds.  Everything a
-    step needs is set up once.  The path switches on the offset count, not
-    on the stencil's kind.  A narrow stencil (at most ``_FFT_APPLY_CUTOFF``
-    = 32 offsets: FTCS, and backward Euler up to N = 32) gathers its
-    shifted copies through a ``(width, N)`` index table, scales them and
-    sums over the offset axis in offset order: three numpy calls a step,
-    with the roundings of ``sum_m c_m * roll(u, -o_m)`` (only a sum that is
-    exactly zero may come out as -0.0 instead of +0.0).  A wider stencil
-    steps as ``irfft(rfft(v) * conj(g), n=N)``, with the double factor
-    conj(g) formed once from the stencil's symbol.  Each step
-    reads the array yielded before it, so a caller may change that array
-    in place (the twins round it) before resuming; the generator never
-    writes to ``values`` or to an array it has yielded.  The stepper checks
-    no value (see :func:`overflow_free_steps`).  Data on another grid
-    raises :class:`InvalidGridError` when the first step is taken.
+    whose blow-up grows from the round-off each step adds.  ``s`` may also
+    be a stack of cells (see :func:`_in_stacks`): narrow stencils that
+    share their offsets, whose grids lie end to end in ``values``, of shape
+    ``(..., sum N)``.  Everything a step needs is set up once.  The path
+    switches on the offset count, not on the stencil's kind.  A narrow
+    stencil (at most ``_FFT_APPLY_CUTOFF`` = 32 offsets: FTCS, and backward
+    Euler up to N = 32) gathers its shifted copies through a ``(width, sum
+    N)`` index table in which each cell wraps within its own grid, scales
+    them by each cell's coefficients and sums over the offset axis in
+    offset order: three numpy calls a step for the whole stack, with the
+    roundings of ``sum_m c_m * roll(u, -o_m)`` on each cell (only a sum
+    that is exactly zero may come out as -0.0 instead of +0.0).  A wider
+    stencil steps alone, as ``irfft(rfft(v) * conj(g), n=N)``, with the
+    double factor conj(g) formed once from the stencil's symbol.
+    ``send(k)`` in place of ``next`` drops all but the first k >= 1 cells of
+    a stack from the steps that follow.  Each step reads the array yielded
+    before it, so a caller may change that array in place (the twins round
+    it) before resuming; the generator never writes to ``values`` or to an
+    array it has yielded.  The stepper checks no value (see
+    :func:`overflow_free_steps`).  Data on another grid raises
+    :class:`InvalidGridError` when the first step is taken.
     """
+    stack = [s] if isinstance(s, StencilScheme) else list(s)
     values = np.asarray(values, dtype=float)
-    _check_grid(s, values)
-    n = s.period
-    if not _narrow(s):
-        factor = np.conj(1 + s.symbol_minus_one).astype(complex)
+    ends = np.cumsum([c.period for c in stack]).tolist()
+    _check_grid(ends[-1], values)
+    if not _narrow(stack[0]):
+        factor = np.conj(1 + stack[0].symbol_minus_one).astype(complex)
         while True:
-            values = np.fft.irfft(np.fft.rfft(values) * factor, n=n)
+            values = np.fft.irfft(np.fft.rfft(values) * factor, n=ends[0])
             yield values
-    index = np.mod(np.arange(n) + s.offsets[:, None], n)
-    coef = s.coefficients[:, None]
+    index = np.hstack([a + np.mod(np.arange(c.period) + c.offsets[:, None], c.period)
+                       for a, c in zip([0] + ends, stack)])
+    coef = np.hstack([np.repeat(c.coefficients[:, None], c.period, axis=1) for c in stack])
+    cells = len(stack)
     terms = np.empty(values.shape[:-1] + index.shape)
     while True:
         values.take(index, axis=-1, out=terms, mode="clip")
         np.multiply(terms, coef, out=terms)
         values = np.add.reduce(terms, axis=-2)
-        yield values
+        live = yield values
+        if live is not None and live < cells:
+            cells, width = live, ends[live - 1]
+            index, coef, values = index[:, :width].copy(), coef[:, :width].copy(), values[..., :width]
+            terms = np.empty(values.shape[:-1] + index.shape)
+
+
+def _in_stacks(cells, run) -> list:
+    """``run`` on each stack of (stencil, step count, ...) cells, longest
+    first; one result a cell, in the order of ``cells``.  A stack is the
+    narrow stencils that share their offsets, or any other stencil alone."""
+    stacks = {}
+    for i in sorted(range(len(cells)), key=lambda i: -cells[i][1]):
+        s = cells[i][0]
+        stacks.setdefault(s.offsets.tobytes() if _narrow(s) else i, []).append(i)
+    out = [None] * len(cells)
+    for stack in stacks.values():
+        for i, result in zip(stack, run([cells[i] for i in stack])):
+            out[i] = result
+    return out
 
 
 def _narrow(s: StencilScheme) -> bool:
@@ -268,7 +296,7 @@ def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
     pair's rounding.  Callers that need the round-off of every step (the
     round-off twins, unstable trajectories) step through :func:`trajectory`.
     """
-    _check_grid(s, values)
+    _check_grid(s.period, values)
     factor = np.conj(symbol_powers(s, [n])[0]).astype(complex)
     return np.fft.irfft(np.fft.rfft(values) * factor, n=s.period)
 

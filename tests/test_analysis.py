@@ -696,6 +696,6 @@ class TestConvergence:
                 if not np.abs(vals).max() <= OVERFLOW_LIMIT:
                     diverged = True
                     break
-        got, got_diverged = analysis._run_trajectory(s, u, n_steps)
+        [(got, got_diverged)] = analysis._run_trajectory([(s, n_steps, u)])
         assert got_diverged == diverged
         assert np.array_equal(got.view(np.int64), vals.view(np.int64))

@@ -252,6 +252,8 @@ class TestBadValues:
             ("[ubp_demo]\nk_range = 0:5\nprobes = ones(x)\n", "bad value 'ones\\(x\\)' for key 'probes'"),
             ("[ubp_demo]\nk_range = 0:5\nprobes = unit(-1)\n", "bad value 'unit\\(-1\\)' for key 'probes'"),
             ("[ubp_demo]\nk_range = 0:5\nprobes = ones(-1)\n", "bad value 'ones\\(-1\\)' for key 'probes'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = unit(3\n", "bad value 'unit\\(3' for key 'probes'"),
+            ("[ubp_demo]\nk_range = 0:5\nprobes = unit(3)))\n", "bad value 'unit\\(3\\)\\)\\)' for key 'probes'"),
             ("[ubp_demo]\nk_range = 0:5\nk_max = 5\n", "unknown key 'k_max'"),
             # An index past MAX_GRID_N = 65536 is a bad value, rejected before
             # any range or probe is built.
@@ -269,7 +271,7 @@ class TestBadValues:
             "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "path-table", "negative-ts",
             "negative-seed", "infinite-amplitude", "infinite-constant", "amplitudes-past-overflow-limit",
             "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
-            "probes-ones-negative", "k-max", "k-range-past-cap", "probes-ones-past-cap",
+            "probes-ones-negative", "probes-unclosed", "probes-closed-thrice", "k-max", "k-range-past-cap", "probes-ones-past-cap",
             "probes-unit-past-cap", "probes-unit-1e309", "k-range-1e309", "k-range-start-past-ssize",
         ],
     )
@@ -519,6 +521,50 @@ def test_sweep_sections_end_in_a_verdict_or_a_config_error(
     else:
         assert err.getvalue().startswith("laxlab: config error: ") and err.getvalue().count("\n") == 1
     if kind != "consistency" and path.startswith("table"):
+        assert code == 2
+
+
+# Indices for [ubp_demo]: moderate ones up to 4096, negatives, and ones past
+# MAX_GRID_N = 65536, which are rejected before any range is built.  The ones
+# in between are left out: a k_range up to 65536 is legal and takes about
+# 1.2 s to tabulate.
+FUZZ_K = st.one_of(
+    st.integers(0, 4096),
+    st.integers(0, 4096),
+    st.integers(-(10**6), -1),
+    st.integers(2**16 + 1, 10**30),
+).flatmap(lambda k: st.sampled_from([str(k), hex(k)]))
+FUZZ_K_RANGE = st.one_of(FUZZ_K, st.tuples(FUZZ_K, FUZZ_K).map(":".join))
+MALFORMED_PROBES = ("unit(3", "unit(3)))", "ones()", "harmonic(x)", "unit(0x10)", "unit 3", "(3)", "sine(1)")
+FUZZ_SEQUENCE_PROBE = st.one_of(
+    st.tuples(
+        st.sampled_from(["ones", "unit", "harmonic"]),
+        st.one_of(st.integers(1, 4096), st.sampled_from([0, -1, -70000, 10**309]), st.integers(2**16 + 1, 10**12)),
+    ).map(lambda term: f"{term[0]}({term[1]})"),
+    st.sampled_from(MALFORMED_PROBES),
+)
+
+
+@given(
+    k_range=FUZZ_K_RANGE,
+    probes=st.one_of(st.none(), st.lists(FUZZ_SEQUENCE_PROBE, max_size=3).map("; ".join)),
+)
+@example(k_range="0:5", probes="unit(3")
+@example(k_range="0:5", probes="unit(3)))")
+@settings(max_examples=200)
+def test_ubp_demo_sections_end_in_a_table_or_a_config_error(k_range, probes):
+    items = {"k_range": k_range} if probes is None else {"k_range": k_range, "probes": probes}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        code = main(["--config", str(write_cfg(Path(tmp), section_cfg("ubp_demo", items))), "--out", str(out)])
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("laxlab: config error: ") and err.getvalue().count("\n") == 1
+    if probes is not None and any(tok.strip() in MALFORMED_PROBES for tok in probes.split(";")):
         assert code == 2
 
 

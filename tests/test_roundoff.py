@@ -7,7 +7,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
-from laxlab.analysis import sample_steps, scheme_builder
+from laxlab import analysis, roundoff
+from laxlab.analysis import convergence_experiment, sample_steps, scheme_builder, step_count
 from laxlab.errors import DivergedValueError, InvalidGridError
 from laxlab.grid import MAX_UPDATES, RefinementPath
 from laxlab.roundoff import (
@@ -347,3 +348,108 @@ class TestHalvingSweep:
                 PrecisionSpec(12),
                 [1e-2, 5e-3],
             )
+
+
+def _probe(kind, magnitude, seed):
+    amp = 10.0**magnitude
+    terms = {"sine": [lx.Sine(1, amp)], "random": [lx.RandomUniform(seed, amp)]}
+    terms["mixed"] = terms["sine"] + terms["random"]
+    return sum(terms[kind][1:], terms[kind][0])
+
+
+def _counting_stepper(monkeypatch, module, widths):
+    """Wrap ``module.trajectory`` so that each step appends the number of
+    grid points it stepped (the width of the array it yields) to ``widths``."""
+    real = module.trajectory
+
+    def counted(s, values):
+        steps, live = real(s, values), None
+        while True:
+            out = steps.send(live)
+            widths.append(out.shape[-1])
+            live = yield out
+
+    monkeypatch.setattr(module, "trajectory", counted)
+
+
+class TestStackedSweeps:
+    """A sweep steps its cells together; each cell must come out bit for bit
+    as if it ran alone."""
+
+    @given(
+        dts=st.lists(
+            st.one_of(st.sampled_from([1e-2, 7e-3, 5e-3, 3e-3, 2e-3]), st.floats(2e-3, 1e-2)),
+            min_size=4,
+            max_size=6,
+        ),
+        r=st.one_of(st.none(), st.floats(0.3, 1.0, exclude_min=True)),  # None: the cfl path
+        bits=st.integers(4, 52),
+        magnitude=st.integers(0, 300),
+        kind=st.sampled_from(["sine", "random", "mixed"]),
+        seed=st.integers(0, 2**16),
+        horizon=st.sampled_from([0.2, 0.5, 1.0]),
+    )
+    # The finest cell (N = 133, the first of the stack) diverges at step 70,
+    # while the four coarser cells after it go on.
+    @example(dts=[3e-3, 2e-3, 3e-3, 3e-3, 5e-3], r=0.9, bits=17, magnitude=280, kind="mixed", seed=81,
+             horizon=1.0)
+    # The 52-bit control: rounding is the identity, so every gap is 0.
+    @example(dts=[1e-2, 5e-3, 5e-3, 2e-3], r=None, bits=52, magnitude=0, kind="mixed", seed=7, horizon=1.0)
+    @settings(max_examples=25)
+    def test_each_cell_equals_the_cell_run_alone(self, dts, r, bits, magnitude, kind, seed, horizon):
+        path = RefinementPath.cfl_boundary() if r is None else RefinementPath.fixed_ratio(r)
+        probe = _probe(kind, magnitude, seed)
+        spec = PrecisionSpec(bits)
+        sweep = halving_sweep(ftcs_heat, path, probe, horizon, spec, dts)
+        for dt, report in zip(sorted(dts, reverse=True), sweep.growth_reports):
+            grid_n, dx = path.grid_for(dt)
+            s, u = ftcs_heat(dt, dx, grid_n), lx.sample(probe, grid_n)
+            assert report == roundoff_growth_experiment(s, u, horizon, spec)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    want = _twin_loop_checking_every_step(s, u.values, step_count(horizon, dt), spec)
+                except DivergedValueError:  # row 1 finite but past the rounding bound
+                    continue
+            assert (report.samples, report.diverged) == want
+        if bits == 52:
+            assert sweep.fit_skipped and all(gap == 0.0 for _, _, _, gap in sweep.rows)
+
+        report = convergence_experiment(ftcs_heat, path, probe, horizon, dts)
+        for cell in report.cells:
+            (alone,) = convergence_experiment(ftcs_heat, path, probe, horizon, [cell.dt]).cells
+            assert (cell.error, cell.diverged) == (alone.error, alone.diverged)
+
+    @pytest.mark.parametrize("bits", [12, 52])
+    def test_no_cell_is_stepped_past_its_end(self, monkeypatch, bits):
+        # Every cell takes exactly its own n steps of N points, however many
+        # cells share the array; a repeated dt gives two cells of one length.
+        widths = []
+        _counting_stepper(monkeypatch, roundoff, widths)
+        path, dts = RefinementPath.cfl_boundary(), [4e-3, 2e-3, 2e-3, 1e-3, 5e-4]
+        halving_sweep(ftcs_heat, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts)
+        assert sum(widths) == sum(path.grid_for(dt)[0] * step_count(1.0, dt) for dt in dts)
+        assert max(widths) == sum(path.grid_for(dt)[0] for dt in dts)
+
+    def test_no_unstable_convergence_cell_is_stepped_past_its_end(self, monkeypatch):
+        widths = []
+        _counting_stepper(monkeypatch, analysis, widths)
+        path, dts = RefinementPath.fixed_ratio(0.55), [4e-3, 2e-3, 1e-3]
+        report = convergence_experiment(ftcs_heat, path, lx.Sine(1), 1.0, dts)
+        assert not any(cell.diverged for cell in report.cells)
+        assert sum(widths) == sum(path.grid_for(dt)[0] * step_count(1.0, dt) for dt in dts)
+
+    def test_backward_euler_cells_run_alone(self, monkeypatch):
+        # N = 15, 20 and 31 are narrow with offsets 0..N-1, one set per N;
+        # N = 62 and 125 step through the FFT: every cell is a stack of one.
+        widths = []
+        _counting_stepper(monkeypatch, roundoff, widths)
+        path, dts = RefinementPath(1.0, 1.0), [4e-1, 3e-1, 2e-1, 1e-1, 5e-2]
+        grids = [path.grid_for(dt) for dt in dts]
+        assert [n for n, _ in grids] == [15, 20, 31, 62, 125]
+        spec = PrecisionSpec(12)
+        sweep = halving_sweep(backward_euler_heat, path, lx.Sine(1), 1.0, spec, dts)
+        assert sum(widths) == sum(n * step_count(1.0, dt) for dt, (n, _) in zip(dts, grids))
+        assert set(widths) == {n for n, _ in grids}
+        for dt, (n, dx), report in zip(dts, grids, sweep.growth_reports):
+            s = backward_euler_heat(dt, dx, n)
+            assert report == roundoff_growth_experiment(s, lx.sample(lx.Sine(1), n), 1.0, spec)
