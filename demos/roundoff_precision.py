@@ -11,7 +11,7 @@ direction of the effect measurable.
 import laxlab as lx
 from laxlab.analysis import scheme_builder
 from laxlab.grid import RefinementPath
-from laxlab.roundoff import PrecisionSpec, halving_sweep, roundoff_growth_experiment
+from laxlab.roundoff import PrecisionSpec, halving_sweeps, roundoff_growth_experiment
 
 path = RefinementPath.cfl_boundary()
 builder = scheme_builder("ftcs")
@@ -32,9 +32,12 @@ print(f"machine epsilon: {PrecisionSpec(12).epsilon:.3e}")
 
 # --- sweeping dt downward ----------------------------------------------
 # If rounding behaved like truncation the gap would shrink with dt; the
-# fitted exponent s in gap ~ dt^{-s} shows it does not.
+# fitted exponent s in gap ~ dt^{-s} shows it does not.  The 12-bit sweep
+# and its 52-bit control (below) step together, each at its own precision.
 dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-sweep = halving_sweep(builder, path, lx.Sine(1), 1.0, PrecisionSpec(12), dts)
+sweep, control = halving_sweeps(
+    [(builder, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts) for bits in (12, 52)]
+)
 print()
 print("dt          n_steps    final gap")
 for dt, dx, n_steps, gap in sweep.rows:
@@ -44,6 +47,5 @@ print(f"exponent s in gap ~ dt^-s : {sweep.exponent_s:.3f}")
 # --- the 52-bit control ------------------------------------------------
 # At the native significand width the rounding map is the identity and
 # every gap is exactly zero.
-control = halving_sweep(builder, path, lx.Sine(1), 1.0, PrecisionSpec(52), dts)
 print()
 print("52-bit control gaps:", [gap for _, _, _, gap in control.rows])

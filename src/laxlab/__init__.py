@@ -44,6 +44,7 @@ from .grid import (
 from .roundoff import (
     PrecisionSpec,
     halving_sweep,
+    halving_sweeps,
     round_to_precision,
     roundoff_growth_experiment,
 )

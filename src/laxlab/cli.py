@@ -225,16 +225,34 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
     return scheme
 
 
-def _run_roundoff(items: dict, csv_lines: list, summary: list) -> str:
+def _sweep(items: dict) -> tuple:
+    """The :func:`~laxlab.roundoff.halving_sweep` arguments of a round-off section."""
+    return (analysis.scheme_builder(items["scheme"]), items["path"], items["probe"], items["t"],
+            roundoff.PrecisionSpec(items["bits"]), items["dts"])
+
+
+def _roundoff_batch(parser, seed: int) -> dict:
+    """The report of each round-off section, by name, from one
+    :func:`~laxlab.roundoff.halving_sweeps` run of the sections in config
+    order up to the first that fails ``_validate`` or its sweep's setup."""
+    batch = {}
+    for section in (name for name in parser.sections() if name.split()[0] == "roundoff"):
+        try:
+            batch[section] = _sweep(_validate("roundoff", section, dict(parser.items(section)), seed))
+        except ConfigError:
+            break
+    sweeps = list(batch.values())
+    while sweeps:
+        try:
+            return dict(zip(batch, roundoff.halving_sweeps(sweeps)))
+        except ValueError:  # a sweep failed its setup checks (InvalidGridError), so no cell ran
+            sweeps.pop()
+    return {}
+
+
+def _run_roundoff(items: dict, csv_lines: list, summary: list, report=None) -> str:
     scheme = items["scheme"]
-    report = roundoff.halving_sweep(
-        analysis.scheme_builder(scheme),
-        items["path"],
-        items["probe"],
-        items["t"],
-        roundoff.PrecisionSpec(significand_bits=items["bits"]),
-        items["dts"],
-    )
+    report = report or roundoff.halving_sweep(*_sweep(items))
     csv_lines.append("n,t,gap,bits,dt,dx,scheme\n")
     for growth in report.growth_reports:
         for n, t, gap in growth.samples:
@@ -272,13 +290,14 @@ _RUNNERS = {
 def run(config_path, out_dir, seed=0) -> int:
     """Execute every experiment section of a config file, in section order.
 
-    ``seed`` is the base seed of random probes:
-    ``random_uniform(k)`` samples with seed ``k + seed``.  ``summary.txt``
-    is written once, when the run ends; a section that fails leaves the
-    summary of the sections before it.  Returns 0 on completion;
-    raises :class:`ConfigError` on malformed input, and on values that
-    together choose an unusable grid (the :func:`main` wrapper converts
-    that to exit code 2).
+    The round-off sections run together first (:func:`_roundoff_batch`);
+    their CSVs, summary lines and errors still come in section order.
+    ``seed`` is the base seed of random probes: ``random_uniform(k)``
+    samples with seed ``k + seed``.  ``summary.txt`` is written once, when
+    the run ends; a section that fails leaves the summary of the sections
+    before it.  Returns 0 on completion; raises :class:`ConfigError` on
+    malformed input, and on values that together choose an unusable grid
+    (the :func:`main` wrapper converts that to exit code 2).
     """
     config_path = Path(config_path)
     if not config_path.is_file():
@@ -294,6 +313,7 @@ def run(config_path, out_dir, seed=0) -> int:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     summary: list = []
     finished = 0  # summary lines of the sections that finished
+    reports = _roundoff_batch(parser, seed)
 
     try:
         for index, section in enumerate(parser.sections()):
@@ -303,7 +323,8 @@ def run(config_path, out_dir, seed=0) -> int:
             items = _validate(kind, section, dict(parser.items(section)), seed)
             csv_lines: list = []
             try:
-                scheme = _RUNNERS[kind](items, csv_lines, summary)
+                batched = (reports[section],) if section in reports else ()
+                scheme = _RUNNERS[kind](items, csv_lines, summary, *batched)
             except (ConfigError, InvalidGridError) as exc:
                 raise ConfigError(f"{exc} in section [{section}]") from exc
             name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"

@@ -4,8 +4,9 @@ Two trajectories of the same scheme on the same discretization are run
 side by side: one at full working precision, one whose state is rounded
 to a reduced significand after every time step.  Their sup-norm gap
 isolates round-off propagation from truncation error.  One twin loop
-(:func:`_twin_runs`) steps the twins of every cell of a sweep together,
-and a single cell is the sweep of one.  ``significand_bits`` counts stored
+(:func:`_twin_runs`) steps the twins of every cell of a batch of sweeps
+together (:func:`halving_sweeps`), and a single cell is the batch of one.
+``significand_bits`` counts stored
 fraction bits (IEEE convention), so 52 bits reproduces double precision
 and the rounding becomes a no-op (see :func:`round_to_precision`).
 """
@@ -29,6 +30,7 @@ __all__ = [
     "roundoff_growth_experiment",
     "HalvingSweepReport",
     "halving_sweep",
+    "halving_sweeps",
 ]
 
 
@@ -109,12 +111,12 @@ def roundoff_growth_experiment(
     discretization, so the gap is pure round-off propagation.  A T/dt past
     any float raises :class:`InvalidGridError`.
     """
-    return _twin_runs([(s, step_count(horizon_t, s.dt), u)], spec)[0]
+    return _twin_runs([(s, step_count(horizon_t, s.dt), u, spec)])[0]
 
 
-def _twin_runs(cells, spec: PrecisionSpec) -> list:
-    """The :class:`RoundoffGrowthReport` of each (stencil, n, data) cell of
-    a stack after n steps.
+def _twin_runs(cells) -> list:
+    """The :class:`RoundoffGrowthReport` of each (stencil, n, data,
+    :class:`PrecisionSpec`) cell of a stack after n steps.
 
     Rounding after every step is the experiment, so no symbol power can
     replace the loop.  The cells step together through
@@ -123,33 +125,36 @@ def _twin_runs(cells, spec: PrecisionSpec) -> list:
     row 1 is rounded in place between steps; row 0 runs at full precision.
     A cell leaves the array once it is the last one and has ended (run its
     n steps, or diverged), so no cell takes a step past its n.  Each cell
-    keeps its own n*, gap schedule (geometric in n) and divergence flag.
+    keeps its own precision (Veltkamp's constant C is an array, each cell's
+    C on its grid points), n*, gap schedule (geometric in n) and divergence
+    flag.
 
     Up to the step count n* of :func:`~laxlab.schemes.overflow_free_steps`
-    (limit ``max_double / C``, growth 1 + 2^-(bits+1) a step), no value of
-    a cell can reach the threshold where Veltkamp's split overflows, so
-    those steps split row 1 with no guard, in one pass over the array.  At
-    its sample points and past its n*, a cell's row 1 is rounded instead by
-    the checked :func:`round_to_precision`, bit for bit as if it ran alone;
-    the cell diverges when that rounding raises, or when its row 0 is not
-    finite at a sample point (a step keeps a non-finite value non-finite,
-    and the last step is a sample point).  Row 0 may overflow in between, so
-    the loop raises no floating-point flags.  A stencil of more than 32
+    (limit ``max_double / C``, growth 1 + 2^-(bits+1) a step, both the
+    cell's own), no value of a cell can reach the threshold where
+    Veltkamp's split overflows, so those steps split row 1 with no guard,
+    in one pass over the array.  At its sample points and past its n*, a
+    cell's row 1 is rounded instead by the checked
+    :func:`round_to_precision`, bit for bit as if it ran alone; the cell
+    diverges when that rounding raises, or when its row 0 is not finite at
+    a sample point (a step keeps a non-finite value non-finite, and the
+    last step is a sample point).  Row 0 may overflow in between, so the
+    loop raises no floating-point flags.  A stencil of more than 32
     offsets, which steps through the FFT, gets n* = 0.
     """
-    split = spec.split
-    growth = 1 + 2.0 ** -(spec.significand_bits + 1)
-    ends = np.cumsum([s.period for s, _, _ in cells]).tolist()
+    ends = np.cumsum([s.period for s, _, _, _ in cells]).tolist()
     spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-    schedules = [sample_steps(n, 8) for _, n, _ in cells]
-    safe = [overflow_free_steps(s, float(np.abs(u.values).max()), sys.float_info.max / split, growth)
-            for s, _, u in cells]
+    schedules = [sample_steps(n, 8) for _, n, _, _ in cells]
+    safe = [overflow_free_steps(s, float(np.abs(u.values).max()), sys.float_info.max / spec.split,
+                                1 + 2.0 ** -(spec.significand_bits + 1))
+            for s, _, u, spec in cells]
     samples = [[] for _ in cells]
     diverged = [False] * len(cells)
     live, event = len(cells), 1
+    split = np.concatenate([np.full(s.period, spec.split) for s, _, _, spec in cells])
     big, rest = np.empty(ends[-1]), np.empty(ends[-1])
-    values = np.concatenate([u.values for _, _, u in cells])
-    steps = trajectory([s for s, _, _ in cells], np.array([values, values]))
+    values = np.concatenate([u.values for _, _, u, _ in cells])
+    steps = trajectory([s for s, _, _, _ in cells], np.array([values, values]))
     twins = next(steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cells[0][1] + 1):
@@ -158,7 +163,7 @@ def _twin_runs(cells, spec: PrecisionSpec) -> list:
                 for i in range(live):
                     if not diverged[i] and (n > safe[i] or n == schedules[i][len(samples[i])]):
                         try:
-                            rounded[i] = round_to_precision(row[spans[i]], spec)
+                            rounded[i] = round_to_precision(row[spans[i]], cells[i][3])
                         except DivergedValueError:
                             diverged[i] = True
             np.multiply(row, split, out=big)
@@ -178,13 +183,14 @@ def _twin_runs(cells, spec: PrecisionSpec) -> list:
                     live -= 1
                 if not live:
                     break
-                big, rest = big[: ends[live - 1]], rest[: ends[live - 1]]
+                width = ends[live - 1]
+                big, rest, split = big[:width], rest[:width], split[:width]
                 event = min(min(schedules[i][len(samples[i])], safe[i] + 1)
                             for i in range(live) if not diverged[i])
             twins = steps.send(live)
     return [
         RoundoffGrowthReport(samples=tuple(got), diverged=bad, dt=s.dt, dx=s.dx)
-        for (s, _, _), got, bad in zip(cells, samples, diverged)
+        for (s, _, _, _), got, bad in zip(cells, samples, diverged)
     ]
 
 
@@ -200,39 +206,42 @@ class HalvingSweepReport:
 
 
 def halving_sweep(
-    builder,
-    path: RefinementPath,
-    probe: Probe,
-    horizon_t: float,
-    spec: PrecisionSpec,
-    dts,
+    builder, path: RefinementPath, probe: Probe, horizon_t: float, spec: PrecisionSpec, dts
 ) -> HalvingSweepReport:
-    """Final round-off gap versus dt along a refinement path.
+    """Final round-off gap versus dt along a refinement path: the batch of
+    one sweep (:func:`halving_sweeps`).
 
-    The cells' twins step together, one stack at a time (:func:`_twin_runs`),
-    and the reports come back coarse to fine.  Fits gap ~ dt^(-s); a
+    The reports come back coarse to fine.  Fits gap ~ dt^(-s); a
     nonnegative s means refinement does not improve the round-off floor.
     Needs at least 4 dt values; the fit is skipped when fewer than two gaps
     are finite and positive (e.g. the 52-bit control).  Raises
     :class:`InvalidGridError`, before any cell runs, when the twins would
     take more than :data:`~laxlab.grid.MAX_UPDATES` updates.
     """
-    dts = sorted(dts, reverse=True)
-    if len(dts) < 4:
-        raise ValueError(f"halving_sweep needs >= 4 dt values, got {len(dts)}")
-    grids = [path.grid_for(dt) for dt in dts]
-    # In floats: a step count past any float is inf here and fails the check.
-    updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
-    if not updates <= MAX_UPDATES:
-        raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
-    cells = [
-        (builder(dt, dx, grid_n), step_count(horizon_t, dt), sample(probe, grid_n))
-        for dt, (grid_n, dx) in zip(dts, grids)
-    ]
-    reports = _in_stacks(cells, lambda stack: _twin_runs(stack, spec))
-    rows = [(s.dt, s.dx, n_steps, r.final_gap) for (s, n_steps, _), r in zip(cells, reports)]
+    return halving_sweeps([(builder, path, probe, horizon_t, spec, dts)])[0]
 
-    slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)
-    exponent_s = None if slope is None else -slope
 
-    return HalvingSweepReport(rows=tuple(rows), exponent_s=exponent_s, growth_reports=tuple(reports))
+def halving_sweeps(sweeps) -> list:
+    """The :class:`HalvingSweepReport` of each sweep, given as the argument
+    tuple of :func:`halving_sweep`.  Every sweep is set up and checked
+    before any cell runs; then the cells of all of them step together."""
+    setups = []
+    for builder, path, probe, horizon_t, spec, dts in sweeps:
+        dts = sorted(dts, reverse=True)
+        if len(dts) < 4:
+            raise ValueError(f"halving_sweep needs >= 4 dt values, got {len(dts)}")
+        grids = [path.grid_for(dt) for dt in dts]
+        # In floats: a step count past any float is inf here and fails the check.
+        updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
+        if not updates <= MAX_UPDATES:
+            raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
+        setups.append([(builder(dt, dx, grid_n), step_count(horizon_t, dt), sample(probe, grid_n), spec)
+                       for dt, (grid_n, dx) in zip(dts, grids)])
+    reports = iter(_in_stacks([cell for cells in setups for cell in cells], _twin_runs))
+    out = []
+    for cells in setups:
+        growth = tuple(next(reports) for _ in cells)
+        rows = tuple((s.dt, s.dx, n, r.final_gap) for (s, n, _, _), r in zip(cells, growth))
+        slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)
+        out.append(HalvingSweepReport(rows, None if slope is None else -slope, growth))
+    return out

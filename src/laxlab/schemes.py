@@ -279,12 +279,20 @@ def symbol_powers(s: StencilScheme, ns) -> np.ndarray:
     prime factor) drifted ~3n ulps from the exact C^n, and a g of
     1 - 1e-18 (small r) keeps few bits of h, which 1e18 steps would
     multiply into every mode.  From h in extended precision, g^n rounds to
-    double within a few ulps.  A mode with g = 0 gets g^n = 0.
+    double within a few ulps.  Where |g| < 1/2, h's noise of about N ulps
+    of 1 would swamp g's own bits, so there g is the kernel's own transform,
+    taken only then.  A mode with g = 0 gets g^n = 0.
     """
     h = s.symbol_minus_one
+    g = 1 + h
     with np.errstate(divide="ignore"):
         log_abs = np.log1p(h.real * (2 + h.real) + h.imag**2) / 2
-    arg = np.arctan2(h.imag, 1 + h.real)
+        small = np.abs(g) < 0.5
+        if small.any():
+            kernel = np.bincount(np.mod(s.offsets, s.period), s.coefficients, minlength=s.period)
+            g[small] = np.fft.rfft(kernel.astype(np.longdouble))[small]
+            log_abs[small] = np.log(np.abs(g[small]))
+    arg = np.arctan2(g.imag, g.real)
     ns = np.array(ns, dtype=np.longdouble)[:, None]
     return np.exp(ns * log_abs) * (np.cos(ns * arg) + 1j * np.sin(ns * arg))
 

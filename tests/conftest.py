@@ -1,4 +1,4 @@
-"""Test-suite settings and long double oracles shared by the test modules."""
+"""Test-suite settings, long double oracles and a step counter shared by the test modules."""
 import numpy as np
 from hypothesis import settings
 
@@ -36,3 +36,18 @@ def _circulant_power_ld(s, steps):
             k = conv(k, k)
     # (C u)[j] = sum_i kernel[i] u[j + i]
     return result[np.mod(np.arange(n) - np.arange(n)[:, None], n)]
+
+
+def _counting_stepper(monkeypatch, module, widths):
+    """Wrap ``module.trajectory`` so that each step appends the number of
+    grid points it stepped (the width of the array it yields) to ``widths``."""
+    real = module.trajectory
+
+    def counted(s, values):
+        steps, live = real(s, values), None
+        while True:
+            out = steps.send(live)
+            widths.append(out.shape[-1])
+            live = yield out
+
+    monkeypatch.setattr(module, "trajectory", counted)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -214,6 +215,24 @@ class TestSymbolNorms:
         for k, norm in report.norms:
             exact = float(np.abs(_circulant_power_ld(s, k)).sum(axis=1).max())
             assert abs(norm - exact) <= 1e-13 * exact, (k, norm, exact)
+
+    @pytest.mark.skipif(not EXTENDED_FFT, reason="needs an extended-precision long double FFT")
+    @pytest.mark.parametrize("offsets", [[-1, 0, 1], [0, 3, 7]])
+    def test_symbol_norms_of_a_tiny_row_sum_keep_relative_accuracy(self, offsets):
+        # Every mode has |g| <= sum c = 1e-6, far below the noise that g - 1
+        # carries relative to g; the norms of a nonnegative stencil are
+        # exactly (sum c)^n.
+        coefficients = np.array([0.2, 0.5, 0.3]) * 1e-6
+        s = StencilScheme(np.array(offsets), coefficients, 1.0, 1.0, 61)
+        total = sum(map(Fraction, coefficients.tolist()))
+        steps = [1, 2, 10, 40]
+        for k, norm in zip(steps, analysis._symbol_norms(s, steps), strict=True):
+            assert abs(Fraction(norm) - total**k) <= Fraction(1, 10**12) * total**k, (k, norm)
+
+    def test_symbol_norms_of_the_zero_stencil_are_zero(self):
+        # N = 307 is prime: the transform of the identity carries noise.
+        s = StencilScheme(np.array([-1, 0, 1]), np.zeros(3), 1.0, 1.0, 307)
+        assert analysis._symbol_norms(s, [1, 2, 10, 40]) == [0.0] * 4
 
     def test_overflowing_symbol_norms_are_infinite_and_unstable(self):
         # max|g|^n passes the largest double from n ~ 1.8e15 on: those

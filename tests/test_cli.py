@@ -12,7 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laxlab
-from laxlab import ubp
+from conftest import _counting_stepper
+from laxlab import roundoff, ubp
+from laxlab.analysis import step_count
+from laxlab.grid import RefinementPath
 from laxlab.cli import _RUNNERS, _SCHEMA, _parse_path, _parse_sequence_probes, _row, _validate, main, run
 from laxlab.errors import ConfigError
 
@@ -199,6 +202,89 @@ bits = 12
 BAD_VALUES = [
     ("scheme", "crank"), ("grid_n", "abc"), ("grid_n", "100000000"), ("r", "-0.3"), ("t", "0"),
 ]
+
+
+ROUNDOFF_SECTIONS = {
+    "roundoff r12": "scheme = ftcs\nprobe = sine(1)\nt = 0.5\ndts = 1e-2, 5e-3, 2.5e-3, 2e-3\n"
+                    "path = cfl\nbits = 12\n",
+    "roundoff r23": "scheme = ftcs\nprobe = sine(1)+random_uniform(3)\nt = 1.0\n"
+                    "dts = 1e-2, 5e-3, 4e-3, 2.5e-3\npath = cfl\nbits = 23\n",
+    "roundoff unstable": "scheme = ftcs\nprobe = random_uniform(5)\nt = 1.0\n"
+                         "dts = 1e-2, 5e-3, 2e-3, 1e-3\npath = fixed_r 0.9\nbits = 17\n",
+    "roundoff be52": "scheme = backward_euler\nprobe = sine(2)\nt = 0.2\n"
+                     "dts = 1e-2, 5e-3, 2.5e-3, 2e-3\npath = cfl\nbits = 52\n",
+}
+
+
+# (N, n) of the cells of "roundoff r12" and "roundoff r23": all FTCS on the cfl path.
+TWO_SWEEPS = [
+    (RefinementPath.cfl_boundary().grid_for(dt)[0], step_count(t, dt))
+    for t, dts in [(0.5, [1e-2, 5e-3, 2.5e-3, 2e-3]), (1.0, [1e-2, 5e-3, 4e-3, 2.5e-3])]
+    for dt in dts
+]
+
+
+def sections_cfg(names, sections):
+    return "\n".join(f"[{name}]\n{sections[name]}" for name in names)
+
+
+def csv_bodies(out_dir) -> list:
+    """CSV bodies in section order (the index ends each file name)."""
+    return [p.read_bytes() for p in sorted(out_dir.glob("*.csv"), key=lambda p: p.stem.rsplit("_", 1)[1])]
+
+
+class TestRoundoffBatch:
+    """The round-off sections of a run step together; the outputs, and the
+    errors, still come section by section."""
+
+    def test_interleaved_sections_write_what_each_writes_alone(self, tmp_path):
+        sections = {
+            **ROUNDOFF_SECTIONS,
+            "stability s": STABILITY_CFG.split("\n", 1)[1],
+            "convergence c": "scheme = ftcs\nprobe = sine(1)\nt = 1.0\ndts = 1e-2, 5e-3\npath = cfl\n",
+        }
+        order = ["roundoff r12", "stability s", "roundoff unstable", "convergence c", "roundoff r23",
+                 "roundoff be52"]
+        assert run(write_cfg(tmp_path, sections_cfg(order, sections)), tmp_path / "all", seed=4) == 0
+        bodies, summary = [], ""
+        for i, name in enumerate(order):
+            out = tmp_path / f"alone{i}"
+            assert run(write_cfg(tmp_path, sections_cfg([name], sections), f"{i}.cfg"), out, seed=4) == 0
+            bodies += csv_bodies(out)
+            summary += (out / "summary.txt").read_text()
+        assert csv_bodies(tmp_path / "all") == bodies
+        assert (tmp_path / "all" / "summary.txt").read_text() == summary
+
+    def test_sections_on_one_path_step_as_one_stack(self, tmp_path, monkeypatch):
+        widths = []
+        _counting_stepper(monkeypatch, roundoff, widths)
+        names = ["roundoff r12", "roundoff r23"]
+        assert run(write_cfg(tmp_path, sections_cfg(names, ROUNDOFF_SECTIONS)), tmp_path / "out") == 0
+        assert max(widths) == sum(n for n, _ in TWO_SWEEPS)
+        assert sum(widths) == sum(n * steps for n, steps in TWO_SWEEPS)
+
+    def test_a_section_past_the_budget_fails_in_turn(self, tmp_path, capsys, monkeypatch):
+        # The third of four sections needs ~1.2e12 updates.  The two before
+        # it step as one stack and write their CSVs and summary lines; the
+        # fourth never runs.
+        sections = {
+            **ROUNDOFF_SECTIONS,
+            "roundoff long-t": "scheme = ftcs\nprobe = sine(1)\nt = 1e6\n"
+                               "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n",
+        }
+        widths = []
+        _counting_stepper(monkeypatch, roundoff, widths)
+        names = ["roundoff r12", "roundoff r23", "roundoff long-t", "roundoff be52"]
+        cfg = write_cfg(tmp_path, sections_cfg(names, sections))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "updates" in err and "[roundoff long-t]" in err and "Traceback" not in err
+        assert max(widths) == sum(n for n, _ in TWO_SWEEPS)
+        assert sum(widths) == sum(n * steps for n, steps in TWO_SWEEPS)
+        first = tmp_path / "first"
+        run(write_cfg(tmp_path, sections_cfg(names[:2], sections), "first.cfg"), first)
+        assert csv_bodies(tmp_path / "out") == csv_bodies(first)
+        assert (tmp_path / "out" / "summary.txt").read_text() == (first / "summary.txt").read_text()
 
 
 def stability_cfg_with(key, value):

@@ -7,6 +7,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
+from conftest import _counting_stepper
 from laxlab import analysis, roundoff
 from laxlab.analysis import convergence_experiment, sample_steps, scheme_builder, step_count
 from laxlab.errors import DivergedValueError, InvalidGridError
@@ -14,6 +15,7 @@ from laxlab.grid import MAX_UPDATES, RefinementPath
 from laxlab.roundoff import (
     PrecisionSpec,
     halving_sweep,
+    halving_sweeps,
     round_to_precision,
     roundoff_growth_experiment,
 )
@@ -357,21 +359,6 @@ def _probe(kind, magnitude, seed):
     return sum(terms[kind][1:], terms[kind][0])
 
 
-def _counting_stepper(monkeypatch, module, widths):
-    """Wrap ``module.trajectory`` so that each step appends the number of
-    grid points it stepped (the width of the array it yields) to ``widths``."""
-    real = module.trajectory
-
-    def counted(s, values):
-        steps, live = real(s, values), None
-        while True:
-            out = steps.send(live)
-            widths.append(out.shape[-1])
-            live = yield out
-
-    monkeypatch.setattr(module, "trajectory", counted)
-
-
 class TestStackedSweeps:
     """A sweep steps its cells together; each cell must come out bit for bit
     as if it ran alone."""
@@ -453,3 +440,50 @@ class TestStackedSweeps:
         for dt, (n, dx), report in zip(dts, grids, sweep.growth_reports):
             s = backward_euler_heat(dt, dx, n)
             assert report == roundoff_growth_experiment(s, lx.sample(lx.Sine(1), n), 1.0, spec)
+
+
+@st.composite
+def sweep_args(draw):
+    """The argument tuple of one :func:`halving_sweep`: FTCS or backward
+    Euler on the cfl path or a fixed r up to 1 (unstable FTCS included)."""
+    r = draw(st.one_of(st.none(), st.floats(0.3, 1.0, exclude_min=True)))  # None: the cfl path
+    probe = _probe(draw(st.sampled_from(["sine", "random", "mixed"])), draw(st.integers(0, 300)),
+                   draw(st.integers(0, 2**16)))
+    dts = draw(st.lists(st.one_of(st.sampled_from([1e-2, 5e-3, 3e-3, 2e-3]), st.floats(2e-3, 1e-2)),
+                        min_size=4, max_size=5))
+    return (
+        draw(st.sampled_from([ftcs_heat, backward_euler_heat])),
+        RefinementPath.cfl_boundary() if r is None else RefinementPath.fixed_ratio(r),
+        probe,
+        draw(st.sampled_from([0.2, 0.5, 1.0])),
+        PrecisionSpec(draw(st.integers(4, 52))),
+        dts,
+    )
+
+
+class TestBatchedSweeps:
+    """halving_sweeps steps the cells of several sweeps, each at its own
+    precision, together; each report must be the sweep's run alone."""
+
+    # The finest cell of the first sweep (N = 133, r = 0.9) diverges at step
+    # 70 in a stack beside the stable cfl cells of the 12-bit sweep.
+    @example([
+        (ftcs_heat, RefinementPath.fixed_ratio(0.9), _probe("mixed", 280, 81), 1.0, PrecisionSpec(17),
+         [3e-3, 2e-3, 3e-3, 3e-3, 5e-3]),
+        (ftcs_heat, RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, PrecisionSpec(12),
+         [1e-2, 5e-3, 2.5e-3, 2e-3]),
+        (backward_euler_heat, RefinementPath.cfl_boundary(), lx.Sine(1), 0.5, PrecisionSpec(52), DTS),
+    ])
+    @given(st.lists(sweep_args(), min_size=2, max_size=4))
+    @settings(max_examples=15)
+    def test_each_sweep_equals_the_sweep_run_alone(self, sweeps):
+        for batched, sweep in zip(halving_sweeps(sweeps), sweeps, strict=True):
+            assert batched == halving_sweep(*sweep)
+
+    def test_a_failed_setup_raises_before_any_cell_runs(self, monkeypatch):
+        widths = []
+        _counting_stepper(monkeypatch, roundoff, widths)
+        ok = (ftcs_heat, RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, PrecisionSpec(12), DTS)
+        with pytest.raises(InvalidGridError, match="updates"):
+            halving_sweeps([ok, ok[:3] + (1e6,) + ok[4:]])
+        assert widths == []
