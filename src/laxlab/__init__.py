@@ -58,6 +58,7 @@ from .schemes import (
 from .semigroup import HeatSemigroup, evolve, extend_evolve
 from .ubp import (
     FiniteSequence,
+    UbpDemoTable,
     apply_Tk,
     cauchy_witness,
     norm_Tk,

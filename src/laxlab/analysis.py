@@ -77,23 +77,25 @@ __all__ = [
 # any cap within tens of steps, so a margin of 10 avoids false negatives.
 STABILITY_CAP = 10.0
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _check_witness(witness: np.ndarray, powers: np.ndarray, totals) -> None:
     """Raise RuntimeError unless ``max |C^n w|`` matches each norm in ``totals``.
 
     w is the sign pattern of the coefficients of C^n, which attains the
     norm at a grid point; C^n w = irfft(rfft(w) * conj(g^n)), g^n a row of
-    ``powers``.  Both sides are divided by max(1, norm), so that a norm
-    near the largest double cannot overflow; the slack covers a few ulps
-    per transform point.
+    ``powers`` (the double transform of the kernel for :func:`operator_norm`,
+    long double powers of the symbol for :func:`_symbol_norms`); either is
+    rounded to double before the product.  Both sides are divided by
+    max(1, norm), so that a norm near the largest double cannot overflow;
+    the slack covers a few ulps per transform point.
     """
     n = witness.shape[-1]
     scale = np.maximum(1.0, totals)
-    scaled = powers / np.expand_dims(scale, -1)
-    applied = np.fft.irfft(np.fft.rfft(witness) * np.conj(scaled.astype(complex)), n=n)
-    attained = np.abs(applied).max(axis=-1)
-    tol = max(1e-12, 64 * n * np.finfo(float).eps)
-    if not (np.abs(attained - totals / scale) <= tol).all():
+    scaled = np.conj(powers / scale[..., None]).astype(complex, copy=False)
+    attained = np.abs(np.fft.irfft(np.fft.rfft(witness) * scaled, n=n)).max(axis=-1)
+    if not (np.abs(attained - totals / scale) <= max(1e-12, 64 * n * _EPS)).all():
         raise RuntimeError(f"witness ratios {attained} disagree with norms {totals}")
 
 
@@ -101,12 +103,18 @@ def operator_norm(s: StencilScheme) -> float:
     """Sup-norm operator norm of a periodic stencil: sum of |coefficients|.
 
     This is the norm of the operator on the stencil's N-point grid,
-    validated by :func:`_check_witness`.
+    validated by :func:`_check_witness` against ``rfft`` of the double
+    kernel (entry ``o mod N`` holds c_o).  Double is enough: the check
+    rounds its transform to double before use, so the long double symbol
+    would add no bits, and the stencil's symbol is left untaken.  A sum
+    past the largest double is inf, with no witness.
     """
-    total = math.fsum(np.abs(s.coefficients).tolist())
-    witness = np.ones(s.period)
-    witness[np.mod(s.offsets, s.period)] = np.where(s.coefficients < 0, -1.0, 1.0)
-    _check_witness(witness, 1 + s.symbol_minus_one, total)
+    try:
+        total = math.fsum(np.abs(s.coefficients).tolist())
+    except OverflowError:
+        return math.inf
+    kernel = np.bincount(np.mod(s.offsets, s.period), s.coefficients, minlength=s.period)
+    _check_witness(np.where(kernel < 0, -1.0, 1.0), np.fft.rfft(kernel), total)
     return total
 
 
@@ -141,7 +149,7 @@ def step_count(horizon_t: float, dt: float) -> int:
 @dataclass(frozen=True)
 class StabilityReport:
     n_steps: int  # n_max, the most steps n*dt <= T
-    norms: tuple  # (n, ||C^n||) pairs; inf marks coefficient overflow
+    norms: tuple  # (n, ||C^n||) pairs; inf marks coefficient or norm overflow
     bound_l: float
     stable: bool
     max_abs_g: float  # from the von Neumann check that chose the norm path

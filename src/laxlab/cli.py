@@ -265,12 +265,11 @@ def _run_roundoff(items: dict, csv_lines: list, summary: list, report=None) -> s
 def _run_ubp_demo(items: dict, csv_lines: list, summary: list) -> str:
     k_range, probes = items["k_range"], items["probes"]
     csv_lines.append("k,op_norm,probe_id,probe_bound\n")
-    rows = ubp.ubp_violation_demo(k_range, probes)
+    table = ubp.ubp_violation_demo(k_range, probes)
     # Every row carries the same probe bounds, so their cells are formatted once.
-    tails = [_row(pid, bound) for pid, bound in rows[0].probe_bounds or [(None, None)]]
-    for row in rows:
-        head = f"{row.k},{_fmt(row.op_norm)},"
-        csv_lines.extend(head + tail for tail in tails)
+    tails = [_row(pid, bound) for pid, bound in table.probe_bounds or [(None, None)]]
+    heads = [f"{k},{_fmt(norm)}," for k, norm in zip(table.k, table.op_norm)]
+    csv_lines.append("".join([head + tail for head in heads for tail in tails]))
     summary.append(
         f"ubp_demo: k up to {max(k_range)}, op norm unbounded, "
         f"{len(probes)} probe(s) with fixed pointwise bounds"

@@ -5,7 +5,9 @@ dense but incomplete subspace of l-infinity.  The operators T_k pick out
 the k-th entry and scale it by k, so ||T_k|| = k grows without bound
 while every fixed sequence is annihilated by all T_k beyond its support.
 The uniform boundedness principle therefore fails here, which is exactly
-what the incompleteness of the space permits.
+what the incompleteness of the space permits.  :func:`ubp_violation_demo`
+tabulates the contrast as one :class:`UbpDemoTable`: a k column, its
+||T_k|| column, and one tuple of per-probe bounds that holds for every k.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ __all__ = [
     "norm_Tk",
     "PointwiseBoundReport",
     "pointwise_bound",
-    "UbpDemoRow",
+    "UbpDemoTable",
     "ubp_violation_demo",
     "cauchy_witness",
     "subtract",
@@ -105,36 +107,25 @@ def pointwise_bound(x: FiniteSequence, k_max: int) -> PointwiseBoundReport:
 
 
 @dataclass(frozen=True)
-class UbpDemoRow:
-    k: int
-    op_norm: float
-    probe_bounds: tuple  # (probe_id, bound)
+class UbpDemoTable:
+    k: tuple
+    op_norm: tuple  # ||T_k|| of each k
+    probe_bounds: tuple  # (probe_id, bound), the same for every k
 
 
-def ubp_violation_demo(k_range, probes=()) -> tuple:
+def ubp_violation_demo(k_range, probes=()) -> UbpDemoTable:
     """Table contrasting unbounded ||T_k|| with fixed per-probe bounds.
 
     Each probe's pointwise bound is a single finite number independent of
-    how far k_range extends; the operator-norm column grows without limit.
+    how far k_range extends, so the table holds it once; the operator-norm
+    column grows without limit.
     """
-    k_range = list(k_range)
-    if not k_range:
+    k = tuple(k_range)
+    if not k:
         raise ValueError("k_range must be nonempty")
-    probes = list(probes)
-    k_top = max(k_range)
-    bounds = [
-        pointwise_bound(p, max(k_top, p.support_bound)).bound for p in probes
-    ]
-    rows = []
-    for k in k_range:
-        rows.append(
-            UbpDemoRow(
-                k=k,
-                op_norm=norm_Tk(k),
-                probe_bounds=tuple((i, b) for i, b in enumerate(bounds)),
-            )
-        )
-    return tuple(rows)
+    k_top = max(k)
+    bounds = [pointwise_bound(p, max(k_top, p.support_bound)).bound for p in probes]
+    return UbpDemoTable(k=k, op_norm=tuple(map(norm_Tk, k)), probe_bounds=tuple(enumerate(bounds)))
 
 
 def cauchy_witness(m: int) -> FiniteSequence:

@@ -59,6 +59,46 @@ class TestOperatorNorm:
         attained = np.max(np.abs(apply_values(s, witness)))
         assert attained == pytest.approx(operator_norm(s), rel=1e-12)
 
+    @given(st.data(), st.integers(4, 256))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_dense_circulant_row_sum(self, data, n):
+        offsets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True))
+        coefficients = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(offsets), max_size=len(offsets)))
+        shift = data.draw(st.integers(-n, n))
+        s = StencilScheme(np.array(offsets) + shift, np.array(coefficients), 0.1, 0.1, period=n)
+        dense = np.zeros((n, n))
+        for o, c in zip(s.offsets, s.coefficients):
+            dense[np.arange(n), (np.arange(n) + o) % n] = c
+        assert operator_norm(s) == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("s", [
+        ftcs_heat(0.75, 1.0, 16),
+        ftcs_heat(0.3, 1.0, 256),
+        backward_euler_heat(4.0, 1.0, 64),
+        StencilScheme(np.array([-3, 0, 2, 5]), np.array([0.5, -1.25, 2.0, -0.125]), 0.1, 0.1, period=383),
+    ])
+    def test_witness_check_rejects_a_total_off_by_1e_9(self, s):
+        # The double transform must keep the check as strict as the long
+        # double symbol did: 1e-9 relative is far above its 64 N eps slack.
+        kernel = np.bincount(np.mod(s.offsets, s.period), s.coefficients, minlength=s.period)
+        witness, g = np.where(kernel < 0, -1.0, 1.0), np.fft.rfft(kernel)
+        total = operator_norm(s)
+        analysis._check_witness(witness, g, total)
+        for off in (1 - 1e-9, 1 + 1e-9):
+            with pytest.raises(RuntimeError, match="disagree"):
+                analysis._check_witness(witness, g, total * off)
+
+    def test_leaves_the_long_double_symbol_untaken(self):
+        s = ftcs_heat(0.75, 1.0, 64)
+        operator_norm(s)
+        assert "symbol_minus_one" not in vars(s)
+
+    def test_sum_past_the_largest_double_is_infinite(self):
+        s = StencilScheme(np.array([0, 1]), np.array([1e308, 1e308]), 0.1, 0.1, period=16)
+        assert operator_norm(s) == math.inf
+        report = stability_check(s, 0.3)
+        assert report.bound_l == math.inf and not report.stable
+
 
 class TestStability:
     def test_cfl_boundary_all_norms_one(self):

@@ -16,7 +16,17 @@ from conftest import _counting_stepper
 from laxlab import roundoff, ubp
 from laxlab.analysis import step_count
 from laxlab.grid import RefinementPath
-from laxlab.cli import _RUNNERS, _SCHEMA, _parse_path, _parse_sequence_probes, _row, _validate, main, run
+from laxlab.cli import (
+    _RUNNERS,
+    _SCHEMA,
+    _parse_k_range,
+    _parse_path,
+    _parse_sequence_probes,
+    _row,
+    _validate,
+    main,
+    run,
+)
 from laxlab.errors import ConfigError
 
 STABILITY_CFG = """\
@@ -43,6 +53,23 @@ def csv_files(out_dir, kind):
     return sorted(out_dir.glob(f"{kind}_*.csv"))
 
 
+def assert_ubp_csv_matches_rows(k_range, probes):
+    text = UBP_CFG.replace("0:20", k_range) + (f"probes = {probes}\n" if probes else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert run(write_cfg(Path(tmp), text), out) == 0
+        (csv,) = csv_files(out, "ubp_demo")
+        data = csv.read_bytes()
+    table = ubp.ubp_violation_demo(_parse_k_range(k_range), _parse_sequence_probes(probes))
+    expected = "k,op_norm,probe_id,probe_bound\n" + "".join(
+        _row(k, norm, pid, bound)
+        for k, norm in zip(table.k, table.op_norm)
+        for pid, bound in table.probe_bounds or [(None, None)]
+    )
+    assert data == expected.encode()
+    assert data.count(b"\n") == 1 + len(_parse_k_range(k_range)) * max(1, len(table.probe_bounds))
+
+
 class TestRun:
     def test_stability_report_bound_one(self, tmp_path):
         cfg = write_cfg(tmp_path, STABILITY_CFG)
@@ -65,21 +92,31 @@ class TestRun:
         assert len(lines) == 22  # header plus k = 0..20
 
     @pytest.mark.parametrize("probes", ["ones(3); harmonic(100)", ""])
-    def test_ubp_demo_csv_bytes_match_row_by_row_formatting(self, tmp_path, probes):
+    def test_ubp_demo_csv_bytes_match_row_by_row_formatting(self, probes):
         # The runner formats the shared probe cells once per section; the
         # bytes must be those of formatting every row whole with _row.
-        cfg = write_cfg(tmp_path, UBP_CFG + (f"probes = {probes}\n" if probes else ""))
-        out = tmp_path / "out"
-        assert run(cfg, out) == 0
-        (csv,) = csv_files(out, "ubp_demo")
-        rows = ubp.ubp_violation_demo(range(21), _parse_sequence_probes(probes))
-        expected = "k,op_norm,probe_id,probe_bound\n" + "".join(
-            _row(row.k, row.op_norm, pid, bound)
-            for row in rows
-            for pid, bound in row.probe_bounds or [(None, None)]
-        )
-        assert csv.read_bytes() == expected.encode()
-        assert csv.read_text().count("\n") == 1 + 21 * max(1, len(rows[0].probe_bounds))
+        assert_ubp_csv_matches_rows("0:20", probes)
+
+    @given(
+        k_range=st.one_of(
+            st.integers(0, 300).map(str),
+            st.lists(st.integers(0, 300), min_size=2, max_size=2).map(lambda ab: f"{min(ab)}:{max(ab)}"),
+        ),
+        probes=st.lists(
+            st.tuples(st.sampled_from(["ones", "unit", "harmonic"]), st.integers(1, 200)).map(lambda term: f"{term[0]}({term[1]})"),
+            max_size=3,
+        ).map("; ".join),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_ubp_demo_csv_bytes_match_rows_over_k_ranges_and_probes(self, k_range, probes):
+        assert_ubp_csv_matches_rows(k_range, probes)
+
+    def test_norm_past_the_largest_double_reads_inf(self, tmp_path):
+        cfg = write_cfg(tmp_path, STABILITY_CFG.replace("r = 0.5\nt = 1.0", "r = 5e307\nt = 1e306"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        (csv,) = csv_files(tmp_path / "out", "stability")
+        assert csv.read_text().splitlines()[1].split(",")[4] == "inf"
+        assert "bound_L=inf stable=False" in (tmp_path / "out" / "summary.txt").read_text()
 
     def test_unknown_key_named_in_error(self, tmp_path):
         cfg = write_cfg(tmp_path, STABILITY_CFG.replace("scheme", "shceme"))
@@ -502,6 +539,8 @@ FUZZ_T = st.one_of(
     rs=st.one_of(st.tuples(FUZZ_R), st.tuples(FUZZ_R, FUZZ_R)),
     horizon=FUZZ_T,
 )
+# 2r is finite but sum |c| = 4r is not: the norm reads inf, not a traceback.
+@example(scheme="ftcs", grid_n=64, rs=(5e307,), horizon=1e306)
 @settings(max_examples=300)
 def test_stability_sections_end_in_a_verdict_or_a_config_error(scheme, grid_n, rs, horizon):
     r = ", ".join(map(repr, rs))

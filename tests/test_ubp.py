@@ -172,24 +172,28 @@ class TestPointwiseBound:
 class TestViolationDemo:
     def test_table_contrast(self):
         probe = FiniteSequence(dict(enumerate([1.0, 1.0, 1.0])))
-        rows = ubp_violation_demo(range(101), [probe])
-        assert [row.op_norm for row in rows] == [float(k) for k in range(101)]
-        assert all(row.probe_bounds == ((0, 2.0),) for row in rows)
+        table = ubp_violation_demo(range(101), [probe])
+        assert list(table.op_norm) == [float(k) for k in range(101)]
+        assert table.probe_bounds == ((0, 2.0),)
 
     def test_empty_probe_set(self):
-        rows = ubp_violation_demo(range(5))
-        assert all(row.probe_bounds == () for row in rows)
+        table = ubp_violation_demo(range(5))
+        assert table.probe_bounds == ()
 
     def test_single_zero_row(self):
-        rows = ubp_violation_demo([0])
-        assert len(rows) == 1 and rows[0].op_norm == 0.0
+        table = ubp_violation_demo([0])
+        assert len(table.k) == len(table.op_norm) == 1 and table.op_norm[0] == 0.0
 
     def test_no_uniform_bound_exists(self):
         # for any candidate bound B some k <= ceil(B) + 1 exceeds it
         for candidate in (1.5, 10.0, 99.0):
             k = math.ceil(candidate) + 1
-            rows = ubp_violation_demo(range(k + 1))
-            assert any(row.op_norm > candidate for row in rows if row.k <= k)
+            table = ubp_violation_demo(range(k + 1))
+            assert any(norm > candidate for kk, norm in zip(table.k, table.op_norm) if kk <= k)
+
+    def test_empty_k_range_rejected(self):
+        with pytest.raises(ValueError):
+            ubp_violation_demo([])
 
 
 class TestIncompletenessWitness:
