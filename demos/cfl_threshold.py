@@ -17,7 +17,7 @@ import numpy as np
 import laxlab as lx
 from laxlab.analysis import operator_norm, stability_check, von_neumann_check
 from laxlab.schemes import apply_values, ftcs_heat
-from laxlab.semigroup import HeatSemigroup, evolve
+from laxlab.semigroup import evolve
 
 n = 128
 dx = 2 * math.pi / n
@@ -50,8 +50,7 @@ vals = u.values.copy()
 steps = round(1.0 / s.dt)
 for _ in range(steps):
     vals = apply_values(s, vals)
-sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
-exact = evolve(sg, u, steps * s.dt)
+exact = evolve(u, steps * s.dt)
 err = float(np.max(np.abs(vals - exact.values)))
 print()
 print(f"r = {r}: sup error after {steps} steps = {err:.3e}")

@@ -32,7 +32,7 @@ probes = {
 }
 print()
 for name, x in probes.items():
-    report = pointwise_bound(x, 1000)
+    report = pointwise_bound(x)
     print(f"sup_k ||T_k {name}|| = {report.bound}  (attained at k = {report.saturating_k})")
 
 # --- the incompleteness witness ----------------------------------------

@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     DivergedOperatorError,
     DivergedValueError,
-    InsufficientScanError,
     InvalidGridError,
     LaxlabError,
 )
@@ -55,7 +54,7 @@ from .schemes import (
     ftcs_heat,
     power,
 )
-from .semigroup import HeatSemigroup, evolve, extend_evolve
+from .semigroup import evolve, extend_evolve
 from .ubp import (
     FiniteSequence,
     UbpDemoTable,

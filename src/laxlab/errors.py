@@ -1,5 +1,7 @@
 """Exception types shared across the laxlab modules."""
 
+__all__ = ["LaxlabError", "InvalidGridError", "DivergedValueError", "DivergedOperatorError", "ConfigError"]
+
 
 class LaxlabError(Exception):
     """Base class for all laxlab-specific errors."""
@@ -15,10 +17,6 @@ class DivergedValueError(LaxlabError, ArithmeticError):
 
 class DivergedOperatorError(LaxlabError, ArithmeticError):
     """Iterated stencil coefficients exceeded the overflow threshold."""
-
-
-class InsufficientScanError(LaxlabError, ValueError):
-    """A scan range is too short to certify the requested bound."""
 
 
 class ConfigError(LaxlabError, ValueError):

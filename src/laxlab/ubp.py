@@ -4,8 +4,10 @@ The space is the finitely-supported real sequences under the sup-norm, a
 dense but incomplete subspace of l-infinity.  The operators T_k pick out
 the k-th entry and scale it by k, so ||T_k|| = k grows without bound
 while every fixed sequence is annihilated by all T_k beyond its support.
-The uniform boundedness principle therefore fails here, which is exactly
-what the incompleteness of the space permits.  :func:`ubp_violation_demo`
+So :func:`pointwise_bound` takes sup_k ||T_k x|| over the support of x
+alone, which is exact and needs no range of k.  The uniform boundedness
+principle therefore fails here, which is exactly what the incompleteness
+of the space permits.  :func:`ubp_violation_demo`
 tabulates the contrast as one :class:`UbpDemoTable`: a k column, its
 ||T_k|| column, and one tuple of per-probe bounds that holds for every k.
 """
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import InsufficientScanError
 
 __all__ = [
     "FiniteSequence",
@@ -87,17 +87,13 @@ class PointwiseBoundReport:
     saturating_k: int
 
 
-def pointwise_bound(x: FiniteSequence, k_max: int) -> PointwiseBoundReport:
-    """sup_k ||T_k x||, over the k up to k_max.
+def pointwise_bound(x: FiniteSequence) -> PointwiseBoundReport:
+    """sup_k ||T_k x||, over every k >= 0.
 
     T_k x vanishes off the support of x, so the supremum is attained on
-    it; the scan takes the support in increasing k, keeping the smallest k
-    on ties.  ``k_max`` must reach the support bound, otherwise
-    :class:`InsufficientScanError` is raised.
+    it and a scan of the support is exact; it takes the support in
+    increasing k, keeping the smallest k on ties.
     """
-    m = x.support_bound
-    if k_max < m:
-        raise InsufficientScanError(f"k_max={k_max} below support bound {m}")
     bound, best_k = 0.0, 0
     for k in sorted(x.entries):
         val = k * abs(x[k])
@@ -123,8 +119,7 @@ def ubp_violation_demo(k_range, probes=()) -> UbpDemoTable:
     k = tuple(k_range)
     if not k:
         raise ValueError("k_range must be nonempty")
-    k_top = max(k)
-    bounds = [pointwise_bound(p, max(k_top, p.support_bound)).bound for p in probes]
+    bounds = [pointwise_bound(p).bound for p in probes]
     return UbpDemoTable(k=k, op_norm=tuple(map(norm_Tk, k)), probe_bounds=tuple(enumerate(bounds)))
 
 

@@ -32,7 +32,7 @@ from laxlab.schemes import (
     ftcs_heat,
     power,
 )
-from laxlab.semigroup import HeatSemigroup, evolve
+from laxlab.semigroup import evolve
 
 TWO_PI = 2 * math.pi
 
@@ -527,9 +527,8 @@ class TestConsistency:
         path = RefinementPath.cfl_boundary()
         n, dx = path.grid_for(dt)
         s = ftcs_heat(dt, dx, n)
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
         u = lx.sample(lx.Sine(1), n)
-        residuals = consistency_check(s, sg, u, [0.0])
+        residuals = consistency_check(s, u, [0.0])
         # closed-form oracle: |g(1) - e^{-dt}| times the grid sup of sin
         g1 = 1 - 4 * s.courant_ratio * math.sin(dx / 2) ** 2
         oracle = abs(g1 - math.exp(-dt)) * lx.sup_norm(u)
@@ -540,9 +539,8 @@ class TestConsistency:
         n = 32
         dx = TWO_PI / n
         s = ftcs_heat(0.4 * dx**2, dx, n)
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
         u = lx.sample(lx.Constant(1.0), n)
-        residuals = consistency_check(s, sg, u, [0.0, 0.3, 0.7])
+        residuals = consistency_check(s, u, [0.0, 0.3, 0.7])
         assert max(res for _, res in residuals) < 1e-14
 
     def test_second_order_one_step_ratio(self):
@@ -551,16 +549,14 @@ class TestConsistency:
         for dt in (1e-3, 5e-4):
             n, dx = path.grid_for(dt)
             s = ftcs_heat(dt, dx, n)
-            sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
             u = lx.sample(lx.Sine(1), n)
-            res.append(consistency_check(s, sg, u, [0.0])[0][1])
+            res.append(consistency_check(s, u, [0.0])[0][1])
         assert 3.5 <= res[0] / res[1] <= 4.5
 
     def test_grid_mismatch_rejected(self):
         s = ftcs_heat(0.01, TWO_PI / 32, 32)
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
-        with pytest.raises(InvalidGridError):
-            consistency_check(s, sg, lx.sample(lx.Sine(1), 32), [0.0])
+        with pytest.raises(InvalidGridError, match="dx"):
+            consistency_check(s, lx.sample(lx.Sine(1), 64), [0.0])
 
 
 class TestConvergence:
@@ -612,8 +608,7 @@ class TestConvergence:
                 n, dx = path.grid_for(dt)
                 s = builder(dt, dx, n)
                 assert stability_check(s, 1.0).stable
-                sg = HeatSemigroup(horizon_t=1.0, grid_n=n)
-                res = consistency_check(s, sg, lx.sample(lx.Sine(1), n), [0.0, 0.5])
+                res = consistency_check(s, lx.sample(lx.Sine(1), n), [0.0, 0.5])
                 assert max(r for _, r in res) < 1e-3
             report = convergence_experiment(builder, path, lx.Sine(1), 1.0, dts)
             assert report.converged
@@ -694,8 +689,7 @@ class TestConvergence:
                     expected = math.inf
                     break
             if expected is None:
-                sg = HeatSemigroup(horizon_t=1.0, grid_n=grid_n)
-                expected = float(np.max(np.abs(vals - evolve(sg, u, cell.n_steps * cell.dt).values)))
+                expected = float(np.max(np.abs(vals - evolve(u, cell.n_steps * cell.dt).values)))
             assert not von_neumann_check(s).passed
             assert cell.error == expected
 

@@ -82,3 +82,26 @@ def test_every_public_member_is_read_outside_the_tests(module):
         if member not in ATTRIBUTES
     ]
     assert unread == []
+
+
+def _raised_names() -> set:
+    """The names that an ``ast.Raise`` in the package raises, called or bare."""
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return raised
+
+
+def test_every_error_class_but_the_base_is_raised():
+    """An exception class that nothing raises is a dead branch in every
+    ``except`` that names it; the base ``LaxlabError`` is only caught."""
+    errors = importlib.import_module("laxlab.errors")
+    classes = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception) and name != "LaxlabError"
+    ]
+    assert classes
+    assert [name for name in classes if name not in _raised_names()] == []

@@ -1,11 +1,15 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laxlab as lx
-from laxlab.errors import InvalidGridError
-from laxlab.semigroup import HeatSemigroup, evolve, extend_evolve
+from laxlab.grid import TWO_PI
+from laxlab.semigroup import _multipliers, evolve, extend_evolve
 
 
 def diff(a, b):
@@ -14,100 +18,135 @@ def diff(a, b):
 
 class TestEvolve:
     def test_sine_is_eigenfunction(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
         u = lx.sample(lx.Sine(1), 64)
-        out = evolve(sg, u, 1.0)
+        out = evolve(u, 1.0)
         assert np.max(np.abs(out.values - math.exp(-1) * u.values)) < 1e-14
 
     def test_t_zero_is_identity(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
         u = lx.sample(lx.RandomUniform(3), 16)
-        assert diff(evolve(sg, u, 0.0), u) == 0.0
+        assert diff(evolve(u, 0.0), u) == 0.0
 
     def test_point_mass_semigroup_law_oracle(self):
         # composing two half steps is the independent oracle for one full step
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
         u = lx.sample(lx.PointMass(0), 32)
-        once = evolve(sg, u, 0.1)
-        twice = evolve(sg, evolve(sg, u, 0.05), 0.05)
+        once = evolve(u, 0.1)
+        twice = evolve(evolve(u, 0.05), 0.05)
         assert diff(once, twice) < 1e-10
 
-    def test_grid_mismatch(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
-        with pytest.raises(InvalidGridError):
-            evolve(sg, lx.sample(lx.Sine(1), 16), 0.1)
-
     def test_negative_time_rejected(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
         with pytest.raises(ValueError):
-            evolve(sg, lx.sample(lx.Sine(1), 16), -0.1)
+            evolve(lx.sample(lx.Sine(1), 16), -0.1)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected_without_a_warning(self, t):
+        u = lx.sample(lx.Sine(1), 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^t must be finite"):
+                evolve(u, t)
+            with pytest.raises(ValueError, match="needs finite t"):
+                extend_evolve(u, t, 1.0)
 
     def test_multipliers_in_unit_interval(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
         for t in (0.0, 0.3, 5.0):
-            m = sg.multipliers(t)
+            m = _multipliers(32, t)
             # e^{-k^2 t} underflows to exactly 0.0 for large k^2 t
             assert np.all(m >= 0.0) and np.all(m <= 1.0)
 
 
+@st.composite
+def trig_polynomials(draw):
+    """(n, terms): N = 4..512, odd and even, and a few (k, a_k, sine) modes
+    with k <= N // 2; the top mode, the Nyquist mode of an even N, is always in."""
+    n = draw(st.integers(4, 512))
+    mode = st.tuples(st.integers(0, n // 2), st.floats(-1.0, 1.0), st.booleans())
+    top = (n // 2, draw(st.floats(-1.0, 1.0)), draw(st.booleans()))
+    return n, [top] + draw(st.lists(mode, max_size=6))
+
+
+def closed_form(n, terms, t):
+    """Sum of a_k e^{-k^2 t} sin or cos(k x) on the grid, each phase reduced mod N exactly."""
+    j = np.arange(n)
+    out = np.zeros(n)
+    for k, a, sine in terms:
+        phase = TWO_PI * ((k * j) % n) / n
+        out += a * math.exp(-(k**2) * t) * (np.sin(phase) if sine else np.cos(phase))
+    return lx.GridFunction(out)
+
+
 class TestSemigroupLaw:
+    @given(trig_polynomials(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_trig_polynomials_evolve_mode_by_mode(self, case, s, t):
+        n, terms = case
+        scale = sum(abs(a) for _, a, _ in terms)
+        u = closed_form(n, terms, 0.0)
+        assert diff(evolve(u, t), closed_form(n, terms, t)) <= 1e-13 * scale
+        assert diff(evolve(evolve(u, s), t), evolve(u, s + t)) <= 1e-13 * scale
+
     def test_random_compositions(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
         rng = np.random.default_rng(11)
         for _ in range(30):
             t = rng.uniform(0, 0.5)
             s = rng.uniform(0, 0.5)
             u = lx.GridFunction(rng.uniform(-1, 1, 32))
-            lhs = evolve(sg, evolve(sg, u, s), t)
-            rhs = evolve(sg, u, t + s)
+            lhs = evolve(evolve(u, s), t)
+            rhs = evolve(u, t + s)
             assert diff(lhs, rhs) <= 1e-10 * lx.sup_norm(u)
 
     def test_strong_continuity(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
         u = lx.sample(lx.Sine(1) + lx.Sine(3, 0.5), 64)
-        gaps = [diff(evolve(sg, u, dt), u) for dt in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+        gaps = [diff(evolve(u, dt), u) for dt in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
         assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
         assert gaps[-1] < 1e-5
 
     def test_contraction(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
         rng = np.random.default_rng(5)
         for _ in range(10):
             u = lx.GridFunction(rng.uniform(-1, 1, 32))
             for t in (0.01, 0.5, 2.0):
-                assert lx.sup_norm(evolve(sg, u, t)) <= lx.sup_norm(u) * (1 + 1e-12)
+                assert lx.sup_norm(evolve(u, t)) <= lx.sup_norm(u) * (1 + 1e-12)
 
 
 class TestExtendEvolve:
     def test_exponential_law(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=64)
         u = lx.sample(lx.Sine(1), 64)
-        out = extend_evolve(sg, u, 2.5)
+        out = extend_evolve(u, 2.5, 1.0)
         assert np.max(np.abs(out.values - math.exp(-2.5) * u.values)) < 1e-10
 
     def test_floor_arithmetic_just_past_horizon(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
         u = lx.sample(lx.Sine(1), 16)
         t = 1.0 + 1e-9
-        assert math.floor(t / sg.horizon_t) == 1
-        out = extend_evolve(sg, u, t)
-        direct = evolve(sg, u, t)
+        assert math.floor(t / 1.0) == 1
+        out = extend_evolve(u, t, 1.0)
+        direct = evolve(u, t)
         assert diff(out, direct) < 1e-10
 
     def test_matches_direct_multiplier_oracle(self):
-        sg = HeatSemigroup(horizon_t=0.7, grid_n=32)
         u = lx.sample(lx.RandomUniform(7), 32)
-        assert diff(extend_evolve(sg, u, 2.0), evolve(sg, u, 2.0)) < 1e-10
+        assert diff(extend_evolve(u, 2.0, 0.7), evolve(u, 2.0)) < 1e-10
 
     def test_inside_horizon_rejected(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=16)
         with pytest.raises(ValueError):
-            extend_evolve(sg, lx.sample(lx.Sine(1), 16), 0.5)
+            extend_evolve(lx.sample(lx.Sine(1), 16), 0.5, 1.0)
+
+    @pytest.mark.parametrize("horizon_t", [0.0, -1.0, math.nan])
+    def test_nonpositive_horizon_rejected(self, horizon_t):
+        with pytest.raises(ValueError, match="horizon_t must be positive"):
+            extend_evolve(lx.sample(lx.Sine(1), 16), 2.0, horizon_t)
+
+    @pytest.mark.parametrize("t, horizon_t", [(1e9, 1e-3), (1.0, 1e-12), (1e3, 1e-300)])
+    def test_cost_does_not_grow_with_t_over_horizon(self, t, horizon_t):
+        # t / T = 1e12 takes one transform pair, where m = floor(t / T) steps
+        # of E(T) would run for hours; 1e303 is past any int64
+        u = lx.sample(lx.RandomUniform(4), 64)
+        start = time.perf_counter()
+        out = extend_evolve(u, t, horizon_t)
+        assert time.perf_counter() - start < 0.1
+        assert diff(out, evolve(u, t)) <= 1e-10 * lx.sup_norm(u)
 
     def test_power_bound_past_horizon(self):
-        sg = HeatSemigroup(horizon_t=1.0, grid_n=32)
         rng = np.random.default_rng(2)
         for t in (1.5, 2.0, 3.0):
             u = lx.GridFunction(rng.uniform(-1, 1, 32))
-            assert lx.sup_norm(extend_evolve(sg, u, t)) <= lx.sup_norm(u) * (1 + 1e-12)
-
+            assert lx.sup_norm(extend_evolve(u, t, 1.0)) <= lx.sup_norm(u) * (1 + 1e-12)

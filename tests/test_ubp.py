@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab.errors import InsufficientScanError
 from laxlab.ubp import (
     FiniteSequence,
     apply_Tk,
@@ -133,35 +132,30 @@ def sparse_sequences_with_ties(draw):
 class TestPointwiseBound:
     def test_ones_example(self):
         x = FiniteSequence(dict(enumerate([1.0, 1.0, 1.0])))
-        report = pointwise_bound(x, 10)
+        report = pointwise_bound(x)
         assert report.bound == 2.0
         assert report.saturating_k == 2
 
     def test_unit_zero(self):
-        report = pointwise_bound(FiniteSequence.unit(0), 5)
+        report = pointwise_bound(FiniteSequence.unit(0))
         assert report.bound == 0.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(10)
         x = FiniteSequence({i: float(v) for i, v in enumerate(rng.uniform(-1, 1, 10))})
         brute = max(seq_norm(apply_Tk(k, x)) for k in range(1001))
-        report = pointwise_bound(x, 1000)
+        report = pointwise_bound(x)
         assert report.bound == brute
 
     @given(sparse_sequences_with_ties())
     @settings(max_examples=200, deadline=None)
     def test_support_scan_matches_the_dense_scan(self, x):
-        report = pointwise_bound(x, x.support_bound)
+        report = pointwise_bound(x)
         assert (report.bound, report.saturating_k) == dense_pointwise_bound(x)
 
     def test_far_unit_is_scanned_at_once(self):
-        report = pointwise_bound(FiniteSequence.unit(10**12), 10**12 + 1)
+        report = pointwise_bound(FiniteSequence.unit(10**12))
         assert (report.bound, report.saturating_k) == (1e12, 10**12)
-
-    def test_insufficient_scan(self):
-        x = FiniteSequence({50: 1.0})
-        with pytest.raises(InsufficientScanError):
-            pointwise_bound(x, 10)
 
     def test_annihilated_beyond_support(self):
         x = FiniteSequence(dict(enumerate([1.0, 0.5, 0.25])))
