@@ -422,6 +422,8 @@ def convergence_experiment(
     fitted to round-off noise would mean nothing), and None unless the
     errors are all finite and monotone in that sense.
     """
+    if not horizon_t > 0:
+        raise ValueError(f"horizon_t must be positive, got {horizon_t}")
     dts = sorted(dts, reverse=True)
     if not dts:
         raise ValueError("need at least one dt")

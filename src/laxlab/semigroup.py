@@ -26,31 +26,25 @@ def _multipliers(n: int, t: float) -> np.ndarray:
         return np.exp(-(k**2) * t)
 
 
-def _apply(u: GridFunction, factors: np.ndarray) -> GridFunction:
-    return GridFunction(np.fft.ifft(np.fft.fft(u.values) * factors).real)
-
-
 def evolve(u: GridFunction, t: float) -> GridFunction:
     """Apply E(t): damp mode k by exp(-k^2 t).  Requires finite t >= 0."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0.0:
         return u
-    return _apply(u, _multipliers(u.n, t))
+    return GridFunction(np.fft.ifft(np.fft.fft(u.values) * _multipliers(u.n, t)).real)
 
 
 def extend_evolve(u: GridFunction, t: float, horizon_t: float) -> GridFunction:
-    """Evolution past the horizon T: E(t - m T) applied after E(T)^m.
+    """Evolution past the horizon T: E(t - m T) after E(T)^m, m = floor(t / T).
 
-    Here m = floor(t / T), and E(T)^m is the m-th power of E(T)'s
-    multipliers, exp(-k^2 T)^m = exp(-k^2 m T) with m T = t - fmod(t, T):
-    m is never formed, no t / T overflows it, no rounding of exp(-k^2 T) is
-    raised to the m-th power, and one transform pair serves any m.  Only
-    for finite t > T > 0; use :func:`evolve` inside the horizon.
+    The multipliers compose exactly, exp(-k^2 T)^m exp(-k^2 (t - m T)) =
+    exp(-k^2 t), so E(T)^m E(t - m T) = E(t) is applied directly: one
+    transform pair for any t / T, with m never formed.  Only for finite
+    t > T > 0; use :func:`evolve` inside the horizon.
     """
     if not horizon_t > 0:
         raise ValueError(f"horizon_t must be positive, got {horizon_t}")
     if not horizon_t < t < math.inf:
         raise ValueError(f"extend_evolve needs finite t > horizon_t={horizon_t}, got {t} (use evolve)")
-    remainder = math.fmod(t, horizon_t)  # exactly t - m T
-    return _apply(u, _multipliers(u.n, remainder) * _multipliers(u.n, t - remainder))
+    return evolve(u, t)

@@ -594,6 +594,13 @@ class TestConvergence:
         )
         assert report.converged
 
+    @pytest.mark.parametrize("horizon_t", [0.0, -1.0, math.nan])
+    def test_nonpositive_horizon_rejected(self, horizon_t):
+        with pytest.raises(ValueError, match="horizon_t must be positive"):
+            convergence_experiment(
+                scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), horizon_t, [1e-2]
+            )
+
     def test_stable_and_consistent_implies_convergent(self):
         # the forward implication of the equivalence theorem, observed
         cases = [
