@@ -54,7 +54,7 @@ from .schemes import (
     ftcs_heat,
     power,
 )
-from .semigroup import evolve, extend_evolve
+from .semigroup import evolve
 from .ubp import (
     FiniteSequence,
     UbpDemoTable,

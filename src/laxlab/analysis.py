@@ -17,9 +17,10 @@ that passes with a negative coefficient reads C^n from the stencil's one
 symbol (see :mod:`laxlab.schemes`); one that fails it walks the powers
 through :func:`~laxlab.schemes.power` and :func:`~laxlab.schemes.compose`,
 whose coefficient overflow marks the divergence.  A convergence cell that
-passes reads C^n u from the symbol, and the cells that fail are stepped
-together through :func:`~laxlab.schemes.trajectory`, because their blow-up
-grows from the round-off each step adds.  The sup-norm operator norm of the
+passes reads C^n u from the symbol, and the cells that fail step together,
+one double row each, in the one step loop
+(:func:`~laxlab.roundoff._stepped_runs`), because their blow-up grows from
+the round-off each step adds.  The sup-norm operator norm of the
 N x N circulant is exactly the sum of absolute coefficients; every norm
 taken from coefficients or the symbol is validated by the sign-pattern
 witness that attains it, and the row sum needs none: the all-ones vector
@@ -40,21 +41,22 @@ from .grid import (
     Probe,
     RefinementPath,
     is_band_limited,
+    loglog_slope,
     sample,
+    sample_steps,
+    step_count,
     sup_norm,
 )
+from .roundoff import _stepped_runs
 from .schemes import (
     StencilScheme,
-    _in_stacks,
     apply_power,
     apply_values,
     backward_euler_heat,
     compose,
     ftcs_heat,
-    overflow_free_steps,
     power,
     symbol_powers,
-    trajectory,
 )
 from .semigroup import evolve
 
@@ -116,34 +118,6 @@ def operator_norm(s: StencilScheme) -> float:
     kernel = np.bincount(np.mod(s.offsets, s.period), s.coefficients, minlength=s.period)
     _check_witness(np.where(kernel < 0, -1.0, 1.0), np.fft.rfft(kernel), total)
     return total
-
-
-def loglog_slope(pairs, min_points: int) -> float | None:
-    """Least-squares slope of log(y) against log(x) over the (x, y) pairs with
-    finite y > 0; None when they hold fewer than ``min_points`` distinct x."""
-    kept = [(x, y) for x, y in pairs if 0 < y < math.inf]
-    if len({x for x, _ in kept}) < min_points:
-        return None
-    return float(np.polyfit(np.log([x for x, _ in kept]), np.log([y for _, y in kept]), 1)[0])
-
-
-def sample_steps(n_max: int, dense: int) -> list:
-    """All n up to ``dense`` (a power of two), then powers of two, always including n_max."""
-    steps = set(range(1, min(dense, n_max) + 1))
-    p = 2 * dense
-    while p < n_max:
-        steps.add(p)
-        p *= 2
-    steps.add(n_max)
-    return sorted(steps)
-
-
-def step_count(horizon_t: float, dt: float) -> int:
-    """round(T/dt), at least 1; raises :class:`InvalidGridError` for a T/dt
-    past any float."""
-    if not horizon_t / dt < math.inf:
-        raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r} to count")
-    return max(1, round(horizon_t / dt))
 
 
 @dataclass(frozen=True)
@@ -355,44 +329,6 @@ def scheme_builder(name: str):
     raise ValueError(f"unknown scheme: {name!r}")
 
 
-def _run_trajectory(cells) -> list:
-    """(values, diverged) of each (stencil, n, data) cell of a stack after n steps.
-
-    The cells step together through :func:`trajectory`, longest first (see
-    :func:`~laxlab.schemes._in_stacks`), and each leaves the array once it
-    is the last one and has ended, so no cell takes a step past its n.  A
-    cell diverges at the first step whose values pass ``OVERFLOW_LIMIT`` (or
-    are NaN); it is then never read again.  Up to the step count of
-    :func:`overflow_free_steps` no value of a cell can pass the limit, so
-    its steps run unchecked; every later step (every step, for a stencil of
-    more than 32 offsets, stepped through the FFT) checks the cell's own
-    values, and may overflow past the limit without a floating-point flag.
-    """
-    ends = np.cumsum([s.period for s, _, _ in cells]).tolist()
-    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-    quiet = [overflow_free_steps(s, float(np.abs(u.values).max()), OVERFLOW_LIMIT) for s, _, u in cells]
-    out = [None] * len(cells)
-    live, event = len(cells), 1
-    steps = trajectory([s for s, _, _ in cells], np.concatenate([u.values for _, _, u in cells]))
-    vals = next(steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cells[0][1] + 1):
-            if n >= event:  # a cell ends, or is past its unchecked steps
-                for i in range(live):
-                    # One reduction per step; the comparison is False for NaN as well.
-                    if out[i] is None and n > quiet[i] and not np.abs(vals[spans[i]]).max() <= OVERFLOW_LIMIT:
-                        out[i] = vals[spans[i]], True
-                    elif out[i] is None and n == cells[i][1]:
-                        out[i] = vals[spans[i]], False
-                while live and out[live - 1] is not None:
-                    live -= 1
-                if not live:
-                    break
-                event = min(min(q + 1, c[1]) for q, c, o in zip(quiet, cells, out[:live]) if o is None)
-            vals = steps.send(live)
-    return out
-
-
 def convergence_experiment(
     builder,
     path: RefinementPath,
@@ -410,10 +346,11 @@ def convergence_experiment(
     C^n u from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
     ``||C^n u|| <= sqrt(N) ||u||``, so checking only its endpoint against
     ``OVERFLOW_LIMIT`` misses no overflow in between.  The cells that fail
-    it are stepped together, one stack at a time, by :func:`_run_trajectory`;
-    when they would take more than :data:`~laxlab.grid.MAX_UPDATES`
-    grid-point updates (N per step), :class:`InvalidGridError` is raised
-    before any cell runs.
+    it step together in :func:`~laxlab.roundoff._stepped_runs`, one double
+    row each with limit ``OVERFLOW_LIMIT``, checked at their last step and
+    at every step past their n*; when they would take more than
+    :data:`~laxlab.grid.MAX_UPDATES` grid-point updates (N per step),
+    :class:`InvalidGridError` is raised before any cell runs.
 
     Convergence means: all errors finite, decreasing monotonically up to
     10% jitter or the round-off floor ``eps * ||u||``, and the finest error
@@ -436,14 +373,15 @@ def convergence_experiment(
     updates = sum(s.period * n_steps for s, n_steps, _ in unstable)
     if updates > MAX_UPDATES:
         raise InvalidGridError(f"unstable cells need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
-    stepped = iter(_in_stacks(unstable, _run_trajectory))
+    stepped = iter(_stepped_runs([(s, n, u, [n], OVERFLOW_LIMIT, None) for s, n, u in unstable]))
     out = []
     for (s, n_steps, u), symbol in zip(cells, symbols):
         if symbol.passed:
             vals = apply_power(s, u.values, n_steps)
             diverged = not np.abs(vals).max() <= OVERFLOW_LIMIT
         else:
-            vals, diverged = next(stepped)
+            rows, diverged = next(stepped)
+            vals = None if diverged else rows[0]
         if diverged:
             error = math.inf
         else:

@@ -231,14 +231,21 @@ def _sweep(items: dict) -> tuple:
 
 def _roundoff_batch(parser, seed: int) -> dict:
     """The report of each round-off section, by name, from one
-    :func:`~laxlab.roundoff.halving_sweeps` run of the sections in config
-    order up to the first that fails ``_validate`` or its sweep's setup."""
+    :func:`~laxlab.roundoff.halving_sweeps` run of the round-off sections
+    before the first section of any kind that the run rejects (an unknown
+    kind, or one that fails ``_validate``), up to the first whose sweep
+    fails its setup."""
     batch = {}
-    for section in (name for name in parser.sections() if name.split()[0] == "roundoff"):
+    for section in parser.sections():
+        kind = (section.split() or [""])[0]  # a blank name has no kind
+        if kind not in _SCHEMA:
+            break
         try:
-            batch[section] = _sweep(_validate("roundoff", section, dict(parser.items(section)), seed))
+            items = _validate(kind, section, dict(parser.items(section)), seed)
         except ConfigError:
             break
+        if kind == "roundoff":
+            batch[section] = _sweep(items)
     sweeps = list(batch.values())
     while sweeps:
         try:
@@ -287,8 +294,9 @@ _RUNNERS = {
 def run(config_path, out_dir, seed=0) -> int:
     """Execute every experiment section of a config file, in section order.
 
-    The round-off sections run together first (:func:`_roundoff_batch`);
-    their CSVs, summary lines and errors still come in section order.
+    The round-off sections before the first invalid section run together
+    first (:func:`_roundoff_batch`); their CSVs, summary lines and errors
+    still come in section order.
     ``seed`` is the base seed of random probes: ``random_uniform(k)``
     samples with seed ``k + seed``.  ``summary.txt`` is written once, when
     the run ends; a section that fails leaves the summary of the sections
@@ -314,7 +322,7 @@ def run(config_path, out_dir, seed=0) -> int:
 
     try:
         for index, section in enumerate(parser.sections()):
-            kind = section.split()[0]
+            kind = (section.split() or [""])[0]
             if kind not in _RUNNERS:
                 raise ConfigError(f"unknown experiment kind in section [{section}]")
             items = _validate(kind, section, dict(parser.items(section)), seed)

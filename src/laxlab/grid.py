@@ -231,6 +231,38 @@ def is_band_limited(u: GridFunction, max_mode: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Step counts, sample schedules and log-log fits shared by the experiments.
+# ---------------------------------------------------------------------------
+
+def step_count(horizon_t: float, dt: float) -> int:
+    """round(T/dt), at least 1; raises :class:`InvalidGridError` for a T/dt
+    past any float."""
+    if not horizon_t / dt < math.inf:
+        raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r} to count")
+    return max(1, round(horizon_t / dt))
+
+
+def sample_steps(n_max: int, dense: int) -> list:
+    """All n up to ``dense`` (a power of two), then powers of two, always including n_max."""
+    steps = set(range(1, min(dense, n_max) + 1))
+    p = 2 * dense
+    while p < n_max:
+        steps.add(p)
+        p *= 2
+    steps.add(n_max)
+    return sorted(steps)
+
+
+def loglog_slope(pairs, min_points: int) -> float | None:
+    """Least-squares slope of log(y) against log(x) over the (x, y) pairs with
+    finite y > 0; None when they hold fewer than ``min_points`` distinct x."""
+    kept = [(x, y) for x, y in pairs if 0 < y < math.inf]
+    if len({x for x, _ in kept}) < min_points:
+        return None
+    return float(np.polyfit(np.log([x for x, _ in kept]), np.log([y for _, y in kept]), 1)[0])
+
+
+# ---------------------------------------------------------------------------
 # Refinement paths dx = alpha(dt).
 # ---------------------------------------------------------------------------
 

@@ -3,10 +3,11 @@
 Two trajectories of the same scheme on the same discretization are run
 side by side: one at full working precision, one whose state is rounded
 to a reduced significand after every time step.  Their sup-norm gap
-isolates round-off propagation from truncation error.  One twin loop
-(:func:`_twin_runs`) steps the twins of every cell of a batch of sweeps
-together (:func:`halving_sweeps`), and a single cell is the batch of one.
-``significand_bits`` counts stored
+isolates round-off propagation from truncation error.  One loop
+(:func:`_stepped_runs`) steps every row that must step: the twins of every
+cell of a batch of sweeps (:func:`halving_sweeps`; a single cell is the
+batch of one), and the convergence cells of :mod:`laxlab.analysis` that
+fail von Neumann.  ``significand_bits`` counts stored
 fraction bits (IEEE convention), so 52 bits reproduces double precision
 and the rounding becomes a no-op (see :func:`round_to_precision`).
 """
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import loglog_slope, sample_steps, step_count
 from .errors import DivergedValueError, InvalidGridError
-from .grid import MAX_UPDATES, GridFunction, Probe, RefinementPath, sample
-from .schemes import _in_stacks, overflow_free_steps, trajectory
+from .grid import (MAX_UPDATES, GridFunction, Probe, RefinementPath, loglog_slope, sample,
+                   sample_steps, step_count)
+from .schemes import _narrow, overflow_free_steps, trajectory
 
 __all__ = [
     "PrecisionSpec",
@@ -105,93 +106,106 @@ def roundoff_growth_experiment(
     s, u: GridFunction, horizon_t: float, spec: PrecisionSpec
 ) -> RoundoffGrowthReport:
     """Gap between a per-step-rounded trajectory and the full-precision one:
-    the twin loop of :func:`halving_sweep` (:func:`_twin_runs`) on one cell.
+    :func:`_stepped_runs` on one twin cell.
 
     Both runs start from the identical initial state and use the identical
     discretization, so the gap is pure round-off propagation.  A T/dt past
     any float raises :class:`InvalidGridError`.
     """
-    return _twin_runs([(s, step_count(horizon_t, s.dt), u, spec)])[0]
+    n = step_count(horizon_t, s.dt)
+    [(samples, diverged)] = _stepped_runs([(s, n, u, sample_steps(n, 8), sys.float_info.max, spec)])
+    return RoundoffGrowthReport(tuple(samples), diverged, s.dt, s.dx)
 
 
-def _twin_runs(cells) -> list:
-    """The :class:`RoundoffGrowthReport` of each (stencil, n, data,
-    :class:`PrecisionSpec`) cell of a stack after n steps.
+def _stepped_runs(cells) -> list:
+    """(records, diverged) of each (stencil, n, data, schedule, limit, spec)
+    cell after its n steps: the one loop of every stepped row.
 
-    Rounding after every step is the experiment, so no symbol power can
-    replace the loop.  The cells step together through
-    :func:`~laxlab.schemes.trajectory`, longest first (see
-    :func:`~laxlab.schemes._in_stacks`), as one ``(2, sum N)`` array whose
-    row 1 is rounded in place between steps; row 0 runs at full precision.
-    A cell leaves the array once it is the last one and has ended (run its
-    n steps, or diverged), so no cell takes a step past its n.  Each cell
-    keeps its own precision (Veltkamp's constant C is an array, each cell's
-    C on its grid points), n*, gap schedule (geometric in n) and divergence
-    flag.
+    Per-step round-off is what the twins measure and what unstable
+    convergence cells blow up from, so no symbol power can replace the
+    loop.  The cells step through :func:`~laxlab.schemes.trajectory` in
+    stacks, longest first: the narrow stencils that share their offsets and
+    whether they have a spec, or any other stencil alone.  Row 0 is double;
+    a cell with a :class:`PrecisionSpec` (a twin) has a row 1 as well,
+    rounded in place after every step.  A cell leaves the array once it is
+    the last one and has ended (run its n steps, or diverged), so no cell
+    takes a step past its n.
 
     Up to the step count n* of :func:`~laxlab.schemes.overflow_free_steps`
-    (limit ``max_double / C``, growth 1 + 2^-(bits+1) a step, both the
-    cell's own), no value of a cell can reach the threshold where
-    Veltkamp's split overflows, so those steps split row 1 with no guard,
-    in one pass over the array.  At its sample points and past its n*, a
-    cell's row 1 is rounded instead by the checked
-    :func:`round_to_precision`, bit for bit as if it ran alone; the cell
-    diverges when that rounding raises, or when its row 0 is not finite at
-    a sample point (a step keeps a non-finite value non-finite, and the
-    last step is a sample point).  Row 0 may overflow in between, so the
-    loop raises no floating-point flags.  A stencil of more than 32
-    offsets, which steps through the FFT, gets n* = 0.
+    (limit ``min(limit, max_double / C)``, growth 1 + eps/2 a step, C and
+    eps the spec's; with no spec, ``limit`` and growth 1) no value can reach
+    the limit, so those steps split row 1 with no guard, in one pass over
+    the array.  A cell is checked at its ``schedule`` steps and past its n*:
+    it diverges once ``max|row 0|`` is not ``<= limit`` (NaN fails as well)
+    or once the checked :func:`round_to_precision` of its row 1 raises;
+    otherwise that rounding replaces the split, bit for bit as if the cell
+    ran alone.  At each schedule point a twin records (n, n dt, gap), the
+    sup-norm gap between its rows, and any other cell its row 0.  Rows may
+    overflow between checks, so the loop raises no floating-point flags.  A
+    stencil of more than 32 offsets (the FFT step) gets n* = 0.
     """
-    ends = np.cumsum([s.period for s, _, _, _ in cells]).tolist()
-    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-    schedules = [sample_steps(n, 8) for _, n, _, _ in cells]
-    safe = [overflow_free_steps(s, float(np.abs(u.values).max()), sys.float_info.max / spec.split,
-                                1 + 2.0 ** -(spec.significand_bits + 1))
-            for s, _, u, spec in cells]
-    samples = [[] for _ in cells]
-    diverged = [False] * len(cells)
-    live, event = len(cells), 1
-    split = np.concatenate([np.full(s.period, spec.split) for s, _, _, spec in cells])
-    big, rest = np.empty(ends[-1]), np.empty(ends[-1])
-    values = np.concatenate([u.values for _, _, u, _ in cells])
-    steps = trajectory([s for s, _, _, _ in cells], np.array([values, values]))
-    twins = next(steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cells[0][1] + 1):
-            row, rounded = twins[1], {}
-            if n >= event:  # a cell is at a sample point or past its n*
-                for i in range(live):
-                    if not diverged[i] and (n > safe[i] or n == schedules[i][len(samples[i])]):
+    stacks = {}
+    for i in sorted(range(len(cells)), key=lambda i: -cells[i][1]):
+        s, spec = cells[i][0], cells[i][5]
+        stacks.setdefault((s.offsets.tobytes() if _narrow(s) else i, spec is None), []).append(i)
+    out = [None] * len(cells)
+    for stack in stacks.values():
+        run = [cells[i] for i in stack]
+        twin = run[0][5] is not None
+        ends = np.cumsum([s.period for s, *_ in run]).tolist()
+        spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        safe = [overflow_free_steps(s, float(np.abs(u.values).max()),
+                                    min(limit, sys.float_info.max / spec.split) if spec else limit,
+                                    1 + spec.epsilon / 2 if spec else 1.0)
+                for s, _, u, _, limit, spec in run]
+        records = [[] for _ in run]
+        diverged = [False] * len(run)
+        live, event = len(run), 1
+        split = np.concatenate([np.full(s.period, spec.split if twin else 1.0) for s, *_, spec in run])
+        big, rest = np.empty(ends[-1]), np.empty(ends[-1])
+        values = np.concatenate([u.values for _, _, u, *_ in run])
+        steps = trajectory([s for s, *_ in run], np.array([values, values]) if twin else values)
+        rows = next(steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, run[0][1] + 1):
+                rounded = {}
+                if n >= event:  # a cell is at a schedule point or past its n*
+                    first = rows[0] if twin else rows
+                    for i in range(live):
+                        s, _, _, schedule, limit, spec = run[i]
+                        due = n == schedule[len(records[i])]
+                        if diverged[i] or not (due or n > safe[i]):
+                            continue
+                        row = first[spans[i]]
                         try:
-                            rounded[i] = round_to_precision(row[spans[i]], cells[i][3])
+                            diverged[i] = not np.abs(row).max() <= limit
+                            if twin and not diverged[i]:
+                                rounded[i] = round_to_precision(rows[1, spans[i]], spec)
                         except DivergedValueError:
                             diverged[i] = True
-            np.multiply(row, split, out=big)
-            np.subtract(big, row, out=rest)
-            np.subtract(big, rest, out=row)
-            for i, cell in rounded.items():
-                row[spans[i]] = cell
-                if n != schedules[i][len(samples[i])]:
-                    continue
-                if not np.isfinite(twins[0, spans[i]]).all():
-                    diverged[i] = True
-                else:
-                    gap = float(np.max(np.abs(cell - twins[0, spans[i]])))
-                    samples[i].append((n, n * cells[i][0].dt, gap))
-            if n >= event:
-                while live and (diverged[live - 1] or n == cells[live - 1][1]):
-                    live -= 1
-                if not live:
-                    break
-                width = ends[live - 1]
-                big, rest, split = big[:width], rest[:width], split[:width]
-                event = min(min(schedules[i][len(samples[i])], safe[i] + 1)
-                            for i in range(live) if not diverged[i])
-            twins = steps.send(live)
-    return [
-        RoundoffGrowthReport(samples=tuple(got), diverged=bad, dt=s.dt, dx=s.dx)
-        for (s, _, _, _), got, bad in zip(cells, samples, diverged)
-    ]
+                        if due and not diverged[i]:
+                            records[i].append((n, n * s.dt, float(np.max(np.abs(rounded[i] - row))))
+                                              if twin else row)
+                if twin:
+                    row = rows[1]
+                    np.multiply(row, split, out=big)
+                    np.subtract(big, row, out=rest)
+                    np.subtract(big, rest, out=row)
+                    for i, cell in rounded.items():
+                        row[spans[i]] = cell
+                if n >= event:
+                    while live and (diverged[live - 1] or n == run[live - 1][1]):
+                        live -= 1
+                    if not live:
+                        break
+                    width = ends[live - 1]
+                    big, rest, split = big[:width], rest[:width], split[:width]
+                    event = min(min(run[i][3][len(records[i])], safe[i] + 1)
+                                for i in range(live) if not diverged[i])
+                rows = steps.send(live)
+        for i, got, bad in zip(stack, records, diverged):
+            out[i] = got, bad
+    return out
 
 
 @dataclass(frozen=True)
@@ -237,10 +251,12 @@ def halving_sweeps(sweeps) -> list:
             raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
         setups.append([(builder(dt, dx, grid_n), step_count(horizon_t, dt), sample(probe, grid_n), spec)
                        for dt, (grid_n, dx) in zip(dts, grids)])
-    reports = iter(_in_stacks([cell for cells in setups for cell in cells], _twin_runs))
+    runs = iter(_stepped_runs([(s, n, u, sample_steps(n, 8), sys.float_info.max, spec)
+                               for cells in setups for s, n, u, spec in cells]))
     out = []
     for cells in setups:
-        growth = tuple(next(reports) for _ in cells)
+        growth = tuple(RoundoffGrowthReport(tuple(samples), diverged, s.dt, s.dx)
+                       for (s, _, _, _), (samples, diverged) in zip(cells, runs))
         rows = tuple((s.dt, s.dx, n, r.final_gap) for (s, n, _, _), r in zip(cells, growth))
         slope = loglog_slope([(dt, g) for dt, _, _, g in rows], 2)
         out.append(HalvingSweepReport(rows, None if slope is None else -slope, growth))

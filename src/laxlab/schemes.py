@@ -151,14 +151,14 @@ def _check_grid(n: int, values: np.ndarray) -> None:
 def trajectory(s, values):
     """Yield C u, C^2 u, ... for samples of shape ``(..., N)``, N = ``s.period``.
 
-    The loops that must step use this one stepper: the round-off twins,
-    which round the state after every step, and unstable trajectories,
-    whose blow-up grows from the round-off each step adds.  ``s`` may also
-    be a stack of cells (see :func:`_in_stacks`): narrow stencils that
-    share their offsets, whose grids lie end to end in ``values``, of shape
-    ``(..., sum N)``.  Everything a step needs is set up once.  The path
-    switches on the offset count, not on the stencil's kind.  A narrow
-    stencil (at most ``_FFT_APPLY_CUTOFF`` = 32 offsets: FTCS, and backward
+    The one loop that must step (:func:`~laxlab.roundoff._stepped_runs`)
+    uses this stepper, for the round-off twins, which round the state after
+    every step, and for unstable trajectories, whose blow-up grows from the
+    round-off each step adds.  ``s`` may also be a stack of cells: narrow
+    stencils that share their offsets, whose grids lie end to end in
+    ``values``, of shape ``(..., sum N)``.  Everything a step needs is set
+    up once.  The path switches on the offset count, not on the stencil's
+    kind.  A narrow stencil (at most ``_FFT_APPLY_CUTOFF`` = 32 offsets: FTCS, and backward
     Euler up to N = 32) gathers its shifted copies through a ``(width, sum
     N)`` index table in which each cell wraps within its own grid, scales
     them by each cell's coefficients and sums over the offset axis in
@@ -198,21 +198,6 @@ def trajectory(s, values):
             cells, width = live, ends[live - 1]
             index, coef, values = index[:, :width].copy(), coef[:, :width].copy(), values[..., :width]
             terms = np.empty(values.shape[:-1] + index.shape)
-
-
-def _in_stacks(cells, run) -> list:
-    """``run`` on each stack of (stencil, step count, ...) cells, longest
-    first; one result a cell, in the order of ``cells``.  A stack is the
-    narrow stencils that share their offsets, or any other stencil alone."""
-    stacks = {}
-    for i in sorted(range(len(cells)), key=lambda i: -cells[i][1]):
-        s = cells[i][0]
-        stacks.setdefault(s.offsets.tobytes() if _narrow(s) else i, []).append(i)
-    out = [None] * len(cells)
-    for stack in stacks.values():
-        for i, result in zip(stack, run([cells[i] for i in stack])):
-            out[i] = result
-    return out
 
 
 def _narrow(s: StencilScheme) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import GridFunction
 
-__all__ = ["evolve", "extend_evolve"]
+__all__ = ["evolve"]
 
 
 def _multipliers(n: int, t: float) -> np.ndarray:
@@ -34,17 +34,3 @@ def evolve(u: GridFunction, t: float) -> GridFunction:
         return u
     return GridFunction(np.fft.ifft(np.fft.fft(u.values) * _multipliers(u.n, t)).real)
 
-
-def extend_evolve(u: GridFunction, t: float, horizon_t: float) -> GridFunction:
-    """Evolution past the horizon T: E(t - m T) after E(T)^m, m = floor(t / T).
-
-    The multipliers compose exactly, exp(-k^2 T)^m exp(-k^2 (t - m T)) =
-    exp(-k^2 t), so E(T)^m E(t - m T) = E(t) is applied directly: one
-    transform pair for any t / T, with m never formed.  Only for finite
-    t > T > 0; use :func:`evolve` inside the horizon.
-    """
-    if not horizon_t > 0:
-        raise ValueError(f"horizon_t must be positive, got {horizon_t}")
-    if not horizon_t < t < math.inf:
-        raise ValueError(f"extend_evolve needs finite t > horizon_t={horizon_t}, got {t} (use evolve)")
-    return evolve(u, t)

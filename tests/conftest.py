@@ -2,6 +2,8 @@
 import numpy as np
 from hypothesis import settings
 
+from laxlab import roundoff
+
 # Derandomized, so a run of the suite draws the same examples every time and
 # a failure reproduces; per-test @settings keep their own max_examples.
 settings.register_profile("laxlab", derandomize=True, deadline=None)
@@ -38,10 +40,11 @@ def _circulant_power_ld(s, steps):
     return result[np.mod(np.arange(n) - np.arange(n)[:, None], n)]
 
 
-def _counting_stepper(monkeypatch, module, widths):
-    """Wrap ``module.trajectory`` so that each step appends the number of
-    grid points it stepped (the width of the array it yields) to ``widths``."""
-    real = module.trajectory
+def _counting_stepper(monkeypatch, widths):
+    """Wrap the ``trajectory`` that the stepped loop (``roundoff._stepped_runs``)
+    reads, so that each step appends the number of grid points it stepped
+    (the width of the array it yields) to ``widths``."""
+    real = roundoff.trajectory
 
     def counted(s, values):
         steps, live = real(s, values), None
@@ -50,4 +53,4 @@ def _counting_stepper(monkeypatch, module, widths):
             widths.append(out.shape[-1])
             live = yield out
 
-    monkeypatch.setattr(module, "trajectory", counted)
+    monkeypatch.setattr(roundoff, "trajectory", counted)

@@ -8,22 +8,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
-from conftest import EXTENDED_FFT, _circulant_power_ld
+from conftest import EXTENDED_FFT, _circulant_power_ld, _counting_stepper
 from laxlab import analysis
 from laxlab.analysis import (
     STABILITY_CAP,
     consistency_check,
     convergence_experiment,
     operator_norm,
-    sample_steps,
     scheme_builder,
     stability_check,
     von_neumann_check,
     von_neumann_symbol,
 )
 from laxlab.errors import DivergedOperatorError, InvalidGridError
-from laxlab.grid import OVERFLOW_LIMIT, RefinementPath
-from laxlab.roundoff import PrecisionSpec, roundoff_growth_experiment
+from laxlab.grid import OVERFLOW_LIMIT, RefinementPath, loglog_slope, sample_steps
+from laxlab.roundoff import PrecisionSpec, _stepped_runs, roundoff_growth_experiment
 from laxlab.schemes import (
     StencilScheme,
     apply_values,
@@ -645,13 +644,12 @@ class TestConvergence:
 
     def test_unstable_cells_past_the_update_budget_rejected(self, monkeypatch):
         # N = 70, r ~ 0.50001 fails von Neumann: 2.48e6 steps, 1.74e8 updates.
-        def no_stepping(*args):
-            raise AssertionError("a cell was stepped")
-
-        monkeypatch.setattr(analysis, "_run_trajectory", no_stepping)
+        widths = []
+        _counting_stepper(monkeypatch, widths)
         path = RefinementPath.fixed_ratio(0.500012)
         with pytest.raises(InvalidGridError, match="1.74e\\+08 updates"):
             convergence_experiment(scheme_builder("ftcs"), path, lx.Sine(1), 1e4, [0.004028497])
+        assert widths == []
 
     def test_cells_report_the_symbol_of_the_grid_they_land_on(self):
         # The path asks for r = 0.7500001; flooring N lands on N = 16, r = 0.75.
@@ -701,14 +699,12 @@ class TestConvergence:
             assert cell.error == expected
 
         # Cells that pass the check take the symbol power and never step.
-        def no_stepping(*args):
-            raise AssertionError("a stable cell was stepped")
-
-        monkeypatch.setattr(analysis, "_run_trajectory", no_stepping)
+        widths = []
+        _counting_stepper(monkeypatch, widths)
         report = convergence_experiment(
             scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, [1e-2, 2.5e-3]
         )
-        assert report.converged
+        assert report.converged and widths == []
 
     @given(
         pairs=st.lists(
@@ -727,7 +723,7 @@ class TestConvergence:
     @example([(10, 1.0), (10, 2.0), (10, 3.0)], 3)
     def test_loglog_slope_fits_only_finite_positive_points(self, pairs, min_points):
         kept = [(x, y) for x, y in pairs if y > 0 and math.isfinite(y)]
-        got = analysis.loglog_slope(pairs, min_points)
+        got = loglog_slope(pairs, min_points)
         if len({x for x, _ in kept}) < min_points:
             assert got is None
         else:
@@ -751,11 +747,54 @@ class TestConvergence:
         u = lx.GridFunction(10.0**magnitude * np.random.default_rng(seed).uniform(-1, 1, n))
         vals, diverged = u.values, False
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n_steps):
+            for taken in range(1, n_steps + 1):
                 vals = apply_values(s, vals)
                 if not np.abs(vals).max() <= OVERFLOW_LIMIT:
                     diverged = True
                     break
-        [(got, got_diverged)] = analysis._run_trajectory([(s, n_steps, u)])
-        assert got_diverged == diverged
-        assert np.array_equal(got.view(np.int64), vals.view(np.int64))
+        widths = []
+        with pytest.MonkeyPatch.context() as patch:
+            _counting_stepper(patch, widths)
+            [(rows, got_diverged)] = _stepped_runs([(s, n_steps, u, [n_steps], OVERFLOW_LIMIT, None)])
+        # The run stops at the step the guarding loop stops at.
+        assert got_diverged == diverged and len(widths) == taken
+        if not diverged:
+            [got] = rows
+            assert np.array_equal(got.view(np.int64), vals.view(np.int64))
+
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.floats(0.5, 1.0, exclude_min=True),
+                st.integers(8, 96),
+                st.floats(0, 299.9),
+                st.integers(1, 400),
+                st.integers(0, 2**32 - 1),
+                st.one_of(st.none(), st.integers(4, 52)),  # None: a convergence cell, else a twin
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    # Three cells of different lengths in one stack; the longest diverges at
+    # step 11, before the shorter two end.
+    @example([(1.0, 8, 296.0, 300, 0, None), (0.75, 40, 0.0, 120, 1, None), (0.6, 17, 1.0, 20, 2, None)])
+    @settings(max_examples=40, deadline=None)
+    def test_each_cell_of_a_mixed_stack_equals_its_run_alone(self, cells):
+        runs = []
+        for r, n, magnitude, n_steps, seed, bits in cells:
+            dx = TWO_PI / n
+            u = lx.GridFunction(10.0**magnitude * np.random.default_rng(seed).uniform(-1, 1, n))
+            if bits is None:
+                runs.append((ftcs_heat(r * dx**2, dx, n), n_steps, u, [n_steps], OVERFLOW_LIMIT, None))
+            else:
+                runs.append((ftcs_heat(r * dx**2, dx, n), n_steps, u, sample_steps(n_steps, 8),
+                             np.finfo(float).max, PrecisionSpec(bits)))
+        for cell, (got, diverged) in zip(runs, _stepped_runs(runs), strict=True):
+            [(alone, alone_diverged)] = _stepped_runs([cell])
+            assert diverged == alone_diverged and len(got) == len(alone)
+            for a, b in zip(got, alone):
+                if cell[5] is None:
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+                else:
+                    assert a == b

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import laxlab
 from conftest import _counting_stepper
 from laxlab import roundoff, ubp
-from laxlab.analysis import step_count
-from laxlab.grid import RefinementPath
+from laxlab.grid import RefinementPath, step_count
 from laxlab.cli import (
     _RUNNERS,
     _SCHEMA,
@@ -126,6 +125,11 @@ class TestRun:
     def test_unknown_kind_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "[telepathy]\nfoo = 1\n")
         with pytest.raises(ConfigError, match="telepathy"):
+            run(cfg, tmp_path / "out")
+
+    def test_blank_section_name_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[ ]\nscheme = ftcs\n")
+        with pytest.raises(ConfigError, match="unknown experiment kind in section \\[ \\]"):
             run(cfg, tmp_path / "out")
 
     def test_missing_required_key(self, tmp_path):
@@ -294,7 +298,7 @@ class TestRoundoffBatch:
 
     def test_sections_on_one_path_step_as_one_stack(self, tmp_path, monkeypatch):
         widths = []
-        _counting_stepper(monkeypatch, roundoff, widths)
+        _counting_stepper(monkeypatch, widths)
         names = ["roundoff r12", "roundoff r23"]
         assert run(write_cfg(tmp_path, sections_cfg(names, ROUNDOFF_SECTIONS)), tmp_path / "out") == 0
         assert max(widths) == sum(n for n, _ in TWO_SWEEPS)
@@ -310,7 +314,7 @@ class TestRoundoffBatch:
                                "dts = 4e-3, 2e-3, 1e-3, 5e-4\npath = cfl\nbits = 12\n",
         }
         widths = []
-        _counting_stepper(monkeypatch, roundoff, widths)
+        _counting_stepper(monkeypatch, widths)
         names = ["roundoff r12", "roundoff r23", "roundoff long-t", "roundoff be52"]
         cfg = write_cfg(tmp_path, sections_cfg(names, sections))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -322,6 +326,40 @@ class TestRoundoffBatch:
         run(write_cfg(tmp_path, sections_cfg(names[:2], sections), "first.cfg"), first)
         assert csv_bodies(tmp_path / "out") == csv_bodies(first)
         assert (tmp_path / "out" / "summary.txt").read_text() == (first / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("first", [
+        "[convergence c]\nscheme = ftcs\nprobe = sine(1)\nt = 1.0\ndts = 1e-2\npath = cfl\ntypo = 1\n",
+        "[convergense c]\nscheme = ftcs\n",
+    ], ids=["unknown-key", "unknown-kind"])
+    def test_a_rejected_first_section_runs_no_sweep(self, tmp_path, capsys, monkeypatch, first):
+        def no_sweeps(sweeps):
+            raise AssertionError("halving_sweeps ran")
+
+        monkeypatch.setattr(roundoff, "halving_sweeps", no_sweeps)
+        cfg = write_cfg(tmp_path, first + "\n" + sections_cfg(["roundoff r12"], ROUNDOFF_SECTIONS))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[convergen" in err and "Traceback" not in err
+
+    def test_sections_before_a_rejected_one_still_batch(self, tmp_path, capsys, monkeypatch):
+        batches = []
+        sweeps = roundoff.halving_sweeps
+
+        def recording(batch):
+            batches.append(len(batch))
+            return sweeps(batch)
+
+        monkeypatch.setattr(roundoff, "halving_sweeps", recording)
+        names = ["roundoff r12", "roundoff r23"]
+        bad = "[stability s]\nscheme = ftcs\ngrid_n = 64\nr = 0.5\n"  # no t
+        cfg = write_cfg(tmp_path, sections_cfg(names[:1], ROUNDOFF_SECTIONS) + "\n" + bad + "\n"
+                        + sections_cfg(names[1:], ROUNDOFF_SECTIONS))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "[stability s]" in capsys.readouterr().err
+        assert batches == [1]
+        first = tmp_path / "first"
+        run(write_cfg(tmp_path, sections_cfg(names[:1], ROUNDOFF_SECTIONS), "first.cfg"), first)
+        assert csv_bodies(tmp_path / "out") == csv_bodies(first)
 
 
 def stability_cfg_with(key, value):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from conftest import _counting_stepper
-from laxlab import analysis, roundoff
-from laxlab.analysis import convergence_experiment, sample_steps, scheme_builder, step_count
+from laxlab.analysis import convergence_experiment, scheme_builder
 from laxlab.errors import DivergedValueError, InvalidGridError
-from laxlab.grid import MAX_UPDATES, RefinementPath
+from laxlab.grid import MAX_UPDATES, RefinementPath, sample_steps, step_count
 from laxlab.roundoff import (
     PrecisionSpec,
     halving_sweep,
@@ -228,28 +227,33 @@ class TestGrowthExperiment:
 
     @given(
         r=st.floats(0.3, 1.0, exclude_min=True),
-        n=st.integers(8, 64),
+        # Backward Euler at N > 32 steps through the FFT with n* = 0, so both
+        # rows are checked every step.
+        case=st.one_of(st.tuples(st.just(ftcs_heat), st.integers(8, 64)),
+                       st.tuples(st.just(backward_euler_heat), st.integers(33, 64))),
         bits=st.integers(4, 52),
         magnitude=st.integers(0, 300),
         past_overflow=st.integers(-32, 64),
         seed=st.integers(0, 2**32 - 1),
     )
     # Row 0 overflows at the last step while row 1 is still below its bound.
-    @example(r=1.0, n=8, bits=4, magnitude=0, past_overflow=0, seed=1)
+    @example(r=1.0, case=(ftcs_heat, 8), bits=4, magnitude=0, past_overflow=0, seed=1)
+    @example(r=0.5, case=(backward_euler_heat, 33), bits=12, magnitude=300, past_overflow=0, seed=2)
     @settings(max_examples=40)
     def test_matches_a_loop_checking_both_rows_every_step(
-        self, r, n, bits, magnitude, past_overflow, seed
+        self, r, case, bits, magnitude, past_overflow, seed
     ):
-        # An unstable run goes on until about past_overflow steps after the
-        # highest mode, growing by |1 - 4r| a step from 10**magnitude, would
-        # pass the largest double; a stable one takes 200 steps.
-        rate = abs(1 - 4 * r)
+        # An unstable FTCS run goes on until about past_overflow steps after
+        # the highest mode, growing by |1 - 4r| a step from 10**magnitude,
+        # would pass the largest double; a stable one takes 200 steps.
+        builder, n = case
+        rate = abs(1 - 4 * r) if builder is ftcs_heat else 1.0
         n_steps = 200
         if rate > 1:
             to_overflow = math.ceil((309 - magnitude) / math.log10(rate))
             n_steps = max(1, min(1500, to_overflow + past_overflow))
         dx = TWO_PI / n
-        s = ftcs_heat(r * dx**2, dx, n)
+        s = builder(r * dx**2, dx, n)
         values = 10.0**magnitude * np.random.default_rng(seed).uniform(-1, 1, n)
         spec = PrecisionSpec(bits)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -411,7 +415,7 @@ class TestStackedSweeps:
         # Every cell takes exactly its own n steps of N points, however many
         # cells share the array; a repeated dt gives two cells of one length.
         widths = []
-        _counting_stepper(monkeypatch, roundoff, widths)
+        _counting_stepper(monkeypatch, widths)
         path, dts = RefinementPath.cfl_boundary(), [4e-3, 2e-3, 2e-3, 1e-3, 5e-4]
         halving_sweep(ftcs_heat, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts)
         assert sum(widths) == sum(path.grid_for(dt)[0] * step_count(1.0, dt) for dt in dts)
@@ -419,7 +423,7 @@ class TestStackedSweeps:
 
     def test_no_unstable_convergence_cell_is_stepped_past_its_end(self, monkeypatch):
         widths = []
-        _counting_stepper(monkeypatch, analysis, widths)
+        _counting_stepper(monkeypatch, widths)
         path, dts = RefinementPath.fixed_ratio(0.55), [4e-3, 2e-3, 1e-3]
         report = convergence_experiment(ftcs_heat, path, lx.Sine(1), 1.0, dts)
         assert not any(cell.diverged for cell in report.cells)
@@ -429,7 +433,7 @@ class TestStackedSweeps:
         # N = 15, 20 and 31 are narrow with offsets 0..N-1, one set per N;
         # N = 62 and 125 step through the FFT: every cell is a stack of one.
         widths = []
-        _counting_stepper(monkeypatch, roundoff, widths)
+        _counting_stepper(monkeypatch, widths)
         path, dts = RefinementPath(1.0, 1.0), [4e-1, 3e-1, 2e-1, 1e-1, 5e-2]
         grids = [path.grid_for(dt) for dt in dts]
         assert [n for n, _ in grids] == [15, 20, 31, 62, 125]
@@ -482,7 +486,7 @@ class TestBatchedSweeps:
 
     def test_a_failed_setup_raises_before_any_cell_runs(self, monkeypatch):
         widths = []
-        _counting_stepper(monkeypatch, roundoff, widths)
+        _counting_stepper(monkeypatch, widths)
         ok = (ftcs_heat, RefinementPath.cfl_boundary(), lx.Sine(1), 1.0, PrecisionSpec(12), DTS)
         with pytest.raises(InvalidGridError, match="updates"):
             halving_sweeps([ok, ok[:3] + (1e6,) + ok[4:]])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from laxlab.grid import TWO_PI
-from laxlab.semigroup import _multipliers, evolve, extend_evolve
+from laxlab.semigroup import _multipliers, evolve
 
 
 def diff(a, b):
@@ -44,8 +44,6 @@ class TestEvolve:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^t must be finite"):
                 evolve(u, t)
-            with pytest.raises(ValueError, match="needs finite t"):
-                extend_evolve(u, t, 1.0)
 
     def test_multipliers_in_unit_interval(self):
         for t in (0.0, 0.3, 5.0):
@@ -109,31 +107,25 @@ class TestSemigroupLaw:
 
 
 class TestExtendEvolve:
+    """E(t) past a horizon T: E(T)^m E(t - m T) = E(t), m = floor(t / T),
+    applied as one transform pair whatever m."""
+
     def test_exponential_law(self):
         u = lx.sample(lx.Sine(1), 64)
-        out = extend_evolve(u, 2.5, 1.0)
+        out = evolve(u, 2.5)
         assert np.max(np.abs(out.values - math.exp(-2.5) * u.values)) < 1e-10
 
     def test_floor_arithmetic_just_past_horizon(self):
         u = lx.sample(lx.Sine(1), 16)
         t = 1.0 + 1e-9
         assert math.floor(t / 1.0) == 1
-        out = extend_evolve(u, t, 1.0)
-        direct = evolve(u, t)
-        assert diff(out, direct) < 1e-10
+        assert diff(evolve(evolve(u, 1.0), t - 1.0), evolve(u, t)) < 1e-10
 
     def test_matches_direct_multiplier_oracle(self):
+        # Oracle: each real mode k of the half-spectrum damped by exp(-k^2 t).
         u = lx.sample(lx.RandomUniform(7), 32)
-        assert diff(extend_evolve(u, 2.0, 0.7), evolve(u, 2.0)) < 1e-10
-
-    def test_inside_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            extend_evolve(lx.sample(lx.Sine(1), 16), 0.5, 1.0)
-
-    @pytest.mark.parametrize("horizon_t", [0.0, -1.0, math.nan])
-    def test_nonpositive_horizon_rejected(self, horizon_t):
-        with pytest.raises(ValueError, match="horizon_t must be positive"):
-            extend_evolve(lx.sample(lx.Sine(1), 16), 2.0, horizon_t)
+        damped = np.fft.rfft(u.values) * np.exp(-np.arange(17) ** 2 * 2.0)
+        assert np.max(np.abs(evolve(u, 2.0).values - np.fft.irfft(damped, n=32))) < 1e-10
 
     @pytest.mark.parametrize("t, horizon_t", [(1e9, 1e-3), (1.0, 1e-12), (1e3, 1e-300)])
     def test_cost_does_not_grow_with_t_over_horizon(self, t, horizon_t):
@@ -141,12 +133,12 @@ class TestExtendEvolve:
         # of E(T) would run for hours; 1e303 is past any int64
         u = lx.sample(lx.RandomUniform(4), 64)
         start = time.perf_counter()
-        out = extend_evolve(u, t, horizon_t)
+        out = evolve(u, t)
         assert time.perf_counter() - start < 0.1
-        assert diff(out, evolve(u, t)) <= 1e-10 * lx.sup_norm(u)
+        assert diff(out, evolve(evolve(u, horizon_t), t - horizon_t)) <= 1e-10 * lx.sup_norm(u)
 
     def test_power_bound_past_horizon(self):
         rng = np.random.default_rng(2)
         for t in (1.5, 2.0, 3.0):
             u = lx.GridFunction(rng.uniform(-1, 1, 32))
-            assert lx.sup_norm(extend_evolve(u, t, 1.0)) <= lx.sup_norm(u) * (1 + 1e-12)
+            assert lx.sup_norm(evolve(u, t)) <= lx.sup_norm(u) * (1 + 1e-12)
