@@ -294,9 +294,11 @@ _RUNNERS = {
 def run(config_path, out_dir, seed=0) -> int:
     """Execute every experiment section of a config file, in section order.
 
-    The round-off sections before the first invalid section run together
-    first (:func:`_roundoff_batch`); their CSVs, summary lines and errors
-    still come in section order.
+    When the first round-off section's turn comes, it and the round-off
+    sections after it, up to the first invalid section, run together
+    (:func:`_roundoff_batch`); their CSVs, summary lines and errors still
+    come in section order, and a section before them that fails costs no
+    twin.
     ``seed`` is the base seed of random probes: ``random_uniform(k)``
     samples with seed ``k + seed``.  ``summary.txt`` is written once, when
     the run ends; a section that fails leaves the summary of the sections
@@ -318,7 +320,7 @@ def run(config_path, out_dir, seed=0) -> int:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     summary: list = []
     finished = 0  # summary lines of the sections that finished
-    reports = _roundoff_batch(parser, seed)
+    reports = None  # batched when the first round-off section's turn comes
 
     try:
         for index, section in enumerate(parser.sections()):
@@ -327,8 +329,10 @@ def run(config_path, out_dir, seed=0) -> int:
                 raise ConfigError(f"unknown experiment kind in section [{section}]")
             items = _validate(kind, section, dict(parser.items(section)), seed)
             csv_lines: list = []
+            if kind == "roundoff" and reports is None:
+                reports = _roundoff_batch(parser, seed)
             try:
-                batched = (reports[section],) if section in reports else ()
+                batched = (reports[section],) if section in (reports or ()) else ()
                 scheme = _RUNNERS[kind](items, csv_lines, summary, *batched)
             except (ConfigError, InvalidGridError) as exc:
                 raise ConfigError(f"{exc} in section [{section}]") from exc

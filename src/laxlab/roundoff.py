@@ -9,7 +9,8 @@ cell of a batch of sweeps (:func:`halving_sweeps`; a single cell is the
 batch of one), and the convergence cells of :mod:`laxlab.analysis` that
 fail von Neumann.  ``significand_bits`` counts stored
 fraction bits (IEEE convention), so 52 bits reproduces double precision
-and the rounding becomes a no-op (see :func:`round_to_precision`).
+and the rounding becomes a no-op (see :func:`round_to_precision`); a
+52-bit twin that no row can overflow is therefore not stepped at all.
 """
 from __future__ import annotations
 
@@ -143,21 +144,31 @@ def _stepped_runs(cells) -> list:
     sup-norm gap between its rows, and any other cell its row 0.  Rows may
     overflow between checks, so the loop raises no floating-point flags.  A
     stencil of more than 32 offsets (the FFT step) gets n* = 0.
+
+    A 52-bit twin with n <= n* takes no step: its split (C = 2) is exact
+    below ``max_double / 2`` (Dekker 1971), so its two rows stay equal bit
+    for bit and finite, and it records (k, k dt, 0.0) at each schedule
+    point, undiverged.  A 52-bit twin past its n* (data near the largest
+    double, or an unstable stencil) steps like any other.
     """
+    free = [overflow_free_steps(s, float(np.abs(u.values).max()),
+                                min(limit, sys.float_info.max / spec.split) if spec else limit,
+                                1 + spec.epsilon / 2 if spec else 1.0)
+            for s, _, u, _, limit, spec in cells]
+    out = [None] * len(cells)
     stacks = {}
     for i in sorted(range(len(cells)), key=lambda i: -cells[i][1]):
-        s, spec = cells[i][0], cells[i][5]
+        s, n, _, schedule, _, spec = cells[i]
+        if spec is not None and spec.significand_bits == 52 and n <= free[i]:
+            out[i] = [(k, k * s.dt, 0.0) for k in schedule], False
+            continue
         stacks.setdefault((s.offsets.tobytes() if _narrow(s) else i, spec is None), []).append(i)
-    out = [None] * len(cells)
     for stack in stacks.values():
         run = [cells[i] for i in stack]
         twin = run[0][5] is not None
         ends = np.cumsum([s.period for s, *_ in run]).tolist()
         spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        safe = [overflow_free_steps(s, float(np.abs(u.values).max()),
-                                    min(limit, sys.float_info.max / spec.split) if spec else limit,
-                                    1 + spec.epsilon / 2 if spec else 1.0)
-                for s, _, u, _, limit, spec in run]
+        safe = [free[i] for i in stack]
         records = [[] for _ in run]
         diverged = [False] * len(run)
         live, event = len(run), 1

@@ -341,6 +341,19 @@ class TestRoundoffBatch:
         err = capsys.readouterr().err
         assert "[convergen" in err and "Traceback" not in err
 
+    def test_a_section_that_fails_as_it_runs_costs_no_sweep(self, tmp_path, capsys, monkeypatch):
+        # t is shorter than one step: only the run itself finds that, so the
+        # batch must wait for the first round-off section's turn.
+        def no_sweeps(sweeps):
+            raise AssertionError("halving_sweeps ran")
+
+        monkeypatch.setattr(roundoff, "halving_sweeps", no_sweeps)
+        first = "[stability s]\nscheme = ftcs\ngrid_n = 64\nr = 0.5\nt = 1e-9\n"
+        cfg = write_cfg(tmp_path, first + "\n" + sections_cfg(["roundoff be52"], ROUNDOFF_SECTIONS))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[stability s]" in err and "Traceback" not in err
+
     def test_sections_before_a_rejected_one_still_batch(self, tmp_path, capsys, monkeypatch):
         batches = []
         sweeps = roundoff.halving_sweeps

@@ -18,7 +18,7 @@ from laxlab.roundoff import (
     round_to_precision,
     roundoff_growth_experiment,
 )
-from laxlab.schemes import apply_values, backward_euler_heat, ftcs_heat
+from laxlab.schemes import apply_values, backward_euler_heat, ftcs_heat, overflow_free_steps
 
 TWO_PI = 2 * math.pi
 DTS = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
@@ -414,12 +414,39 @@ class TestStackedSweeps:
     def test_no_cell_is_stepped_past_its_end(self, monkeypatch, bits):
         # Every cell takes exactly its own n steps of N points, however many
         # cells share the array; a repeated dt gives two cells of one length.
+        # A 52-bit cell within its overflow bound n* takes none.
         widths = []
         _counting_stepper(monkeypatch, widths)
         path, dts = RefinementPath.cfl_boundary(), [4e-3, 2e-3, 2e-3, 1e-3, 5e-4]
         halving_sweep(ftcs_heat, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts)
+        if bits == 52:
+            assert widths == []
+            return
         assert sum(widths) == sum(path.grid_for(dt)[0] * step_count(1.0, dt) for dt in dts)
         assert max(widths) == sum(path.grid_for(dt)[0] for dt in dts)
+
+    @pytest.mark.parametrize("r, amplitude, stepped", [(0.5, 1.0, False), (0.6, 1e300, True)],
+                             ids=["within-n*", "past-n*"])
+    def test_52_bit_twin_steps_only_past_its_overflow_bound(self, monkeypatch, r, amplitude, stepped):
+        # Within n* the split with C = 2 is exact and no row can overflow, so
+        # the twin takes no step; past it (an unstable stencil from 1e300,
+        # which overflows) the twin steps.  Both match the loop that checks
+        # both rows every step.
+        n, steps, spec = 16, 200, PrecisionSpec(52)
+        dx = TWO_PI / n
+        s = ftcs_heat(r * dx**2, dx, n)
+        values = amplitude * np.random.default_rng(5).uniform(-1, 1, n)
+        bound = overflow_free_steps(s, float(np.abs(values).max()), np.finfo(float).max / spec.split,
+                                    1 + spec.epsilon / 2)
+        assert (steps > bound) == stepped
+        widths = []
+        _counting_stepper(monkeypatch, widths)
+        report = roundoff_growth_experiment(s, lx.GridFunction(values), steps * s.dt, spec)
+        assert bool(widths) == stepped
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _twin_loop_checking_every_step(s, values, steps, spec)
+        assert (report.samples, report.diverged) == want
+        assert report.diverged == stepped
 
     def test_no_unstable_convergence_cell_is_stepped_past_its_end(self, monkeypatch):
         widths = []

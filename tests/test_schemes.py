@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -174,11 +175,10 @@ class TestApply:
 
 
 def _shifted_sum(s: StencilScheme, values: np.ndarray) -> np.ndarray:
-    """Oracle: sum_m c_m * roll(u, -o_m) along the last axis, in offset order."""
-    out = np.zeros(values.shape)
-    for off, coef in zip(s.offsets, s.coefficients):
-        out += coef * np.roll(values, -int(off), axis=-1)
-    return out
+    """Oracle: sum_m c_m * roll(u, -o_m) along the last axis, in offset
+    order, from the first term (so an exactly zero sum keeps its sign)."""
+    terms = [coef * np.roll(values, -int(off), axis=-1) for off, coef in zip(s.offsets, s.coefficients)]
+    return functools.reduce(np.add, terms)
 
 
 @st.composite
@@ -194,10 +194,48 @@ def _narrow_stencils(draw):
     return StencilScheme(np.array(offsets), coefs, 0.1, 0.1, period=n), n
 
 
+@st.composite
+def _narrow_stacks(draw):
+    """1-4 narrow cells that share their offsets: FTCS at random r and N, or
+    backward Euler at one N <= 32 (offsets 0..N-1) and random r."""
+    count = draw(st.integers(1, 4))
+    rs = draw(st.lists(st.floats(0.01, 2.0), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        ns = draw(st.lists(st.integers(3, 40), min_size=count, max_size=count))
+        return [ftcs_heat(r * (TWO_PI / n) ** 2, TWO_PI / n, n) for r, n in zip(rs, ns)]
+    n = draw(st.integers(4, 32))
+    return [backward_euler_heat(r * (TWO_PI / n) ** 2, TWO_PI / n, n) for r in rs]
+
+
 class TestApplyFastPaths:
     @given(
+        _narrow_stacks(),
+        st.sampled_from([(), (2,), (2, 3), (0,)]),
+        st.lists(st.one_of(st.none(), st.integers(1, 4)), max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stack_steps_bitwise_equal_per_cell_roll(self, stack, lead, cuts, seed):
+        # Each step is checked against every live cell stepped alone by the
+        # roll oracle; after a step, send(k) keeps only the first k cells.
+        rng = np.random.default_rng(seed)
+        cells = [rng.uniform(-1, 1, lead + (s.period,)) for s in stack]
+        values = np.concatenate(cells, axis=-1)
+        start = values.copy()
+        steps, live, seen = trajectory(stack, values), len(stack), []
+        for cut in [None] + cuts:
+            got = steps.send(cut) if seen else next(steps)
+            live = min(live, cut or live)
+            cells = [_shifted_sum(s, u) for s, u in zip(stack[:live], cells)]
+            want = np.concatenate(cells, axis=-1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            seen.append((got, got.copy()))
+        assert all(got.tobytes() == kept.tobytes() for got, kept in seen)
+        assert values.tobytes() == start.tobytes()
+
+    @given(
         _narrow_stencils(),
-        st.sampled_from([(), (2,)]),
+        st.sampled_from([(), (2,), (2, 3), (0,)]),
         st.integers(1, 5),
         st.sampled_from([None, 4, 12]),
         st.integers(0, 2**32 - 1),
