@@ -16,7 +16,8 @@ Euler, FTCS up to r = 1/2) reads ||C^n|| = (sum c)^n from its row sum; one
 that passes with a negative coefficient reads C^n from the stencil's one
 symbol (see :mod:`laxlab.schemes`); one that fails it walks the powers
 through :func:`~laxlab.schemes.power` and :func:`~laxlab.schemes.compose`,
-whose coefficient overflow marks the divergence.  A convergence cell that
+whose coefficient overflow marks the divergence, and takes their norms from
+:func:`operator_norm` a list of powers at a time.  A convergence cell that
 passes reads C^n u from the symbol, and the cells that fail step together,
 one double row each, in the one step loop
 (:func:`~laxlab.roundoff._stepped_runs`), because their blow-up grows from
@@ -28,6 +29,7 @@ attains it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +89,7 @@ def _check_witness(witness: np.ndarray, powers: np.ndarray, totals) -> None:
 
     w is the sign pattern of the coefficients of C^n, which attains the
     norm at a grid point; C^n w = irfft(rfft(w) * conj(g^n)), g^n a row of
-    ``powers`` (the double transform of the kernel for :func:`operator_norm`,
+    ``powers`` (the double transforms of the kernels for :func:`operator_norm`,
     long double powers of the symbol for :func:`_symbol_norms`); either is
     rounded to double before the product.  Both sides are divided by
     max(1, norm), so that a norm near the largest double cannot overflow;
@@ -101,23 +103,44 @@ def _check_witness(witness: np.ndarray, powers: np.ndarray, totals) -> None:
         raise RuntimeError(f"witness ratios {attained} disagree with norms {totals}")
 
 
-def operator_norm(s: StencilScheme) -> float:
+def operator_norm(s: StencilScheme | list):
     """Sup-norm operator norm of a periodic stencil: sum of |coefficients|.
 
-    This is the norm of the operator on the stencil's N-point grid,
-    validated by :func:`_check_witness` against ``rfft`` of the double
-    kernel (entry ``o mod N`` holds c_o).  Double is enough: the check
-    rounds its transform to double before use, so the long double symbol
-    would add no bits, and the stencil's symbol is left untaken.  A sum
-    past the largest double is inf, with no witness.
+    This is the norm of the operator on the stencil's N-point grid, taken
+    with ``math.fsum`` and validated by :func:`_check_witness` against
+    ``rfft`` of the double kernel (entry ``o mod N`` holds c_o).  Double is
+    enough: the check rounds its transform to double before use, so the
+    long double symbol would add no bits, and the stencil's symbol is left
+    untaken.  A sum past the largest double is inf, with no witness.
+
+    ``s`` may also be a list of stencils on one grid, as
+    :func:`~laxlab.schemes.trajectory` takes a stack; the result is then the
+    list of their norms, each the float one stencil would give, and every
+    finite norm is checked in one :func:`_check_witness` call, with the same
+    slack for each row.  An empty list gives ``[]``; stencils on different
+    grids raise :class:`InvalidGridError` before any transform.
     """
-    try:
-        total = math.fsum(np.abs(s.coefficients).tolist())
-    except OverflowError:
-        return math.inf
-    kernel = np.bincount(np.mod(s.offsets, s.period), s.coefficients, minlength=s.period)
-    _check_witness(np.where(kernel < 0, -1.0, 1.0), np.fft.rfft(kernel), total)
-    return total
+    if isinstance(s, StencilScheme):
+        return operator_norm([s])[0]
+    stack = list(s)
+    periods = sorted({c.period for c in stack})
+    if len(periods) > 1:
+        raise InvalidGridError(f"stencils on one list must share a grid, got periods {periods}")
+    totals = []
+    for c in stack:
+        try:
+            totals.append(math.fsum(np.abs(c.coefficients).tolist()))
+        except OverflowError:
+            totals.append(math.inf)
+    finite = [c for c, total in zip(stack, totals) if total < math.inf]
+    if finite:
+        n = stack[0].period
+        index = np.concatenate([k * n + np.mod(c.offsets, n) for k, c in enumerate(finite)])
+        weights = np.concatenate([c.coefficients for c in finite])
+        kernels = np.bincount(index, weights, minlength=len(finite) * n).reshape(-1, n)
+        witness = np.where(kernels < 0, -1.0, 1.0)
+        _check_witness(witness, np.fft.rfft(kernels), np.array([t for t in totals if t < math.inf]))
+    return totals
 
 
 @dataclass(frozen=True)
@@ -136,9 +159,10 @@ class StabilityReport:
         return None
 
 
-# Grid points transformed per irfft call, over several sampled powers: the
-# rows share the call's overhead, and each long double temporary (up to 32
-# bytes an entry) stays near 128 kB, so peak memory does not grow with N.
+# Grid points transformed per call, over several sampled powers (the symbol
+# path's irfft, the walk's witness checks): the rows share the call's
+# overhead, and each long double temporary (up to 32 bytes an entry) stays
+# near 128 kB, so peak memory does not grow with N.
 _NORM_BATCH = 4096
 
 
@@ -195,13 +219,9 @@ def _row_sum_norms(s: StencilScheme, steps: list) -> list:
         return np.exp(np.array(steps, np.longdouble) * log_g).astype(float).tolist()
 
 
-def _walked_norms(s: StencilScheme, steps: list) -> tuple:
-    """(norms, diverged): C^n built by :func:`power` and :func:`compose`.
-
-    The norm list stops at the first power whose coefficients overflow,
-    with an inf entry for it.
-    """
-    norms = []
+def _walked_powers(s: StencilScheme, steps: list):
+    """Yield C^n for each n in ``steps``, built by :func:`power` and
+    :func:`compose`, up to the first power whose coefficients overflow."""
     current = None
     prev_n = 0
     for n in steps:
@@ -209,11 +229,27 @@ def _walked_norms(s: StencilScheme, steps: list) -> tuple:
             jump = power(s, n - prev_n)
             current = jump if current is None else compose(current, jump)
         except DivergedOperatorError:
-            norms.append(math.inf)
-            return norms, True
-        norms.append(operator_norm(current))
+            return
+        yield current
         prev_n = n
-    return norms, False
+
+
+def _walked_norms(s: StencilScheme, steps: list) -> tuple:
+    """(norms, diverged): ||C^n|| of the powers :func:`_walked_powers` builds.
+
+    The powers go to :func:`operator_norm` in lists of ``_NORM_BATCH // N``
+    stencils (at least one), so that each list's witnesses share one
+    transform call while at most that many powers are held at once.  The
+    norm list stops at the first power whose coefficients overflow, with an
+    inf entry for it.
+    """
+    powers = _walked_powers(s, steps)
+    rows = max(1, _NORM_BATCH // s.period)
+    norms = []
+    while batch := list(itertools.islice(powers, rows)):
+        norms += operator_norm(batch)
+    diverged = len(norms) < len(steps)
+    return norms + [math.inf] * diverged, diverged
 
 
 def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:

@@ -61,7 +61,8 @@ class StencilScheme:
         coef = np.array(self.coefficients, dtype=float)
         if offs.ndim != 1 or offs.shape != coef.shape or not offs.size:
             raise InvalidGridError("offsets and coefficients must be 1-d, nonempty and the same length")
-        if not np.diff(np.sort(offs)).all():
+        ordered = np.sort(offs)
+        if not np.diff(ordered).all():
             raise InvalidGridError("offsets must be distinct")
         if not np.isfinite(coef).all():
             raise InvalidGridError("coefficients must be finite")
@@ -71,7 +72,7 @@ class StencilScheme:
         coef.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "width", int(offs.max() - offs.min()) + 1)
+        object.__setattr__(self, "width", int(ordered[-1] - ordered[0]) + 1)
         if self.width > self.period:
             raise InvalidGridError(f"stencil width {self.width} exceeds its period {self.period}")
 
@@ -343,7 +344,7 @@ def _conv(a: tuple, b: tuple, period: int) -> tuple:
         if full.size > period:
             lo %= period
             full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
-    if not np.isfinite(full).all() or np.max(np.abs(full)) > OVERFLOW_LIMIT:
+    if not np.abs(full).max() <= OVERFLOW_LIMIT:  # inf and NaN fail it too
         raise DivergedOperatorError("stencil coefficients overflowed during composition")
     return lo, full
 

@@ -36,6 +36,24 @@ from laxlab.semigroup import evolve
 TWO_PI = 2 * math.pi
 
 
+@st.composite
+def stencil_stacks(draw):
+    """1-20 stencils with signed coefficients on one N-point grid, N in
+    4..512; the stack may hold one stencil whose sum |c| passes the largest
+    double."""
+    n = draw(st.integers(4, 512))
+    stack = []
+    for _ in range(draw(st.integers(1, 20))):
+        offsets = draw(st.lists(st.integers(-((n - 1) // 2), n // 2), min_size=1, max_size=12, unique=True))
+        coefficients = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(offsets), max_size=len(offsets)))
+        stack.append(StencilScheme(np.array(offsets), np.array(coefficients), 0.1, 0.1, period=n))
+    if draw(st.booleans()):
+        big = draw(st.sampled_from([1e308, -1e308]))
+        stack.insert(draw(st.integers(0, len(stack))),
+                     StencilScheme(np.array([0, 1]), np.array([big, 1e308]), 0.1, 0.1, period=n))
+    return stack
+
+
 class TestOperatorNorm:
     def test_ftcs_quarter(self):
         assert operator_norm(ftcs_heat(0.25, 1.0, 16)) == 1.0
@@ -97,6 +115,44 @@ class TestOperatorNorm:
         assert operator_norm(s) == math.inf
         report = stability_check(s, 0.3)
         assert report.bound_l == math.inf and not report.stable
+
+    @given(stencil_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_list_form_matches_each_stencil_bit_for_bit(self, stack):
+        norms = operator_norm(stack)
+        one_by_one = [operator_norm(s) for s in stack]
+        assert all(isinstance(norm, float) for norm in one_by_one)
+        assert list(map(float.hex, norms)) == list(map(float.hex, one_by_one))
+
+    def test_list_form_of_nothing_is_empty(self):
+        assert operator_norm([]) == []
+
+    def test_list_form_rejects_two_grids_before_any_transform(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed a list of stencils on two grids")
+
+        overflowing = StencilScheme(np.array([0, 1]), np.array([1e308, 1e308]), 0.1, 0.1, period=32)
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        for other in (ftcs_heat(0.75, 1.0, 32), overflowing):
+            with pytest.raises(InvalidGridError, match="periods"):
+                operator_norm([ftcs_heat(0.75, 1.0, 16), other])
+
+    def test_witness_check_rejects_one_row_of_a_batch_off_by_1e_9(self):
+        # The rows of one call share nothing but the transform: each keeps
+        # its own 64 N eps slack, so one wrong total fails the whole batch.
+        s = StencilScheme(np.array([-3, 0, 2, 5]), np.array([0.5, -1.25, 2.0, -0.125]), 0.1, 0.1, period=256)
+        stack = [power(s, n) for n in (1, 2, 3, 5, 8, 13)]
+        kernels = np.stack([np.bincount(np.mod(p.offsets, p.period), p.coefficients, minlength=p.period)
+                            for p in stack])
+        witness, g = np.where(kernels < 0, -1.0, 1.0), np.fft.rfft(kernels)
+        totals = np.array(operator_norm(stack))
+        analysis._check_witness(witness, g, totals)
+        for row in range(len(stack)):
+            for off in (1 - 1e-9, 1 + 1e-9):
+                wrong = totals.copy()
+                wrong[row] *= off
+                with pytest.raises(RuntimeError, match="disagree"):
+                    analysis._check_witness(witness, g, wrong)
 
 
 class TestStability:
@@ -321,6 +377,25 @@ class TestSymbolNorms:
         assert not von_neumann_check(s).passed
         assert report.norms == _walked_norms_reference(s, 1.0)
         assert report.bound_l == max(norm for _, norm in report.norms)
+
+    @pytest.mark.parametrize("n", [256, 8192])
+    @pytest.mark.parametrize("r", [0.55, 0.75])
+    def test_walk_checks_every_norm_in_bounded_batches(self, n, r, monkeypatch):
+        checked = []
+        check = analysis._check_witness
+
+        def record(witness, powers, totals):
+            checked.append(witness.shape)
+            check(witness, powers, totals)
+
+        monkeypatch.setattr(analysis, "_check_witness", record)
+        dx = TWO_PI / n
+        report = stability_check(ftcs_heat(r * dx**2, dx, n), 1.0)
+        assert not report.stable
+        finite = sum(math.isfinite(norm) for _, norm in report.norms)
+        assert finite > 64
+        assert sum(math.prod(shape[:-1]) for shape in checked) == finite
+        assert all(shape[-1] == n and math.prod(shape) <= max(n, analysis._NORM_BATCH) for shape in checked)
 
     @pytest.mark.parametrize("r", [0.3, 0.75])
     def test_report_carries_the_von_neumann_factor(self, r):
