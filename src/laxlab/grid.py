@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,15 +175,22 @@ _PROBE_TERM = re.compile(
 )
 
 
+# The largest |k| of sine(k) or cosine(k) whose samples k*x, x < 2 pi, are
+# all finite; a larger one overflows k*x or, past the largest double, its
+# conversion to float.
+_MAX_WAVENUMBER = sys.float_info.max / TWO_PI
+
+
 def parse_probe(text: str, seed: int = 0) -> Probe:
     """Parse descriptors like ``sine(1)``, ``sine(1)+sine(31)``, ``0.5*cosine(2)``.
 
     Terms are split at a ``+`` after a closing parenthesis, so an amplitude
     may be written ``2e+0``; it scales the samples of any term kind.  A
     non-finite amplitude or constant raises :class:`InvalidGridError`, and
-    so do amplitudes whose absolute values sum past :data:`OVERFLOW_LIMIT`:
-    that sum bounds every sample.  ``random_uniform(k)`` samples with seed
-    ``k + seed``.
+    so do amplitudes whose absolute values sum past :data:`OVERFLOW_LIMIT`
+    (that sum bounds every sample) and a sine or cosine wavenumber k so
+    large that k*x overflows on the grid.  ``random_uniform(k)`` samples
+    with seed ``k + seed``.
     """
     terms = []
     bound = 0.0
@@ -192,10 +200,11 @@ def parse_probe(text: str, seed: int = 0) -> Probe:
             raise InvalidGridError(f"unparseable probe term: {chunk!r}")
         amp = float(m.group("amp")) if m.group("amp") else 1.0
         name, arg = m.group("name"), m.group("arg")
-        if name == "sine":
-            term: Probe = Sine(int(arg), amp)
-        elif name == "cosine":
-            term = Cosine(int(arg), amp)
+        if name in ("sine", "cosine"):
+            k = int(arg)
+            if not abs(k) <= _MAX_WAVENUMBER:  # exact: an int compares with a float without rounding
+                raise InvalidGridError(f"wavenumber past {_MAX_WAVENUMBER!r} in probe term: {chunk!r}")
+            term: Probe = (Sine if name == "sine" else Cosine)(k, amp)
         elif name == "constant":
             amp *= float(arg if arg else 1.0)
             term = Constant(amp)

@@ -16,6 +16,7 @@ factors, the FFT step, C^n u, exact norms) reads one symbol per stencil.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,7 +63,7 @@ class StencilScheme:
         if offs.ndim != 1 or offs.shape != coef.shape or not offs.size:
             raise InvalidGridError("offsets and coefficients must be 1-d, nonempty and the same length")
         ordered = np.sort(offs)
-        if not np.diff(ordered).all():
+        if (ordered[1:] == ordered[:-1]).any():
             raise InvalidGridError("offsets must be distinct")
         if not np.isfinite(coef).all():
             raise InvalidGridError("coefficients must be finite")
@@ -97,6 +98,15 @@ class StencilScheme:
         h = np.fft.rfft(minus_identity)
         h.setflags(write=False)
         return h
+
+    @cached_property
+    def _squares(self) -> list:
+        """C, C^2, C^4, ... in dense form, (offset of the first entry,
+        contiguous coefficient array); :func:`power` grows the list."""
+        lo = int(self.offsets.min())
+        arr = np.zeros(self.width)
+        arr[self.offsets - lo] = self.coefficients
+        return [(lo, arr)]
 
 
 def ftcs_heat(dt: float, dx: float, grid_n: int) -> StencilScheme:
@@ -311,23 +321,19 @@ def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(values) * factor, n=s.period)
 
 
-def _dense(s: StencilScheme) -> tuple:
-    """Contiguous coefficient array plus the offset of its first entry."""
-    lo = int(s.offsets.min())
-    arr = np.zeros(s.width)
-    arr[s.offsets - lo] = s.coefficients
-    return lo, arr
-
-
 def _from_dense(dense: tuple, template: StencilScheme) -> StencilScheme:
     lo, arr = dense
-    return StencilScheme(
+    s = StencilScheme(
         offsets=np.arange(lo, lo + arr.size),
         coefficients=arr,
         dt=template.dt,
         dx=template.dx,
         period=template.period,
     )
+    # Its offsets run lo, lo + 1, ..., so its coefficients are its dense
+    # form already: set the cache, not a copy made on first use.
+    vars(s)["_squares"] = [(lo, s.coefficients)]
+    return s
 
 
 def _conv(a: tuple, b: tuple, period: int) -> tuple:
@@ -336,14 +342,21 @@ def _conv(a: tuple, b: tuple, period: int) -> tuple:
     The convolution is direct, so each coefficient is a plain sum of
     products with the sign of the exact value.  A transform product would
     spread rounding over every entry and turn exact zeros into +-ulp
-    noise, which inflates the sum of |coefficients| as N grows.
+    noise, which inflates the sum of |coefficients| as N grows.  Neither
+    factor is wider than the period, so the product has at most
+    2 period - 1 entries, and the fold adds its tail past the period onto
+    its head in one slice; the rest of the head gets ``+ 0.0``, as the
+    zero padding of a two-row sum would add.
     """
     lo = a[0] + b[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below catches it
-        full = np.convolve(a[1], b[1])
-        if full.size > period:
-            lo %= period
-            full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
+    full = np.convolve(a[1], b[1])  # no ufunc: an overflow here sets no warning
+    if full.size > period:
+        lo %= period
+        tail = full.size - period
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below catches it
+            head = full[:period] + 0.0
+            head[:tail] = full[:tail] + full[period:]
+        full = head
     if not np.abs(full).max() <= OVERFLOW_LIMIT:  # inf and NaN fail it too
         raise DivergedOperatorError("stencil coefficients overflowed during composition")
     return lo, full
@@ -359,31 +372,37 @@ def compose(first: StencilScheme, second: StencilScheme) -> StencilScheme:
     """
     if first.period != second.period:
         raise InvalidGridError(f"cannot compose periods {first.period} and {second.period}")
-    dense = _conv(_dense(first), _dense(second), first.period)
+    dense = _conv(first._squares[0], second._squares[0], first.period)
     return _from_dense(dense, first)
 
 
 def power(s: StencilScheme, n: int) -> StencilScheme:
-    """n-fold self-composition by repeated squaring of the coefficient array.
+    """n-fold self-composition by binary powering of the coefficient array.
 
-    Every product wraps mod the period.  Raises
+    The squares C, C^2, C^4, ... are taken once per stencil and cached on
+    it, so they hold at most ``n.bit_length()`` arrays of N doubles for the
+    largest n asked, and go with the stencil.  C^n is the product of the
+    squares for the set bits of n, lowest first, each product wrapped mod
+    the period: the convolutions of squaring afresh from the identity, in
+    the same order, less the one by the identity, so the coefficients are
+    the same bit for bit (the sums of :func:`numpy.convolve` start from
+    +0.0, so no sign of a zero in the first factor reaches them).  Raises
     :class:`DivergedOperatorError` if coefficients exceed the overflow
-    threshold, which signals gross instability.  Of the experiments, only
-    stability rows that fail the von Neumann check take powers here; the
-    rest use the symbol (:func:`apply_power`,
-    :func:`laxlab.analysis.stability_check`).
+    threshold, which signals gross instability; a square that overflows is
+    not cached.  Of the experiments, only stability rows that fail the von
+    Neumann check take powers here; the rest use the symbol
+    (:func:`apply_power`, :func:`laxlab.analysis.stability_check`).
     """
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")
     if n == 1:
         return s
-    result = (0, np.array([1.0]))
-    sq = _dense(s)
-    m = n
-    while m:
-        if m & 1:
-            result = _conv(result, sq, s.period)
-        m >>= 1
-        if m:
-            sq = _conv(sq, sq, s.period)
+    n = operator.index(n)
+    squares = s._squares
+    while len(squares) < n.bit_length():
+        squares.append(_conv(squares[-1], squares[-1], s.period))
+    bits = [k for k in range(n.bit_length()) if n >> k & 1]
+    result = squares[bits[0]]
+    for k in bits[1:]:
+        result = _conv(result, squares[k], s.period)
     return _from_dense(result, s)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from conftest import EXTENDED_FFT, _circulant_power_ld, _counting_stepper
-from laxlab import analysis
+from laxlab import analysis, schemes
 from laxlab.analysis import (
     STABILITY_CAP,
     consistency_check,
@@ -244,6 +244,23 @@ class TestStability:
             stability_check(s, 1.0)
         with pytest.raises(InvalidGridError, match="too many steps"):
             roundoff_growth_experiment(s, lx.sample(lx.Sine(1), 64), 1.0, PrecisionSpec(12))
+
+    def test_walk_reuses_each_square_at_scale(self, monkeypatch):
+        # An FTCS row just past r = 1/2 fails von Neumann, so its 88 sampled
+        # norms come from the power/compose walk.  bound_l is pinned from
+        # binary powering without a cache; with the squares cached per
+        # stencil the walk takes 87 compositions plus O(log n_max)
+        # convolutions for the powers, not one squaring chain per sample.
+        n = 1024
+        dx = TWO_PI / n
+        s = ftcs_heat(0.5000001 * dx**2, dx, n)
+        calls = []
+        conv = schemes._conv
+        monkeypatch.setattr(schemes, "_conv", lambda *args: calls.append(1) or conv(*args))
+        report = stability_check(s, 1e9 * s.dt)
+        assert not report.stable and len(report.norms) == 88
+        assert report.bound_l.hex() == "0x1.0e3400b786637p+577"
+        assert len(calls) <= 88 + 2 * report.n_steps.bit_length()
 
     def test_report_counts_the_steps_in_the_horizon(self):
         report = stability_check(ftcs_heat(0.1, 1.0, 16), 1.0)

@@ -674,6 +674,16 @@ def fuzz_horizon(path, dts, horizon):
 # N = 6, r = 9.1e299: the one step overflows, and the residual reads inf.
 @example(kind="consistency", scheme="ftcs", probe="1e300*sine(1)", path="cfl", r=1e300, dts=[1e300],
          horizon=1.0, ts=[0.0], bits=12)
+# A wavenumber past the largest double, or one whose k*x overflows, has no
+# finite samples: every kind rejects it as a config error.
+@example(kind="convergence", scheme="ftcs", probe=f"sine({'9' * 400})", path="cfl", r=0.4,
+         dts=[4e-3, 2e-3], horizon=0.01, ts=[0.0], bits=12)
+@example(kind="consistency", scheme="ftcs", probe=f"cosine({'9' * 400})", path="cfl", r=0.4,
+         dts=[4e-3], horizon=0.01, ts=[0.0], bits=12)
+@example(kind="roundoff", scheme="ftcs", probe=f"sine({'9' * 400})", path="cfl", r=0.4,
+         dts=[4e-3, 2e-3, 1e-3, 5e-4], horizon=0.01, ts=[0.0], bits=12)
+@example(kind="convergence", scheme="backward_euler", probe=f"cosine({10**308})", path="cfl", r=0.4,
+         dts=[4e-3, 2e-3], horizon=0.01, ts=[0.0], bits=12)
 @settings(max_examples=400)
 def test_sweep_sections_end_in_a_verdict_or_a_config_error(
     kind, scheme, probe, path, r, dts, horizon, ts, bits

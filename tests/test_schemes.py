@@ -501,6 +501,62 @@ class TestLinearityProperties:
         ) <= 1e-12
 
 
+def _fold_oracle(a: tuple, b: tuple, period: int) -> tuple:
+    """Convolve two dense stencils, folding the product by a zero-padded
+    two-row sum, and raise where a coefficient passes OVERFLOW_LIMIT."""
+    lo = a[0] + b[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.convolve(a[1], b[1])
+        if full.size > period:
+            lo %= period
+            full = np.pad(full, (0, -full.size % period)).reshape(-1, period).sum(axis=0)
+    if not np.abs(full).max() <= OVERFLOW_LIMIT:
+        raise DivergedOperatorError("oracle coefficients overflowed")
+    return lo, full
+
+
+def _power_oracle(s: StencilScheme, n: int) -> tuple:
+    """Dense C^n, (offset of the first entry, coefficients), by stateless
+    repeated squaring from the identity (0, [1.0]), each product folded by
+    :func:`_fold_oracle`; C itself for n = 1."""
+    lo = int(s.offsets.min())
+    sq = (lo, np.zeros(s.width))
+    sq[1][s.offsets - lo] = s.coefficients
+    if n == 1:
+        return sq
+    result = (0, np.array([1.0]))
+    while n:
+        if n & 1:
+            result = _fold_oracle(result, sq, s.period)
+        n >>= 1
+        if n:
+            sq = _fold_oracle(sq, sq, s.period)
+    return result
+
+
+def _assert_bits(got: StencilScheme, dense: tuple) -> None:
+    lo, coefficients = dense
+    assert np.array_equal(got.offsets, np.arange(lo, lo + coefficients.size))
+    assert np.array_equal(np.signbit(got.coefficients), np.signbit(coefficients))
+    assert np.array_equal(got.coefficients.view(np.int64), coefficients.view(np.int64))
+
+
+@st.composite
+def _power_calls(draw):
+    """A stencil on N = 4..256 points, with 1 to 6 distinct offsets within
+    one period and signed coefficients, some -0.0, at scales whose powers
+    underflow, hold or overflow, and 2 to 10 exponents up to 2^12, in the
+    order they are asked for."""
+    n = draw(st.integers(4, 256))
+    shift = draw(st.integers(-n, n))
+    offsets = [o + shift for o in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))]
+    scale = draw(st.sampled_from([2.0**-600, 1 / 8, 1.0, 2.0**80]))
+    coefficient = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1, 1).map(lambda c: c * scale))
+    coefficients = draw(st.lists(coefficient, min_size=len(offsets), max_size=len(offsets)))
+    s = StencilScheme(np.array(offsets), np.array(coefficients), 0.1, 0.1, period=n)
+    return s, draw(st.lists(st.integers(1, 2**12), min_size=2, max_size=10))
+
+
 class TestPower:
     def test_identity_of_iteration(self):
         s = ftcs_heat(0.3, 1.0, 16)
@@ -545,6 +601,39 @@ class TestPower:
         s = StencilScheme(np.array([0]), np.array([1e200]), 0.1, 0.1, period=16)
         with pytest.raises(DivergedOperatorError):
             power(s, 2)
+
+    @given(_power_calls())
+    @example((StencilScheme(np.array([-1, 0, 1]), np.array([0.25, -0.0, 0.25]), 0.1, 0.1, period=16), [4, 3, 1, 4]))
+    @settings(max_examples=120, deadline=None)
+    def test_cached_squares_match_stateless_squaring(self, case):
+        # Both cold and warm calls on one stencil give the coefficients of
+        # binary powering without a cache, bit for bit, and raise on the
+        # same calls; so does the composition of each power with the one
+        # before it, as the stability walk composes them.
+        s, ns = case
+        before = None
+        for k in ns:
+            try:
+                expected = _power_oracle(s, k)
+            except DivergedOperatorError:
+                with pytest.raises(DivergedOperatorError):
+                    power(s, k)
+                before = None
+                continue
+            got = power(s, k)
+            if k == 1:
+                assert got is s
+            else:
+                _assert_bits(got, expected)
+            if before is not None:
+                try:
+                    composed = _fold_oracle(before[1], expected, s.period)
+                except DivergedOperatorError:
+                    with pytest.raises(DivergedOperatorError):
+                        compose(before[0], got)
+                else:
+                    _assert_bits(compose(before[0], got), composed)
+            before = got, expected
 
 
 def _circulant(s: StencilScheme, n: int) -> np.ndarray:
