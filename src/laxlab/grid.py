@@ -10,6 +10,7 @@ their inputs.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -227,6 +228,10 @@ def parse_probe(text: str, seed: int = 0) -> Probe:
 
 def sample(probe: Probe, n: int) -> GridFunction:
     """Sample a probe descriptor on an N-point periodic grid."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidGridError(f"grid needs an integer N, got {n!r}") from None
     if n < 2:
         raise InvalidGridError(f"grid needs N >= 2, got {n}")
     x = np.arange(n) * (TWO_PI / n)

@@ -15,6 +15,7 @@ and the rounding becomes a no-op (see :func:`round_to_precision`); a
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class PrecisionSpec:
     significand_bits: int
 
     def __post_init__(self) -> None:
+        bits = self.significand_bits
+        try:
+            object.__setattr__(self, "significand_bits", operator.index(bits))
+        except TypeError:
+            raise ValueError(f"significand_bits must be an integer, got {bits!r}") from None
         if not (4 <= self.significand_bits <= 52):
             raise ValueError(f"significand_bits must be in [4, 52], got {self.significand_bits}")
 

@@ -69,6 +69,10 @@ class StencilScheme:
             raise InvalidGridError("coefficients must be finite")
         if not (self.dt > 0 and self.dx > 0):
             raise InvalidGridError(f"dt, dx must be positive, got dt={self.dt}, dx={self.dx}")
+        try:
+            object.__setattr__(self, "period", operator.index(self.period))
+        except TypeError:
+            raise InvalidGridError(f"period must be an integer, got {self.period!r}") from None
         offs.setflags(write=False)
         coef.setflags(write=False)
         object.__setattr__(self, "offsets", offs)
@@ -322,17 +326,24 @@ def apply_power(s: StencilScheme, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _from_dense(dense: tuple, template: StencilScheme) -> StencilScheme:
+    """The stencil of a dense (lo, coefficients) pair from :func:`_conv` on
+    ``template``'s grid, built without :meth:`StencilScheme.__post_init__`.
+
+    Each check it skips holds by construction: the offsets are the range
+    lo, lo + 1, ..., so they are sorted and distinct; ``_conv`` raises
+    :class:`DivergedOperatorError` before it returns a coefficient past
+    ``OVERFLOW_LIMIT``, so every coefficient is finite; its fold keeps the
+    width within the period; and ``template`` was checked when it was
+    built.  The coefficient array is not copied but made read-only, and it
+    is also the new stencil's dense form, entry 0 of its ``_squares``.
+    """
     lo, arr = dense
-    s = StencilScheme(
-        offsets=np.arange(lo, lo + arr.size),
-        coefficients=arr,
-        dt=template.dt,
-        dx=template.dx,
-        period=template.period,
-    )
-    # Its offsets run lo, lo + 1, ..., so its coefficients are its dense
-    # form already: set the cache, not a copy made on first use.
-    vars(s)["_squares"] = [(lo, s.coefficients)]
+    offsets = np.arange(lo, lo + arr.size)
+    offsets.setflags(write=False)
+    arr.setflags(write=False)
+    s = object.__new__(StencilScheme)
+    vars(s).update(offsets=offsets, coefficients=arr, dt=template.dt, dx=template.dx,
+                   period=template.period, width=arr.size, _squares=[(lo, arr)])
     return s
 
 
@@ -393,11 +404,11 @@ def power(s: StencilScheme, n: int) -> StencilScheme:
     Neumann check take powers here; the rest use the symbol
     (:func:`apply_power`, :func:`laxlab.analysis.stability_check`).
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")
     if n == 1:
         return s
-    n = operator.index(n)
     squares = s._squares
     while len(squares) < n.bit_length():
         squares.append(_conv(squares[-1], squares[-1], s.period))

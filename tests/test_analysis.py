@@ -395,6 +395,24 @@ class TestSymbolNorms:
         assert report.norms == _walked_norms_reference(s, 1.0)
         assert report.bound_l == max(norm for _, norm in report.norms)
 
+    def test_walk_builds_no_power_through_the_checked_constructor(self, monkeypatch):
+        n = 256
+        dx = TWO_PI / n
+        s = ftcs_heat(0.55 * dx**2, dx, n)
+        built = []
+        check = StencilScheme.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(StencilScheme, "__post_init__", counted)
+        report = stability_check(s, 1.0)
+        assert built == []
+        assert report.bound_l.hex() == "0x1.c990f5357d438p+793"
+        ftcs_heat(0.55 * dx**2, dx, n)  # the count does see a checked build
+        assert len(built) == 1
+
     @pytest.mark.parametrize("n", [256, 8192])
     @pytest.mark.parametrize("r", [0.55, 0.75])
     def test_walk_checks_every_norm_in_bounded_batches(self, n, r, monkeypatch):

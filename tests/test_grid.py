@@ -68,6 +68,11 @@ class TestSample:
         with pytest.raises(InvalidGridError):
             lx.sample(lx.Sine(1), 1)
 
+    def test_grid_size_must_be_an_integer(self):
+        with pytest.raises(InvalidGridError, match="integer"):
+            lx.sample(lx.Sine(1), 8.5)
+        assert np.array_equal(lx.sample(lx.Sine(1), np.int64(8)).values, lx.sample(lx.Sine(1), 8).values)
+
     def test_mixture_and_parse_roundtrip(self):
         parsed = lx.parse_probe("sine(1)+sine(31)")
         direct = lx.Sine(1) + lx.Sine(31)

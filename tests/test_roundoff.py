@@ -71,6 +71,13 @@ class TestRoundToPrecision:
         with pytest.raises(ValueError):
             PrecisionSpec(53)
 
+    def test_bits_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            PrecisionSpec(12.5)
+        spec = PrecisionSpec(np.int64(12))
+        assert spec.significand_bits == 12 and type(spec.significand_bits) is int
+        assert round_to_precision(1 / 3, spec) == round_to_precision(1 / 3, PrecisionSpec(12))
+
     @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), st.integers(4, 52))
     @example(1 + 2.0**-13, 12)  # a tie, rounded down to the even neighbour
     @example(1 + 3 * 2.0**-13, 12)  # a tie, rounded up to the even neighbour

@@ -635,6 +635,57 @@ class TestPower:
                     _assert_bits(compose(before[0], got), composed)
             before = got, expected
 
+    @given(_power_calls())
+    @example((StencilScheme(np.array([-1, 0, 1]), np.array([0.25, -0.0, 0.25]), 0.1, 0.1, period=16), [4, 3, 1, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_results_equal_their_checked_build(self, case):
+        # power and compose build their results without __post_init__; each
+        # result must equal the stencil that the checked constructor makes
+        # of its fields, and leave its operands' cached squares as they were.
+        s, ns = case
+        current = s
+        for k in ns:
+            jump = _built_unchecked(power, s, k)
+            if jump is not None:
+                composed = _built_unchecked(compose, current, jump)
+                current = jump if composed is None else composed
+
+    def test_exponent_must_be_an_integer(self):
+        s = ftcs_heat(0.3, 1.0, 16)
+        for n in (1.0, 2.0):
+            with pytest.raises(TypeError):
+                power(s, n)
+        assert power(s, np.int64(1)) is s
+        _assert_bits(power(s, np.int64(3)), _power_oracle(s, 3))
+
+
+def _built_unchecked(build, *operands):
+    """``build(*operands)`` (None if it diverges), checked against the
+    stencil that :class:`StencilScheme`'s constructor makes of its fields;
+    the operands' cached squares must keep their bits."""
+    stencils = [o for o in operands if isinstance(o, StencilScheme)]
+    kept = [[(lo, arr.copy()) for lo, arr in o._squares] for o in stencils]
+    try:
+        got = build(*operands)
+    except DivergedOperatorError:
+        got = None
+    for o, squares in zip(stencils, kept):
+        assert [lo for lo, _ in o._squares[: len(squares)]] == [lo for lo, _ in squares]
+        for (_, arr), (_, old) in zip(o._squares, squares):
+            assert np.array_equal(arr.view(np.int64), old.view(np.int64))
+    if got is None:
+        return None
+    checked = StencilScheme(got.offsets, got.coefficients, got.dt, got.dx, got.period)
+    assert got.offsets.dtype == checked.offsets.dtype
+    assert np.array_equal(got.offsets, checked.offsets)
+    assert np.array_equal(got.coefficients.view(np.int64), checked.coefficients.view(np.int64))
+    assert (got.width, got.period, got.dt, got.dx) == (checked.width, checked.period, checked.dt, checked.dx)
+    assert np.isfinite(got.coefficients).all()
+    for arr in (got.offsets, got.coefficients):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    return got
+
 
 def _circulant(s: StencilScheme, n: int) -> np.ndarray:
     """Dense N x N matrix of v_j = sum_m c_m u_{(j + o_m) mod N}."""
@@ -717,3 +768,10 @@ class TestGridWrap:
 def test_offsets_must_be_distinct():
     with pytest.raises(ValueError):
         StencilScheme(np.array([0, 0]), np.array([1.0, 2.0]), 0.1, 0.1, period=16)
+
+
+def test_period_must_be_an_integer():
+    with pytest.raises(InvalidGridError, match="integer"):
+        StencilScheme(np.array([-1, 0, 1]), np.array([0.25, 0.5, 0.25]), 0.1, 0.1, period=20.0)
+    s = StencilScheme(np.array([-1, 0, 1]), np.array([0.25, 0.5, 0.25]), 0.1, 0.1, period=np.int64(20))
+    assert s.period == 20 and type(s.period) is int
