@@ -11,18 +11,23 @@ direction of the effect measurable.
 import laxlab as lx
 from laxlab.analysis import scheme_builder
 from laxlab.grid import RefinementPath
-from laxlab.roundoff import PrecisionSpec, halving_sweeps, roundoff_growth_experiment
+from laxlab.roundoff import PrecisionSpec, halving_sweeps
 
 path = RefinementPath.cfl_boundary()
 builder = scheme_builder("ftcs")
 
+# The 12-bit sweep and its 52-bit control (below) step together, each at
+# its own precision.
+dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+sweep, control = halving_sweeps(
+    [(builder, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts) for bits in (12, 52)]
+)
+
 # --- gap growth along a single trajectory ------------------------------
 # The reduced-precision run is compared against a full-precision run of
-# the identical discretization, so the gap isolates rounding alone.
-dt = 1e-2
-grid_n, dx = path.grid_for(dt)
-scheme = builder(dt, dx, grid_n)
-report = roundoff_growth_experiment(scheme, lx.sample(lx.Sine(1), grid_n), 1.0, PrecisionSpec(12))
+# the identical discretization, so the gap isolates rounding alone.  The
+# trajectory is the sweep's coarsest cell, dt = 1e-2.
+report = sweep.growth_reports[0]
 print("12-bit significand, dt = 1e-2:")
 print("n        t          gap")
 for n, t, gap in report.samples[:8] + report.samples[-2:]:
@@ -32,12 +37,7 @@ print(f"machine epsilon: {PrecisionSpec(12).epsilon:.3e}")
 
 # --- sweeping dt downward ----------------------------------------------
 # If rounding behaved like truncation the gap would shrink with dt; the
-# fitted exponent s in gap ~ dt^{-s} shows it does not.  The 12-bit sweep
-# and its 52-bit control (below) step together, each at its own precision.
-dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-sweep, control = halving_sweeps(
-    [(builder, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts) for bits in (12, 52)]
-)
+# fitted exponent s in gap ~ dt^{-s} shows it does not.
 print()
 print("dt          n_steps    final gap")
 for dt, dx, n_steps, gap in sweep.rows:

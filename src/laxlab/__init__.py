@@ -42,10 +42,8 @@ from .grid import (
 )
 from .roundoff import (
     PrecisionSpec,
-    halving_sweep,
     halving_sweeps,
     round_to_precision,
-    roundoff_growth_experiment,
 )
 from .schemes import (
     StencilScheme,

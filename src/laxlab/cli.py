@@ -49,7 +49,7 @@ def _floats(text: str):
 
 def _parse_path(text: str) -> RefinementPath:
     toks = text.split()
-    if toks[0] == "cfl":
+    if toks == ["cfl"]:
         return RefinementPath.cfl_boundary()
     if toks[0] == "fixed_r" and len(toks) == 2:
         return RefinementPath.fixed_ratio(float(toks[1]))
@@ -224,28 +224,17 @@ def _run_convergence(items: dict, csv_lines: list, summary: list) -> str:
 
 
 def _sweep(items: dict) -> tuple:
-    """The :func:`~laxlab.roundoff.halving_sweep` arguments of a round-off section."""
+    """The :func:`~laxlab.roundoff.halving_sweeps` tuple of a round-off section."""
     return (analysis.scheme_builder(items["scheme"]), items["path"], items["probe"], items["t"],
             roundoff.PrecisionSpec(items["bits"]), items["dts"])
 
 
-def _roundoff_batch(parser, seed: int) -> dict:
+def _roundoff_batch(checked) -> dict:
     """The report of each round-off section, by name, from one
     :func:`~laxlab.roundoff.halving_sweeps` run of the round-off sections
-    before the first section of any kind that the run rejects (an unknown
-    kind, or one that fails ``_validate``), up to the first whose sweep
-    fails its setup."""
-    batch = {}
-    for section in parser.sections():
-        kind = (section.split() or [""])[0]  # a blank name has no kind
-        if kind not in _SCHEMA:
-            break
-        try:
-            items = _validate(kind, section, dict(parser.items(section)), seed)
-        except ConfigError:
-            break
-        if kind == "roundoff":
-            batch[section] = _sweep(items)
+    among the checked (section, kind, items) triples, up to the first whose
+    sweep fails its setup."""
+    batch = {section: _sweep(items) for section, kind, items in checked if kind == "roundoff"}
     sweeps = list(batch.values())
     while sweeps:
         try:
@@ -257,7 +246,7 @@ def _roundoff_batch(parser, seed: int) -> dict:
 
 def _run_roundoff(items: dict, csv_lines: list, summary: list, report=None) -> str:
     scheme = items["scheme"]
-    report = report or roundoff.halving_sweep(*_sweep(items))
+    report = report or roundoff.halving_sweeps([_sweep(items)])[0]
     csv_lines.append("n,t,gap,bits,dt,dx,scheme\n")
     for growth in report.growth_reports:
         for n, t, gap in growth.samples:
@@ -294,11 +283,12 @@ _RUNNERS = {
 def run(config_path, out_dir, seed=0) -> int:
     """Execute every experiment section of a config file, in section order.
 
-    When the first round-off section's turn comes, it and the round-off
-    sections after it, up to the first invalid section, run together
-    (:func:`_roundoff_batch`); their CSVs, summary lines and errors still
-    come in section order, and a section before them that fails costs no
-    twin.
+    Every section's kind and keys are checked once, up front, until the
+    first section that fails them; that section's :class:`ConfigError` is
+    raised in its turn.  When the first round-off section's turn comes, the
+    checked round-off sections run together (:func:`_roundoff_batch`);
+    their CSVs, summary lines and errors still come in section order, and a
+    section before them that fails costs no twin.
     ``seed`` is the base seed of random probes: ``random_uniform(k)``
     samples with seed ``k + seed``.  ``summary.txt`` is written once, when
     the run ends; a section that fails leaves the summary of the sections
@@ -320,17 +310,24 @@ def run(config_path, out_dir, seed=0) -> int:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     summary: list = []
     finished = 0  # summary lines of the sections that finished
+    checked = []  # (section, kind, items) of the sections before the first rejected one
+    rejected = None
+    for section in parser.sections():
+        kind = (section.split() or [""])[0]  # a blank name has no kind
+        try:
+            if kind not in _RUNNERS:
+                raise ConfigError(f"unknown experiment kind in section [{section}]")
+            checked.append((section, kind, _validate(kind, section, dict(parser.items(section)), seed)))
+        except ConfigError as exc:
+            rejected = exc
+            break
     reports = None  # batched when the first round-off section's turn comes
 
     try:
-        for index, section in enumerate(parser.sections()):
-            kind = (section.split() or [""])[0]
-            if kind not in _RUNNERS:
-                raise ConfigError(f"unknown experiment kind in section [{section}]")
-            items = _validate(kind, section, dict(parser.items(section)), seed)
+        for index, (section, kind, items) in enumerate(checked):
             csv_lines: list = []
             if kind == "roundoff" and reports is None:
-                reports = _roundoff_batch(parser, seed)
+                reports = _roundoff_batch(checked)
             try:
                 batched = (reports[section],) if section in (reports or ()) else ()
                 scheme = _RUNNERS[kind](items, csv_lines, summary, *batched)
@@ -339,6 +336,8 @@ def run(config_path, out_dir, seed=0) -> int:
             name = f"{kind}_{scheme}_{stamp}_{index:02d}.csv"
             (out / name).write_text("".join(csv_lines))
             finished = len(summary)
+        if rejected:
+            raise rejected
     finally:
         (out / "summary.txt").write_text("".join(line + "\n" for line in summary[:finished]))
     return 0

@@ -5,12 +5,12 @@ side by side: one at full working precision, one whose state is rounded
 to a reduced significand after every time step.  Their sup-norm gap
 isolates round-off propagation from truncation error.  One loop
 (:func:`_stepped_runs`) steps every row that must step: the twins of every
-cell of a batch of sweeps (:func:`halving_sweeps`; a single cell is the
-batch of one), and the convergence cells of :mod:`laxlab.analysis` that
-fail von Neumann.  ``significand_bits`` counts stored
-fraction bits (IEEE convention), so 52 bits reproduces double precision
-and the rounding becomes a no-op (see :func:`round_to_precision`); a
-52-bit twin that no row can overflow is therefore not stepped at all.
+cell of a batch of sweeps (:func:`halving_sweeps`, the one public way to
+run twins), and the convergence cells of :mod:`laxlab.analysis` that fail
+von Neumann.  ``significand_bits`` counts stored fraction bits (IEEE
+convention), so 52 bits reproduces double precision and the rounding
+becomes a no-op (see :func:`round_to_precision`); a 52-bit twin that no
+row can overflow is therefore not stepped at all.
 """
 from __future__ import annotations
 
@@ -22,17 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedValueError, InvalidGridError
-from .grid import (MAX_UPDATES, GridFunction, Probe, RefinementPath, loglog_slope, sample,
-                   sample_steps, step_count)
+from .grid import MAX_UPDATES, loglog_slope, sample, sample_steps, step_count
 from .schemes import _narrow, overflow_free_steps, trajectory
 
 __all__ = [
     "PrecisionSpec",
     "round_to_precision",
     "RoundoffGrowthReport",
-    "roundoff_growth_experiment",
     "HalvingSweepReport",
-    "halving_sweep",
     "halving_sweeps",
 ]
 
@@ -107,21 +104,6 @@ class RoundoffGrowthReport:
     @property
     def final_gap(self) -> float:
         return math.inf if self.diverged else self.samples[-1][2]
-
-
-def roundoff_growth_experiment(
-    s, u: GridFunction, horizon_t: float, spec: PrecisionSpec
-) -> RoundoffGrowthReport:
-    """Gap between a per-step-rounded trajectory and the full-precision one:
-    :func:`_stepped_runs` on one twin cell.
-
-    Both runs start from the identical initial state and use the identical
-    discretization, so the gap is pure round-off propagation.  A T/dt past
-    any float raises :class:`InvalidGridError`.
-    """
-    n = step_count(horizon_t, s.dt)
-    [(samples, diverged)] = _stepped_runs([(s, n, u, sample_steps(n, 8), sys.float_info.max, spec)])
-    return RoundoffGrowthReport(tuple(samples), diverged, s.dt, s.dx)
 
 
 def _stepped_runs(cells) -> list:
@@ -236,31 +218,25 @@ class HalvingSweepReport:
         return self.exponent_s is None
 
 
-def halving_sweep(
-    builder, path: RefinementPath, probe: Probe, horizon_t: float, spec: PrecisionSpec, dts
-) -> HalvingSweepReport:
-    """Final round-off gap versus dt along a refinement path: the batch of
-    one sweep (:func:`halving_sweeps`).
-
-    The reports come back coarse to fine.  Fits gap ~ dt^(-s); a
-    nonnegative s means refinement does not improve the round-off floor.
-    Needs at least 4 dt values; the fit is skipped when fewer than two gaps
-    are finite and positive (e.g. the 52-bit control).  Raises
-    :class:`InvalidGridError`, before any cell runs, when the twins would
-    take more than :data:`~laxlab.grid.MAX_UPDATES` updates.
-    """
-    return halving_sweeps([(builder, path, probe, horizon_t, spec, dts)])[0]
-
-
 def halving_sweeps(sweeps) -> list:
-    """The :class:`HalvingSweepReport` of each sweep, given as the argument
-    tuple of :func:`halving_sweep`.  Every sweep is set up and checked
-    before any cell runs; then the cells of all of them step together."""
+    """Final round-off gap versus dt along a refinement path: the
+    :class:`HalvingSweepReport` of each sweep, given as a tuple
+    ``(builder, path, probe, horizon_t, spec, dts)``.
+
+    Each sweep needs at least 4 dt values, and its reports come back coarse
+    to fine.  It fits gap ~ dt^(-s); a nonnegative s means refinement does
+    not improve the round-off floor.  The fit is skipped when fewer than two
+    gaps are finite and positive (e.g. the 52-bit control).  Every sweep is
+    set up and checked before any cell runs: :class:`InvalidGridError` is
+    raised when a sweep's twins would take more than
+    :data:`~laxlab.grid.MAX_UPDATES` updates.  Then the cells of all the
+    sweeps step together.
+    """
     setups = []
     for builder, path, probe, horizon_t, spec, dts in sweeps:
         dts = sorted(dts, reverse=True)
         if len(dts) < 4:
-            raise ValueError(f"halving_sweep needs >= 4 dt values, got {len(dts)}")
+            raise ValueError(f"halving_sweeps needs >= 4 dt values, got {len(dts)}")
         grids = [path.grid_for(dt) for dt in dts]
         # In floats: a step count past any float is inf here and fails the check.
         updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))

@@ -21,7 +21,7 @@ from laxlab.analysis import (
 )
 from laxlab.cli import run
 from laxlab.grid import RefinementPath
-from laxlab.roundoff import PrecisionSpec, halving_sweep
+from laxlab.roundoff import PrecisionSpec, halving_sweeps
 from laxlab.schemes import apply_values, backward_euler_heat, ftcs_heat
 from laxlab.semigroup import evolve
 from laxlab.ubp import (
@@ -202,22 +202,22 @@ def test_criterion_7_ubp_counterexample():
 def test_criterion_8_roundoff_direction():
     start = time.monotonic()
     dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-    reduced = halving_sweep(
+    [reduced] = halving_sweeps([(
         scheme_builder("ftcs"),
         RefinementPath.cfl_boundary(),
         lx.Sine(1),
         1.0,
         PrecisionSpec(12),
         dts,
-    )
-    control = halving_sweep(
+    )])
+    [control] = halving_sweeps([(
         scheme_builder("ftcs"),
         RefinementPath.cfl_boundary(),
         lx.Sine(1),
         1.0,
         PrecisionSpec(52),
         dts,
-    )
+    )])
     elapsed = time.monotonic() - start
     ok = (
         reduced.exponent_s is not None

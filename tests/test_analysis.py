@@ -21,8 +21,8 @@ from laxlab.analysis import (
     von_neumann_symbol,
 )
 from laxlab.errors import DivergedOperatorError, InvalidGridError
-from laxlab.grid import OVERFLOW_LIMIT, RefinementPath, loglog_slope, sample_steps
-from laxlab.roundoff import PrecisionSpec, _stepped_runs, roundoff_growth_experiment
+from laxlab.grid import OVERFLOW_LIMIT, RefinementPath, loglog_slope, sample_steps, step_count
+from laxlab.roundoff import PrecisionSpec, _stepped_runs
 from laxlab.schemes import (
     StencilScheme,
     apply_values,
@@ -239,11 +239,12 @@ class TestStability:
 
     def test_step_count_past_any_float_rejected(self):
         # t/dt = 1e310 overflows to inf: a typed error, not an OverflowError.
+        # step_count is where the round-off twins take their step count.
         s = ftcs_heat(1e-310, TWO_PI / 64, 64)
         with pytest.raises(InvalidGridError, match="too many steps"):
             stability_check(s, 1.0)
         with pytest.raises(InvalidGridError, match="too many steps"):
-            roundoff_growth_experiment(s, lx.sample(lx.Sine(1), 64), 1.0, PrecisionSpec(12))
+            step_count(1.0, s.dt)
 
     def test_walk_reuses_each_square_at_scale(self, monkeypatch):
         # An FTCS row just past r = 1/2 fails von Neumann, so its 88 sampled

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import laxlab
 from conftest import _counting_stepper
-from laxlab import roundoff, ubp
+from laxlab import cli, roundoff, ubp
 from laxlab.grid import RefinementPath, step_count
 from laxlab.cli import (
     _RUNNERS,
@@ -374,6 +374,26 @@ class TestRoundoffBatch:
         run(write_cfg(tmp_path, sections_cfg(names[:1], ROUNDOFF_SECTIONS), "first.cfg"), first)
         assert csv_bodies(tmp_path / "out") == csv_bodies(first)
 
+    def test_each_section_is_validated_once(self, tmp_path, monkeypatch):
+        # The round-off batch is built from the sections the run has checked,
+        # not from a second walk over the config.
+        calls = []
+        validate = cli._validate
+
+        def counted(kind, section, items, seed):
+            calls.append(section)
+            return validate(kind, section, items, seed)
+
+        monkeypatch.setattr(cli, "_validate", counted)
+        sections = {
+            **ROUNDOFF_SECTIONS,
+            "stability s": STABILITY_CFG.split("\n", 1)[1],
+            "convergence c": "scheme = ftcs\nprobe = sine(1)\nt = 1.0\ndts = 1e-2, 5e-3\npath = cfl\n",
+        }
+        order = ["stability s", "roundoff r12", "convergence c", "roundoff be52"]
+        assert run(write_cfg(tmp_path, sections_cfg(order, sections)), tmp_path / "out") == 0
+        assert calls == order
+
 
 def stability_cfg_with(key, value):
     """STABILITY_CFG with one key's value replaced."""
@@ -410,6 +430,8 @@ class TestBadValues:
              "bad value"),
             ("[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = table 1e-2=0.5\n",
              "bad value 'table 1e-2=0.5' for key 'path'"),
+            ("[convergence]\nscheme = ftcs\nprobe = sine(1)\nt = 1\ndts = 1e-2\npath = cfl 0.4\n",
+             "bad value 'cfl 0.4' for key 'path'"),
             ("[consistency]\nscheme = ftcs\nprobe = sine(1)\nr = 0.5\ndts = 1e-3\nts = -1\n",
              "bad value"),
             ("[convergence]\nscheme = ftcs\nprobe = random_uniform(-1)\nt = 1\ndts = 1e-2\npath = cfl\n",
@@ -442,7 +464,7 @@ class TestBadValues:
             (f"[ubp_demo]\nk_range = -{10**19}:5\n", "bad value '-10{19}:5' for key 'k_range'"),
         ],
         ids=[
-            "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "path-table", "negative-ts",
+            "zero-dt", "three-dts-short", "bits-60", "path-ratio-x", "path-table", "path-cfl-extra", "negative-ts",
             "negative-seed", "infinite-amplitude", "infinite-constant", "amplitudes-past-overflow-limit",
             "k-range-abc", "k-range-reversed", "k-range-negative", "probes-ones-x", "probes-unit-negative",
             "probes-ones-negative", "probes-unclosed", "probes-closed-thrice", "k-max", "k-range-past-cap", "probes-ones-past-cap",

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,10 @@ from laxlab.errors import DivergedValueError, InvalidGridError
 from laxlab.grid import MAX_UPDATES, RefinementPath, sample_steps, step_count
 from laxlab.roundoff import (
     PrecisionSpec,
-    halving_sweep,
+    RoundoffGrowthReport,
+    _stepped_runs,
     halving_sweeps,
     round_to_precision,
-    roundoff_growth_experiment,
 )
 from laxlab.schemes import apply_values, backward_euler_heat, ftcs_heat, overflow_free_steps
 
@@ -150,6 +151,14 @@ def _twin_loop_checking_every_step(s, values, n_max, spec):
     return tuple(samples), False
 
 
+def _run_alone(s, u, horizon, spec):
+    """The report of one twin cell stepped alone by the round-off loop, with
+    the sample points and limit that :func:`halving_sweeps` gives it."""
+    n = step_count(horizon, s.dt)
+    [(samples, diverged)] = _stepped_runs([(s, n, u, sample_steps(n, 8), sys.float_info.max, spec)])
+    return RoundoffGrowthReport(tuple(samples), diverged, s.dt, s.dx)
+
+
 def _cfl_cell(dt):
     path = RefinementPath.cfl_boundary()
     n, dx = path.grid_for(dt)
@@ -159,12 +168,12 @@ def _cfl_cell(dt):
 class TestGrowthExperiment:
     def test_full_precision_control_gap_zero(self):
         s, u = _cfl_cell(1e-3)
-        report = roundoff_growth_experiment(s, u, 1.0, PrecisionSpec(52))
+        report = _run_alone(s, u, 1.0, PrecisionSpec(52))
         assert all(gap == 0.0 for _, _, gap in report.samples)
 
     def test_reduced_precision_gap_grows_into_band(self):
         s, u = _cfl_cell(1e-3)
-        report = roundoff_growth_experiment(s, u, 1.0, PrecisionSpec(12))
+        report = _run_alone(s, u, 1.0, PrecisionSpec(12))
         gaps = [gap for _, _, gap in report.samples]
         eps = 2.0**-12
         assert eps <= gaps[-1] <= 1e4 * eps
@@ -177,7 +186,7 @@ class TestGrowthExperiment:
         r = 0.55
         s = ftcs_heat(r * dx**2, dx, n)
         u = lx.sample(lx.Sine(1), n)
-        report = roundoff_growth_experiment(s, u, 0.5, PrecisionSpec(12))
+        report = _run_alone(s, u, 0.5, PrecisionSpec(12))
         # growth-factor oracle: per-step ratio about max |g| = 4r - 1
         (n1, _, g1), (n2, _, g2) = report.samples[-2:]
         per_step = (g2 / g1) ** (1.0 / (n2 - n1))
@@ -188,7 +197,7 @@ class TestGrowthExperiment:
         # Oracle: the two trajectories stepped one at a time, as 1-d arrays.
         s, u = _cfl_cell(4e-3)
         spec = PrecisionSpec(bits)
-        report = roundoff_growth_experiment(s, u, 1.0, spec)
+        report = _run_alone(s, u, 1.0, spec)
         reference, reduced = u.values.copy(), u.values.copy()
         gaps = {}
         for n in range(1, round(1.0 / s.dt) + 1):
@@ -204,7 +213,7 @@ class TestGrowthExperiment:
         dx = TWO_PI / n
         s = ftcs_heat(4.0 * dx**2, dx, n)
         u = lx.sample(lx.Sine(8) + lx.Cosine(8), n)
-        report = roundoff_growth_experiment(s, u, 1000.0, PrecisionSpec(12))
+        report = _run_alone(s, u, 1000.0, PrecisionSpec(12))
         assert report.diverged
         assert all(math.isfinite(gap) for _, _, gap in report.samples)
 
@@ -214,7 +223,7 @@ class TestGrowthExperiment:
         n = 24
         dx = TWO_PI / n
         s = ftcs_heat(0.75 * dx**2, dx, n)
-        report = roundoff_growth_experiment(s, lx.sample(lx.Sine(1), n), 6000 * s.dt, PrecisionSpec(6))
+        report = _run_alone(s, lx.sample(lx.Sine(1), n), 6000 * s.dt, PrecisionSpec(6))
         assert report.diverged
         assert len(report.samples) == 15 and report.samples[-1][0] == 1024
         assert all(math.isfinite(gap) for _, _, gap in report.samples)
@@ -226,10 +235,10 @@ class TestGrowthExperiment:
         dx = TWO_PI / n
         s = ftcs_heat(0.75 * dx**2, dx, n)
         u = lx.sample(lx.Sine(1) + lx.RandomUniform(1), n)
-        report = roundoff_growth_experiment(s, u, 3000 * s.dt, PrecisionSpec(12))
+        report = _run_alone(s, u, 3000 * s.dt, PrecisionSpec(12))
         assert report.diverged and 1e300 < report.samples[-1][2] < math.inf
         assert report.final_gap == math.inf
-        stable = roundoff_growth_experiment(*_cfl_cell(4e-3), 1.0, PrecisionSpec(12))
+        stable = _run_alone(*_cfl_cell(4e-3), 1.0, PrecisionSpec(12))
         assert not stable.diverged and stable.final_gap == stable.samples[-1][2]
 
     @given(
@@ -268,7 +277,7 @@ class TestGrowthExperiment:
                 want = _twin_loop_checking_every_step(s, values, n_steps, spec)
             except DivergedValueError:  # row 1 finite but past the rounding bound
                 reject()
-        report = roundoff_growth_experiment(s, lx.GridFunction(values), n_steps * s.dt, spec)
+        report = _run_alone(s, lx.GridFunction(values), n_steps * s.dt, spec)
         assert (report.samples, report.diverged) == want
 
     @given(
@@ -290,14 +299,14 @@ class TestGrowthExperiment:
 
     def test_determinism(self):
         s, u = _cfl_cell(2e-3)
-        a = roundoff_growth_experiment(s, u, 1.0, PrecisionSpec(12))
-        b = roundoff_growth_experiment(s, u, 1.0, PrecisionSpec(12))
+        a = _run_alone(s, u, 1.0, PrecisionSpec(12))
+        b = _run_alone(s, u, 1.0, PrecisionSpec(12))
         assert a.samples == b.samples
 
     def test_monotone_information_loss(self):
         s, u = _cfl_cell(1e-3)
         finals = [
-            roundoff_growth_experiment(s, u, 1.0, PrecisionSpec(bits)).final_gap
+            _run_alone(s, u, 1.0, PrecisionSpec(bits)).final_gap
             for bits in (8, 12, 16, 24)
         ]
         assert all(finals[i] >= finals[i + 1] for i in range(len(finals) - 1))
@@ -305,38 +314,38 @@ class TestGrowthExperiment:
 
 class TestHalvingSweep:
     def test_refinement_does_not_improve_roundoff(self):
-        report = halving_sweep(
+        [report] = halving_sweeps([(
             scheme_builder("ftcs"),
             RefinementPath.cfl_boundary(),
             lx.Sine(1),
             1.0,
             PrecisionSpec(12),
             DTS,
-        )
+        )])
         assert report.exponent_s is not None
         assert report.exponent_s >= 0.0
 
     def test_full_precision_control_skips_fit(self):
-        report = halving_sweep(
+        [report] = halving_sweeps([(
             scheme_builder("ftcs"),
             RefinementPath.cfl_boundary(),
             lx.Sine(1),
             1.0,
             PrecisionSpec(52),
             DTS,
-        )
+        )])
         assert report.fit_skipped
         assert all(gap == 0.0 for _, _, _, gap in report.rows)
 
     def test_backward_euler_table_shape(self):
-        report = halving_sweep(
+        [report] = halving_sweeps([(
             scheme_builder("backward_euler"),
             RefinementPath(1.0, 1.0),
             lx.Sine(1),
             1.0,
             PrecisionSpec(12),
             [2e-1, 1e-1, 5e-2, 2.5e-2],
-        )
+        )])
         assert len(report.rows) == 4
         for dt, dx, n_steps, gap in report.rows:
             assert dt > 0 and dx > 0 and n_steps >= 1 and math.isfinite(gap)
@@ -349,18 +358,18 @@ class TestHalvingSweep:
         path = RefinementPath.fixed_ratio(0.25)
         assert path.grid_for(1e-2)[0] == 31 and 2 * 31 * 1e6 * 4 > MAX_UPDATES
         with pytest.raises(InvalidGridError, match="2.48e\\+08 updates"):
-            halving_sweep(no_cell, path, lx.Sine(1), 1e4, PrecisionSpec(12), [1e-2] * 4)
+            halving_sweeps([(no_cell, path, lx.Sine(1), 1e4, PrecisionSpec(12), [1e-2] * 4)])
 
     def test_requires_four_dts(self):
-        with pytest.raises(ValueError):
-            halving_sweep(
+        with pytest.raises(ValueError, match="halving_sweeps needs >= 4 dt values"):
+            halving_sweeps([(
                 scheme_builder("ftcs"),
                 RefinementPath.cfl_boundary(),
                 lx.Sine(1),
                 1.0,
                 PrecisionSpec(12),
                 [1e-2, 5e-3],
-            )
+            )])
 
 
 def _probe(kind, magnitude, seed):
@@ -398,11 +407,11 @@ class TestStackedSweeps:
         path = RefinementPath.cfl_boundary() if r is None else RefinementPath.fixed_ratio(r)
         probe = _probe(kind, magnitude, seed)
         spec = PrecisionSpec(bits)
-        sweep = halving_sweep(ftcs_heat, path, probe, horizon, spec, dts)
+        [sweep] = halving_sweeps([(ftcs_heat, path, probe, horizon, spec, dts)])
         for dt, report in zip(sorted(dts, reverse=True), sweep.growth_reports):
             grid_n, dx = path.grid_for(dt)
             s, u = ftcs_heat(dt, dx, grid_n), lx.sample(probe, grid_n)
-            assert report == roundoff_growth_experiment(s, u, horizon, spec)
+            assert report == _run_alone(s, u, horizon, spec)
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     want = _twin_loop_checking_every_step(s, u.values, step_count(horizon, dt), spec)
@@ -425,7 +434,7 @@ class TestStackedSweeps:
         widths = []
         _counting_stepper(monkeypatch, widths)
         path, dts = RefinementPath.cfl_boundary(), [4e-3, 2e-3, 2e-3, 1e-3, 5e-4]
-        halving_sweep(ftcs_heat, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts)
+        halving_sweeps([(ftcs_heat, path, lx.Sine(1), 1.0, PrecisionSpec(bits), dts)])
         if bits == 52:
             assert widths == []
             return
@@ -448,7 +457,7 @@ class TestStackedSweeps:
         assert (steps > bound) == stepped
         widths = []
         _counting_stepper(monkeypatch, widths)
-        report = roundoff_growth_experiment(s, lx.GridFunction(values), steps * s.dt, spec)
+        report = _run_alone(s, lx.GridFunction(values), steps * s.dt, spec)
         assert bool(widths) == stepped
         with np.errstate(over="ignore", invalid="ignore"):
             want = _twin_loop_checking_every_step(s, values, steps, spec)
@@ -472,17 +481,17 @@ class TestStackedSweeps:
         grids = [path.grid_for(dt) for dt in dts]
         assert [n for n, _ in grids] == [15, 20, 31, 62, 125]
         spec = PrecisionSpec(12)
-        sweep = halving_sweep(backward_euler_heat, path, lx.Sine(1), 1.0, spec, dts)
+        [sweep] = halving_sweeps([(backward_euler_heat, path, lx.Sine(1), 1.0, spec, dts)])
         assert sum(widths) == sum(n * step_count(1.0, dt) for dt, (n, _) in zip(dts, grids))
         assert set(widths) == {n for n, _ in grids}
         for dt, (n, dx), report in zip(dts, grids, sweep.growth_reports):
             s = backward_euler_heat(dt, dx, n)
-            assert report == roundoff_growth_experiment(s, lx.sample(lx.Sine(1), n), 1.0, spec)
+            assert report == _run_alone(s, lx.sample(lx.Sine(1), n), 1.0, spec)
 
 
 @st.composite
 def sweep_args(draw):
-    """The argument tuple of one :func:`halving_sweep`: FTCS or backward
+    """The tuple of one sweep for :func:`halving_sweeps`: FTCS or backward
     Euler on the cfl path or a fixed r up to 1 (unstable FTCS included)."""
     r = draw(st.one_of(st.none(), st.floats(0.3, 1.0, exclude_min=True)))  # None: the cfl path
     probe = _probe(draw(st.sampled_from(["sine", "random", "mixed"])), draw(st.integers(0, 300)),
@@ -516,7 +525,7 @@ class TestBatchedSweeps:
     @settings(max_examples=15)
     def test_each_sweep_equals_the_sweep_run_alone(self, sweeps):
         for batched, sweep in zip(halving_sweeps(sweeps), sweeps, strict=True):
-            assert batched == halving_sweep(*sweep)
+            assert [batched] == halving_sweeps([sweep])
 
     def test_a_failed_setup_raises_before_any_cell_runs(self, monkeypatch):
         widths = []

@@ -15,7 +15,7 @@ from conftest import EXTENDED_FFT, _circulant_power_ld
 from laxlab.analysis import operator_norm, von_neumann_symbol
 from laxlab.errors import DivergedOperatorError, InvalidGridError
 from laxlab.grid import OVERFLOW_LIMIT
-from laxlab.roundoff import PrecisionSpec, round_to_precision, roundoff_growth_experiment
+from laxlab.roundoff import PrecisionSpec, _stepped_runs, round_to_precision
 from laxlab.schemes import (
     StencilScheme,
     apply_power,
@@ -740,7 +740,7 @@ class TestGridWrap:
             with pytest.raises(InvalidGridError):
                 apply_power(op, np.zeros(m), steps)
         with pytest.raises(InvalidGridError):
-            roundoff_growth_experiment(s, lx.sample(lx.Sine(1), m), 10 * s.dt, PrecisionSpec(12))
+            _stepped_runs([(s, 10, lx.sample(lx.Sine(1), m), [10], sys.float_info.max, PrecisionSpec(12))])
 
     @given(
         st.integers(4, 64),
