@@ -3,9 +3,9 @@
 The three defining properties of the equivalence-theorem framework are
 turned into finite, falsifiable checks:
 
-* stability: iterated operator norms ||C^n|| over n*dt <= T, against the
-  cap :data:`STABILITY_CAP` (a uniform bound cannot be observed in a finite
-  experiment, so stable means "never exceeded the cap");
+* stability: iterated operator norms ||C^n|| for n <= round(T/dt),
+  against the cap :data:`STABILITY_CAP` (a uniform bound cannot be
+  observed in a finite experiment, so stable means "never exceeded the cap");
 * consistency: one-step residuals against the exact spectral evolution;
 * convergence: trajectory error at the final time along a refinement
   path, with an observed order fitted in dx.
@@ -145,7 +145,7 @@ def operator_norm(s: StencilScheme | list):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    n_steps: int  # n_max, the most steps n*dt <= T
+    n_steps: int  # n_max = round(T/dt), from grid.step_count
     norms: tuple  # (n, ||C^n||) pairs; inf marks coefficient or norm overflow
     bound_l: float
     stable: bool
@@ -253,8 +253,8 @@ def _walked_norms(s: StencilScheme, steps: list) -> tuple:
 
 
 def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
-    """Norms of the iterates C^n for n*dt <= T, geometrically subsampled;
-    stable means no norm passed :data:`STABILITY_CAP`.
+    """Norms of the iterates C^n for n <= round(T/dt), geometrically
+    subsampled; stable means no norm passed :data:`STABILITY_CAP`.
 
     A stencil that passes :func:`von_neumann_check` with no negative
     coefficient (backward Euler, FTCS at r <= 1/2) takes every norm from its
@@ -267,11 +267,7 @@ def stability_check(s: StencilScheme, horizon_t: float) -> StabilityReport:
     step, or holding more steps than a float can count, raises
     :class:`InvalidGridError`.
     """
-    if s.dt > horizon_t:
-        raise InvalidGridError(f"t = {horizon_t!r} is shorter than one step, dt = {s.dt!r}")
-    if not horizon_t / s.dt < math.inf:
-        raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {s.dt!r} to count")
-    n_max = int(math.floor(horizon_t / s.dt + 1e-9))
+    n_max = step_count(horizon_t, s.dt)
     steps = sample_steps(n_max, 64)
     symbol = von_neumann_check(s)
     if not symbol.passed:
@@ -377,7 +373,7 @@ def convergence_experiment(
     ``builder`` is a (dt, dx, grid_n) -> StencilScheme factory (see
     :func:`scheme_builder`).  Each cell takes n = round(T/dt) steps and is
     compared with the exact evolution at n*dt, so the final-time mismatch
-    stays within dt/2; a T/dt past any float raises
+    stays within dt/2; a T <= dt/2 or a T/dt past any float raises
     :class:`InvalidGridError`.  A cell whose von Neumann check passes gets
     C^n u from :func:`~laxlab.schemes.apply_power`; a stable circulant keeps
     ``||C^n u|| <= sqrt(N) ||u||``, so checking only its endpoint against

@@ -239,7 +239,7 @@ def _roundoff_batch(checked) -> dict:
     while sweeps:
         try:
             return dict(zip(batch, roundoff.halving_sweeps(sweeps)))
-        except ValueError:  # a sweep failed its setup checks (InvalidGridError), so no cell ran
+        except InvalidGridError:  # a sweep failed its setup checks, so no cell ran
             sweeps.pop()
     return {}
 

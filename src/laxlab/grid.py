@@ -249,11 +249,14 @@ def is_band_limited(u: GridFunction, max_mode: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def step_count(horizon_t: float, dt: float) -> int:
-    """round(T/dt), at least 1; raises :class:`InvalidGridError` for a T/dt
-    past any float."""
-    if not horizon_t / dt < math.inf:
+    """n = round(T/dt), ties to even: the steps of every experiment; raises
+    :class:`InvalidGridError` for a T/dt past any float or <= 1/2 (n < 1)."""
+    ratio = horizon_t / dt
+    if not ratio < math.inf:
         raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r} to count")
-    return max(1, round(horizon_t / dt))
+    if not ratio > 0.5:
+        raise InvalidGridError(f"t = {horizon_t!r} is shorter than one step, dt = {dt!r}")
+    return round(ratio)
 
 
 def sample_steps(n_max: int, dense: int) -> list:

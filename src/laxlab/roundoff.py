@@ -226,7 +226,8 @@ def halving_sweeps(sweeps) -> list:
     Each sweep needs at least 4 dt values, and its reports come back coarse
     to fine.  It fits gap ~ dt^(-s); a nonnegative s means refinement does
     not improve the round-off floor.  The fit is skipped when fewer than two
-    gaps are finite and positive (e.g. the 52-bit control).  Every sweep is
+    gaps are finite and positive (e.g. the 52-bit control).  Each cell takes
+    n = round(T/dt) steps (:func:`~laxlab.grid.step_count`).  Every sweep is
     set up and checked before any cell runs: :class:`InvalidGridError` is
     raised when a sweep's twins would take more than
     :data:`~laxlab.grid.MAX_UPDATES` updates.  Then the cells of all the
@@ -238,12 +239,12 @@ def halving_sweeps(sweeps) -> list:
         if len(dts) < 4:
             raise ValueError(f"halving_sweeps needs >= 4 dt values, got {len(dts)}")
         grids = [path.grid_for(dt) for dt in dts]
-        # In floats: a step count past any float is inf here and fails the check.
-        updates = sum(2 * grid_n * max(1.0, horizon_t / dt) for dt, (grid_n, _) in zip(dts, grids))
-        if not updates <= MAX_UPDATES:
+        counts = [step_count(horizon_t, dt) for dt in dts]
+        updates = sum(2 * grid_n * n for n, (grid_n, _) in zip(counts, grids))
+        if updates > MAX_UPDATES:
             raise InvalidGridError(f"twins need {updates:.3g} updates, past {MAX_UPDATES:.0e}")
-        setups.append([(builder(dt, dx, grid_n), step_count(horizon_t, dt), sample(probe, grid_n), spec)
-                       for dt, (grid_n, dx) in zip(dts, grids)])
+        setups.append([(builder(dt, dx, grid_n), n, sample(probe, grid_n), spec)
+                       for dt, n, (grid_n, dx) in zip(dts, counts, grids)])
     runs = iter(_stepped_runs([(s, n, u, sample_steps(n, 8), sys.float_info.max, spec)
                                for cells in setups for s, n, u, spec in cells]))
     out = []

@@ -270,7 +270,7 @@ class TestStability:
 
 def _walked_norms_reference(s, horizon_t):
     """The power/compose walk every stability row took before symbol norms."""
-    n_max = int(math.floor(horizon_t / s.dt + 1e-9))
+    n_max = step_count(horizon_t, s.dt)
     norms = []
     current = None
     prev_n = 0
@@ -711,6 +711,14 @@ class TestConvergence:
                 scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), horizon_t, [1e-2]
             )
 
+    def test_horizon_shorter_than_one_step_rejected(self):
+        # T = 1e-4 is under half of every dt: a cell would take one step and
+        # be compared at t = dt, not at T, and read as converged.
+        with pytest.raises(InvalidGridError, match="shorter than one step"):
+            convergence_experiment(
+                scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), 1e-4, [1e-2, 5e-3, 2.5e-3]
+            )
+
     def test_stable_and_consistent_implies_convergent(self):
         # the forward implication of the equivalence theorem, observed
         cases = [
@@ -770,7 +778,7 @@ class TestConvergence:
             scheme_builder("ftcs"),
             RefinementPath.fixed_ratio(0.7500001),
             lx.Sine(1),
-            0.01,
+            1.0,
             [dt],
         )
         assert round(TWO_PI / report.cells[0].dx) == 16

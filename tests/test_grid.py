@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laxlab as lx
+from laxlab.analysis import convergence_experiment, scheme_builder, stability_check
 from laxlab.errors import DivergedValueError, InvalidGridError
-from laxlab.grid import OVERFLOW_LIMIT, TWO_PI, is_band_limited
+from laxlab.grid import OVERFLOW_LIMIT, TWO_PI, is_band_limited, step_count
+from laxlab.roundoff import PrecisionSpec, halving_sweeps
 
 
 def grid(values):
@@ -201,6 +203,42 @@ class TestRefinementPath:
             n, dx = path.grid_for(dt)
             assert dx >= path.dx_for(dt)
             assert dt / dx**2 <= 0.5
+
+
+# dx = dt^0.05 keeps every FTCS cell drawn below on 7 to 12 points at
+# r <= 0.13, so a 52-bit twin takes no step and T/dt = 1e5 stays within
+# MAX_UPDATES.
+_COARSE_PATH = lx.RefinementPath(1.0, 0.05)
+
+
+@given(
+    st.floats(1e-3, 1e5) | st.sampled_from([0.5, 1.5, 2.5, 0.5 + 2.0**-52]),
+    st.floats(1e-6, 0.1) | st.sampled_from([2.0**-4, 2.0**-10, 2.0**-20]),
+)
+@example(0.5, 2.0**-10)
+@example(1.5, 2.0**-10)
+@example(2.5, 2.0**-10)
+@settings(max_examples=40)
+def test_every_entry_point_takes_the_step_count(ratio, dt):
+    # A stability row, a convergence cell and a round-off twin at one
+    # (dt, T) all take round(T/dt) steps, and all reject a T that holds none.
+    horizon = ratio * dt
+    ftcs, probe = scheme_builder("ftcs"), lx.Sine(1)
+    grid_n, dx = _COARSE_PATH.grid_for(dt)
+    sweep = (ftcs, _COARSE_PATH, probe, horizon, PrecisionSpec(52), [dt] * 4)
+    entry_points = [
+        lambda: [stability_check(ftcs(dt, dx, grid_n), horizon).n_steps],
+        lambda: [c.n_steps for c in convergence_experiment(ftcs, _COARSE_PATH, probe, horizon, [dt]).cells],
+        lambda: [row[2] for row in halving_sweeps([sweep])[0].rows],
+    ]
+    if round(horizon / dt) == 0:
+        for run in entry_points:
+            with pytest.raises(InvalidGridError, match="shorter than one step"):
+                run()
+    else:
+        n = step_count(horizon, dt)
+        assert n == round(horizon / dt)
+        assert [run() for run in entry_points] == [[n], [n], [n] * 4]
 
 
 def test_band_limit_detection():

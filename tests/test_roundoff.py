@@ -360,6 +360,13 @@ class TestHalvingSweep:
         with pytest.raises(InvalidGridError, match="2.48e\\+08 updates"):
             halving_sweeps([(no_cell, path, lx.Sine(1), 1e4, PrecisionSpec(12), [1e-2] * 4)])
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_rejects_a_horizon_shorter_than_one_step(self, horizon):
+        # Each cell would take one step and fit an exponent to gaps at t = dt.
+        with pytest.raises(InvalidGridError, match="shorter than one step"):
+            halving_sweeps([(scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), horizon,
+                             PrecisionSpec(12), DTS)])
+
     def test_requires_four_dts(self):
         with pytest.raises(ValueError, match="halving_sweeps needs >= 4 dt values"):
             halving_sweeps([(
