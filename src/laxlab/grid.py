@@ -250,8 +250,10 @@ def is_band_limited(u: GridFunction, max_mode: int) -> bool:
 
 def step_count(horizon_t: float, dt: float) -> int:
     """n = round(T/dt), ties to even: the steps of every experiment; raises
-    :class:`InvalidGridError` for a T/dt past any float or <= 1/2 (n < 1)."""
+    :class:`InvalidGridError` for a T/dt that is NaN, past any float or <= 1/2."""
     ratio = horizon_t / dt
+    if math.isnan(ratio):
+        raise InvalidGridError(f"t = {horizon_t!r} over dt = {dt!r} is not a number of steps")
     if not ratio < math.inf:
         raise InvalidGridError(f"t = {horizon_t!r} holds too many steps of dt = {dt!r} to count")
     if not ratio > 0.5:

@@ -116,9 +116,10 @@ def _stepped_runs(cells) -> list:
     stacks, longest first: the narrow stencils that share their offsets and
     whether they have a spec, or any other stencil alone.  Row 0 is double;
     a cell with a :class:`PrecisionSpec` (a twin) has a row 1 as well,
-    rounded in place after every step.  A cell leaves the array once it is
-    the last one and has ended (run its n steps, or diverged), so no cell
-    takes a step past its n.
+    rounded in place after every step.  This loop alone cuts a stack: once
+    its last cells have ended (run their n steps, or diverged), it starts a
+    new stepper on the first columns of the array it has just rounded, so no
+    cell takes a step past its n.
 
     Up to the step count n* of :func:`~laxlab.schemes.overflow_free_steps`
     (limit ``min(limit, max_double / C)``, growth 1 + eps/2 a step, C and
@@ -160,8 +161,9 @@ def _stepped_runs(cells) -> list:
         records = [[] for _ in run]
         diverged = [False] * len(run)
         live, event = len(run), 1
-        split = np.concatenate([np.full(s.period, spec.split if twin else 1.0) for s, *_, spec in run])
-        big, rest = np.empty(ends[-1]), np.empty(ends[-1])
+        if twin:  # the rounding scratch
+            split = np.concatenate([np.full(s.period, spec.split) for s, *_, spec in run])
+            big, rest = np.empty(ends[-1]), np.empty(ends[-1])
         values = np.concatenate([u.values for _, _, u, *_ in run])
         steps = trajectory([s for s, *_ in run], np.array([values, values]) if twin else values)
         rows = next(steps)
@@ -198,10 +200,13 @@ def _stepped_runs(cells) -> list:
                     if not live:
                         break
                     width = ends[live - 1]
-                    big, rest, split = big[:width], rest[:width], split[:width]
+                    if width < rows.shape[-1]:  # a cut: a new stepper on the cells left
+                        steps = trajectory([s for s, *_ in run[:live]], rows[..., :width])
+                        if twin:
+                            big, rest, split = big[:width], rest[:width], split[:width]
                     event = min(min(run[i][3][len(records[i])], safe[i] + 1)
                                 for i in range(live) if not diverged[i])
-                rows = steps.send(live)
+                rows = next(steps)
         for i, got, bad in zip(stack, records, diverged):
             out[i] = got, bad
     return out

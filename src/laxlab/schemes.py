@@ -172,63 +172,52 @@ def trajectory(s, values):
     round-off each step adds.  ``s`` may also be a stack of cells: narrow
     stencils that share their offsets, whose grids lie end to end in
     ``values``, of shape ``(..., sum N)``; any leading shape works, a size-0
-    one included.  Everything a step needs is set up once.  The path
-    switches on the offset count, not on the stencil's kind.  A narrow
-    stencil (at most ``_FFT_APPLY_CUTOFF`` = 32 offsets: FTCS, and backward
-    Euler up to N = 32) reads every row of the sample end to end, as one
-    contiguous 1-d array.  It gathers the shifted copies of all rows at once
-    through an index table with one line of ``rows * sum N`` entries per
-    offset (each cell wraps within its own grid, and row k's copy of the
-    table is shifted by k sum N), scales them by a coefficient table tiled
-    the same way and sums over the offset axis in offset order: ``take``,
+    one included.  The stack is fixed, and everything a step needs is set
+    up once.  The path switches on the offset count, not on the stencil's
+    kind.  A narrow stencil (at most ``_FFT_APPLY_CUTOFF`` = 32 offsets:
+    FTCS, and backward Euler up to N = 32) reads every row of the sample end
+    to end, as one contiguous 1-d array (a copy when the sample is not
+    contiguous).  It gathers the shifted copies of all rows at once through
+    an index table with one line of ``rows * sum N`` entries per offset
+    (each cell wraps within its own grid, and row k's copy of the table is
+    shifted by k sum N), scales them by a coefficient table tiled the same
+    way and sums over the offset axis in offset order: ``take``,
     ``multiply`` and ``add.reduce(axis=0)`` a step for the whole stack, over
     contiguous memory, with the sum in the sample's shape.  Each cell gets
     the roundings of ``sum_m c_m * roll(u, -o_m)`` summed from its first
     term (an oracle that starts from +0.0 reads +0.0 where a sum that is
-    exactly zero comes out as -0.0 here).  A wider stencil steps alone, as ``irfft(rfft(v) *
-    conj(g), n=N)``, with the double factor conj(g) formed once from the
-    stencil's symbol.  ``send(k)`` in place of ``next`` drops all but the
-    first k >= 1 cells of a stack from the steps that follow: the 1-d array
-    keeps only the surviving block of each row, and the tables are rebuilt
-    for it.  Each step reads the array yielded before it, so a caller may
-    change that array in place (the twins round it) before resuming; the
-    generator never writes to ``values`` or to an array it has yielded.  The
-    stepper checks no value (see :func:`overflow_free_steps`).  Data on
-    another grid raises :class:`InvalidGridError` when the first step is
-    taken.
+    exactly zero comes out as -0.0 here).  A wider stencil steps alone, as
+    ``irfft(rfft(v) * conj(g), n=N)``, with the double factor conj(g) formed
+    once from the stencil's symbol.  Each step reads the array yielded
+    before it, so a caller may change that array in place (the twins round
+    it) before resuming; the generator never writes to ``values`` or to an
+    array it has yielded.  The stepper checks no value (see
+    :func:`overflow_free_steps`).  Data on another grid raises
+    :class:`InvalidGridError` when the first step is taken.
     """
     stack = [s] if isinstance(s, StencilScheme) else list(s)
     values = np.asarray(values, dtype=float)
     ends = np.cumsum([c.period for c in stack]).tolist()
-    _check_grid(ends[-1], values)
+    width = ends[-1]
+    _check_grid(width, values)
     if not _narrow(stack[0]):
         factor = np.conj(1 + stack[0].symbol_minus_one).astype(complex)
         while True:
-            values = np.fft.irfft(np.fft.rfft(values) * factor, n=ends[0])
+            values = np.fft.irfft(np.fft.rfft(values) * factor, n=width)
             yield values
     index = np.hstack([a + np.mod(np.arange(c.period) + c.offsets[:, None], c.period)
                        for a, c in zip([0] + ends, stack)])
     coef = np.hstack([np.repeat(c.coefficients[:, None], c.period, axis=1) for c in stack])
-    lead, rows, cells = values.shape[:-1], math.prod(values.shape[:-1]), len(stack)
-    while True:  # once per cut of the stack
-        width = ends[cells - 1]
-        # take reads the sample as one 1-d array (copied only when it is not
-        # contiguous, as after a cut), with row k at [k*width, (k+1)*width).
-        # Row k's copy of the tables is shifted by k*width, so row 0's copy
-        # is all a cut needs to rebuild them.
-        shape = (len(index),) + lead + (width,)
-        shift = width * np.arange(rows)[:, None]
-        index = (index.reshape(len(index), -1)[:, None, :width] + shift).reshape(shape)
-        coef = np.repeat(coef.reshape(len(coef), -1)[:, None, :width], rows, axis=1).reshape(shape)
-        terms = np.empty(shape)
-        live = None
-        while live is None or live >= cells:
-            values.take(index, out=terms, mode="clip")
-            np.multiply(terms, coef, out=terms)
-            values = np.add.reduce(terms, axis=0)
-            live = yield values
-        cells, terms = live, None  # the old scratch goes before the new tables come
-        values = values[..., :ends[live - 1]]
+    rows = math.prod(values.shape[:-1])
+    shape = (len(index),) + values.shape
+    index = (index[:, None, :] + width * np.arange(rows)[:, None]).reshape(shape)
+    coef = np.repeat(coef[:, None, :], rows, axis=1).reshape(shape)
+    terms = np.empty(shape)
+    while True:
+        values.take(index, out=terms, mode="clip")
+        np.multiply(terms, coef, out=terms)
+        values = np.add.reduce(terms, axis=0)
+        yield values
 
 
 def _narrow(s: StencilScheme) -> bool:

@@ -47,10 +47,8 @@ def _counting_stepper(monkeypatch, widths):
     real = roundoff.trajectory
 
     def counted(s, values):
-        steps, live = real(s, values), None
-        while True:
-            out = steps.send(live)
+        for out in real(s, values):
             widths.append(out.shape[-1])
-            live = yield out
+            yield out
 
     monkeypatch.setattr(roundoff, "trajectory", counted)

@@ -246,6 +246,11 @@ class TestStability:
         with pytest.raises(InvalidGridError, match="too many steps"):
             step_count(1.0, s.dt)
 
+    def test_nan_horizon_rejected(self):
+        # T/dt is NaN: neither too many steps nor shorter than one step.
+        with pytest.raises(InvalidGridError, match="t = nan over dt = 0.1 is not a number of steps"):
+            stability_check(ftcs_heat(0.1, 0.5, 16), math.nan)
+
     def test_walk_reuses_each_square_at_scale(self, monkeypatch):
         # An FTCS row just past r = 1/2 fails von Neumann, so its 88 sampled
         # norms come from the power/compose walk.  bound_l is pinned from
@@ -704,9 +709,13 @@ class TestConvergence:
         )
         assert report.converged
 
-    @pytest.mark.parametrize("horizon_t", [0.0, -1.0, math.nan])
-    def test_nonpositive_horizon_rejected(self, horizon_t):
-        with pytest.raises(ValueError, match="horizon_t must be positive"):
+    @pytest.mark.parametrize("horizon_t, message", [(0.0, "shorter than one step"),
+                                                    (-1.0, "shorter than one step"),
+                                                    (math.nan, "not a number of steps")],
+                             ids=["0.0", "-1.0", "nan"])
+    def test_nonpositive_horizon_rejected(self, horizon_t, message):
+        # grid.step_count is the one horizon rule.
+        with pytest.raises(InvalidGridError, match=message):
             convergence_experiment(
                 scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), horizon_t, [1e-2]
             )

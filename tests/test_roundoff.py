@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import laxlab as lx
 from conftest import _counting_stepper
+from laxlab import roundoff
 from laxlab.analysis import convergence_experiment, scheme_builder
 from laxlab.errors import DivergedValueError, InvalidGridError
 from laxlab.grid import MAX_UPDATES, RefinementPath, sample_steps, step_count
@@ -360,10 +361,13 @@ class TestHalvingSweep:
         with pytest.raises(InvalidGridError, match="2.48e\\+08 updates"):
             halving_sweeps([(no_cell, path, lx.Sine(1), 1e4, PrecisionSpec(12), [1e-2] * 4)])
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0])
-    def test_rejects_a_horizon_shorter_than_one_step(self, horizon):
+    @pytest.mark.parametrize("horizon, message", [(0.0, "shorter than one step"),
+                                                  (-1.0, "shorter than one step"),
+                                                  (math.nan, "not a number of steps")],
+                             ids=["0.0", "-1.0", "nan"])
+    def test_rejects_a_horizon_shorter_than_one_step(self, horizon, message):
         # Each cell would take one step and fit an exponent to gaps at t = dt.
-        with pytest.raises(InvalidGridError, match="shorter than one step"):
+        with pytest.raises(InvalidGridError, match=message):
             halving_sweeps([(scheme_builder("ftcs"), RefinementPath.cfl_boundary(), lx.Sine(1), horizon,
                              PrecisionSpec(12), DTS)])
 
@@ -447,6 +451,30 @@ class TestStackedSweeps:
             return
         assert sum(widths) == sum(path.grid_for(dt)[0] * step_count(1.0, dt) for dt in dts)
         assert max(widths) == sum(path.grid_for(dt)[0] for dt in dts)
+
+    def test_a_stepper_is_built_per_stack_and_per_cut(self, monkeypatch):
+        # Two 12- and 17-bit FTCS sweeps stack their eight twins, with five
+        # step counts.  The loop builds one stepper for the stack, then one
+        # at each cut that leaves cells running, on the cells left: five
+        # steppers for 100 steps, not one a step.
+        widths, built = [], []
+        _counting_stepper(monkeypatch, widths)
+        counted = roundoff.trajectory
+
+        def building(s, values):
+            built.append(values.shape[-1])
+            return counted(s, values)
+
+        monkeypatch.setattr(roundoff, "trajectory", building)
+        path = RefinementPath.cfl_boundary()
+        sweeps = [(ftcs_heat, path, lx.Sine(1), 0.05, PrecisionSpec(bits), dts)
+                  for bits, dts in [(12, [4e-3, 2e-3, 1e-3, 5e-4]), (17, [4e-3, 3e-3, 2e-3, 1e-3])]]
+        halving_sweeps(sweeps)
+        cells = [(path.grid_for(dt)[0], step_count(0.05, dt)) for *_, dts in sweeps for dt in dts]
+        ends = sorted({n for _, n in cells})
+        assert ends == [12, 17, 25, 50, 100]
+        assert built == [sum(grid_n for grid_n, n in cells if n > end) for end in [0] + ends[:-1]]
+        assert len(widths) == 100 and sum(widths) == sum(grid_n * n for grid_n, n in cells)
 
     @pytest.mark.parametrize("r, amplitude, stepped", [(0.5, 1.0, False), (0.6, 1e300, True)],
                              ids=["within-n*", "past-n*"])
